@@ -15,6 +15,14 @@
 namespace cloudcache {
 namespace {
 
+/// The plan cache off, so every call derives the full plan set rather
+/// than re-pricing a cached one.
+EnumeratorOptions UncachedOptions() {
+  EnumeratorOptions options;
+  options.enable_plan_cache = false;
+  return options;
+}
+
 struct Env {
   Env()
       : catalog(MakeTpchCatalog(2500.0)),
@@ -22,7 +30,7 @@ struct Env {
         model(&catalog, &prices),
         registry(&catalog),
         cache(&registry),
-        enumerator(&model, &registry, {}) {
+        enumerator(&model, &registry, UncachedOptions()) {
     auto resolved = ResolveTemplates(catalog, MakeTpchTemplates());
     templates = *resolved;
     enumerator.SetIndexCandidates(
@@ -61,7 +69,7 @@ void BM_Enumerate(benchmark::State& state) {
   Env& env = GetEnv();
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env.enumerator.Enumerate(
+    benchmark::DoNotOptimize(env.enumerator.EnumerateShared(
         env.queries[i++ % env.queries.size()], env.cache));
   }
 }
@@ -73,9 +81,9 @@ void BM_EnumerateAndSkyline(benchmark::State& state) {
   std::vector<size_t> survivors;
   SkylineScratch scratch;
   for (auto _ : state) {
-    const PlanSet set = env.enumerator.Enumerate(
+    const PlanSet* set = env.enumerator.EnumerateShared(
         env.queries[i++ % env.queries.size()], env.cache);
-    SkylineIndicesInto(set, &survivors, &scratch);
+    SkylineIndicesInto(*set, &survivors, &scratch);
     benchmark::DoNotOptimize(survivors.data());
     benchmark::ClobberMemory();
   }

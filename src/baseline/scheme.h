@@ -286,8 +286,8 @@ class EconScheme : public Scheme {
   Status AdoptStructure(const StructureKey& key, SimTime now) override {
     return engine_->ForceBuild(key, now);
   }
-  void AbsorbCredit(Money amount, SimTime now) override {
-    engine_->mutable_account().DepositRevenue(amount, now);
+  void AbsorbCredit(Money amount, SimTime /*now*/) override {
+    engine_->mutable_account().DepositRevenue(amount);
   }
   void SetEventTracer(obs::EventTracer* tracer,
                       uint32_t node_ordinal) override {

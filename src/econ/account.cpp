@@ -1,25 +1,22 @@
 #include "src/econ/account.h"
 
-#include "src/persist/util_io.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
 
-void CloudAccount::DepositRevenue(Money amount, SimTime now) {
+void CloudAccount::DepositRevenue(Money amount) {
   CLOUDCACHE_CHECK_GE(amount.micros(), 0);
   credit_ += amount;
   revenue_ += amount;
-  Record(now);
 }
 
-void CloudAccount::ChargeExpenditure(Money amount, SimTime now) {
+void CloudAccount::ChargeExpenditure(Money amount) {
   CLOUDCACHE_CHECK_GE(amount.micros(), 0);
   credit_ -= amount;
   expenditure_ += amount;
-  Record(now);
 }
 
-Status CloudAccount::WithdrawInvestment(Money amount, SimTime now) {
+Status CloudAccount::WithdrawInvestment(Money amount) {
   CLOUDCACHE_CHECK_GE(amount.micros(), 0);
   if (amount > credit_) {
     return Status::ResourceExhausted(
@@ -28,7 +25,6 @@ Status CloudAccount::WithdrawInvestment(Money amount, SimTime now) {
   }
   credit_ -= amount;
   investment_ += amount;
-  Record(now);
   return Status::OK();
 }
 
@@ -38,7 +34,6 @@ void CloudAccount::SaveState(persist::Encoder* enc) const {
   enc->PutMoney(revenue_);
   enc->PutMoney(expenditure_);
   enc->PutMoney(investment_);
-  persist::SaveTimeSeries(history_, enc);
 }
 
 Status CloudAccount::RestoreState(persist::Decoder* dec) {
@@ -47,7 +42,6 @@ Status CloudAccount::RestoreState(persist::Decoder* dec) {
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&revenue_));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&expenditure_));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&investment_));
-  CLOUDCACHE_RETURN_IF_ERROR(persist::RestoreTimeSeries(dec, &history_));
   if (credit_ != initial_ + revenue_ - expenditure_ - investment_) {
     return Status::InvalidArgument(
         "snapshot account books do not balance (credit != initial + revenue "

@@ -22,7 +22,7 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data) {
 /// Append-only little-endian byte sink. All integers are fixed-width
 /// little-endian; doubles are bit-cast to uint64_t, so a save→load round
 /// trip reproduces every value bit for bit (including -0.0, infinities,
-/// and NaN payloads — RunningStats min/max start at ±inf).
+/// and NaN payloads — Histogram min/max start at ±inf).
 class Encoder {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }

@@ -6,6 +6,8 @@
 namespace cloudcache {
 namespace persist {
 
+namespace {
+
 void SaveResourceBreakdown(const ResourceBreakdown& breakdown, Encoder* enc) {
   enc->PutDouble(breakdown.cpu_dollars);
   enc->PutDouble(breakdown.network_dollars);
@@ -18,51 +20,6 @@ Status RestoreResourceBreakdown(Decoder* dec, ResourceBreakdown* breakdown) {
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&breakdown->network_dollars));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&breakdown->disk_dollars));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&breakdown->io_dollars));
-  return Status::OK();
-}
-
-void SaveTenantMetrics(const TenantMetrics& tenant, Encoder* enc) {
-  enc->PutU32(tenant.tenant_id);
-  enc->PutU64(tenant.queries);
-  enc->PutU64(tenant.served);
-  enc->PutU64(tenant.served_in_cache);
-  enc->PutU64(tenant.served_in_backend);
-  enc->PutU64(tenant.wan_bytes);
-  SaveRunningStats(tenant.response_seconds, enc);
-  tenant.response_hist.SaveState(enc);
-  SaveResourceBreakdown(tenant.operating_cost, enc);
-  enc->PutMoney(tenant.revenue);
-  enc->PutMoney(tenant.profit);
-  enc->PutMoney(tenant.final_regret);
-  enc->PutU64(tenant.case_a);
-  enc->PutU64(tenant.case_b);
-  enc->PutU64(tenant.case_c);
-  enc->PutU64(tenant.investments);
-  enc->PutU64(tenant.evictions);
-  enc->PutU64(tenant.throttled);
-}
-
-Status RestoreTenantMetrics(Decoder* dec, TenantMetrics* tenant) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&tenant->tenant_id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->queries));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->served));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->served_in_cache));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->served_in_backend));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->wan_bytes));
-  CLOUDCACHE_RETURN_IF_ERROR(
-      RestoreRunningStats(dec, &tenant->response_seconds));
-  CLOUDCACHE_RETURN_IF_ERROR(tenant->response_hist.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(
-      RestoreResourceBreakdown(dec, &tenant->operating_cost));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&tenant->revenue));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&tenant->profit));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&tenant->final_regret));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->case_a));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->case_b));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->case_c));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->investments));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->evictions));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&tenant->throttled));
   return Status::OK();
 }
 
@@ -116,32 +73,59 @@ Status RestoreClusterMetrics(Decoder* dec, ClusterMetrics* cluster) {
   return Status::OK();
 }
 
+/// One per-query counter block, run-wide or one tenant's.
+void SaveQueryCounters(const QueryCounters& c, Encoder* enc) {
+  enc->PutU64(c.queries);
+  enc->PutU64(c.served);
+  enc->PutU64(c.served_in_cache);
+  enc->PutU64(c.served_in_backend);
+  enc->PutU64(c.wan_bytes);
+  c.response_hist.SaveState(enc);
+  SaveResourceBreakdown(c.operating_cost, enc);
+  enc->PutMoney(c.revenue);
+  enc->PutMoney(c.profit);
+  enc->PutU64(c.case_a);
+  enc->PutU64(c.case_b);
+  enc->PutU64(c.case_c);
+  enc->PutU64(c.investments);
+  enc->PutU64(c.evictions);
+  enc->PutU64(c.throttled);
+}
+
+Status RestoreQueryCounters(Decoder* dec, QueryCounters* c) {
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->queries));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->served));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->served_in_cache));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->served_in_backend));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->wan_bytes));
+  CLOUDCACHE_RETURN_IF_ERROR(c->response_hist.RestoreState(dec));
+  CLOUDCACHE_RETURN_IF_ERROR(
+      RestoreResourceBreakdown(dec, &c->operating_cost));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&c->revenue));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&c->profit));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->case_a));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->case_b));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->case_c));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->investments));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&c->evictions));
+  return dec->ReadU64(&c->throttled);
+}
+
+}  // namespace
+
 void SaveSimMetrics(const SimMetrics& metrics, Encoder* enc) {
   enc->PutString(metrics.scheme_name);
-  SaveRunningStats(metrics.response_seconds, enc);
-  metrics.response_hist.SaveState(enc);
-  SaveResourceBreakdown(metrics.operating_cost, enc);
-  enc->PutMoney(metrics.revenue);
-  enc->PutMoney(metrics.profit);
+  SaveQueryCounters(metrics, enc);
   enc->PutMoney(metrics.final_credit);
-  enc->PutU64(metrics.queries);
-  enc->PutU64(metrics.served);
-  enc->PutU64(metrics.served_in_cache);
-  enc->PutU64(metrics.served_in_backend);
-  enc->PutU64(metrics.wan_bytes);
-  enc->PutU64(metrics.investments);
-  enc->PutU64(metrics.evictions);
-  enc->PutU64(metrics.throttled);
-  enc->PutU64(metrics.case_a);
-  enc->PutU64(metrics.case_b);
-  enc->PutU64(metrics.case_c);
   enc->PutU64(metrics.final_resident_bytes);
   enc->PutU32(metrics.final_extra_nodes);
   SaveTimeSeries(metrics.cost_over_time, enc);
   SaveTimeSeries(metrics.credit_over_time, enc);
   enc->PutU64(metrics.tenants.size());
   for (const TenantMetrics& tenant : metrics.tenants) {
-    SaveTenantMetrics(tenant, enc);
+    enc->PutU32(tenant.tenant_id);
+    SaveQueryCounters(tenant, enc);
+    enc->PutMoney(tenant.final_regret);
   }
   enc->PutDouble(metrics.fairness.response_jain);
   enc->PutDouble(metrics.fairness.response_max_min);
@@ -152,25 +136,8 @@ void SaveSimMetrics(const SimMetrics& metrics, Encoder* enc) {
 
 Status RestoreSimMetrics(Decoder* dec, SimMetrics* metrics) {
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadString(&metrics->scheme_name));
-  CLOUDCACHE_RETURN_IF_ERROR(
-      RestoreRunningStats(dec, &metrics->response_seconds));
-  CLOUDCACHE_RETURN_IF_ERROR(metrics->response_hist.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(
-      RestoreResourceBreakdown(dec, &metrics->operating_cost));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&metrics->revenue));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&metrics->profit));
+  CLOUDCACHE_RETURN_IF_ERROR(RestoreQueryCounters(dec, metrics));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&metrics->final_credit));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->queries));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->served));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->served_in_cache));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->served_in_backend));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->wan_bytes));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->investments));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->evictions));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->throttled));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->case_a));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->case_b));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->case_c));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&metrics->final_resident_bytes));
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&metrics->final_extra_nodes));
   CLOUDCACHE_RETURN_IF_ERROR(RestoreTimeSeries(dec, &metrics->cost_over_time));
@@ -181,7 +148,9 @@ Status RestoreSimMetrics(Decoder* dec, SimMetrics* metrics) {
   metrics->tenants.clear();
   metrics->tenants.resize(tenant_count);
   for (TenantMetrics& tenant : metrics->tenants) {
-    CLOUDCACHE_RETURN_IF_ERROR(RestoreTenantMetrics(dec, &tenant));
+    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&tenant.tenant_id));
+    CLOUDCACHE_RETURN_IF_ERROR(RestoreQueryCounters(dec, &tenant));
+    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&tenant.final_regret));
   }
   CLOUDCACHE_RETURN_IF_ERROR(
       dec->ReadDouble(&metrics->fairness.response_jain));
@@ -190,8 +159,7 @@ Status RestoreSimMetrics(Decoder* dec, SimMetrics* metrics) {
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&metrics->fairness.billed_jain));
   CLOUDCACHE_RETURN_IF_ERROR(
       dec->ReadDouble(&metrics->fairness.billed_max_min));
-  CLOUDCACHE_RETURN_IF_ERROR(RestoreClusterMetrics(dec, &metrics->cluster));
-  return Status::OK();
+  return RestoreClusterMetrics(dec, &metrics->cluster);
 }
 
 }  // namespace persist

@@ -8,20 +8,11 @@ namespace cloudcache {
 namespace persist {
 
 /// Serializers for the full SimMetrics tree. A checkpoint must carry the
-/// in-flight metrics of the interrupted run — counters, Welford
-/// accumulators, quantile bins, timelines, tenant and cluster slices —
+/// in-flight metrics of the interrupted run — the counter blocks with
+/// their response histograms, timelines, tenant and cluster slices —
 /// because the crash-recovery invariant is that the resumed run's final
 /// SimMetrics is bit-identical to the uninterrupted run's, and metrics
 /// accumulate from query zero.
-
-void SaveResourceBreakdown(const ResourceBreakdown& breakdown, Encoder* enc);
-Status RestoreResourceBreakdown(Decoder* dec, ResourceBreakdown* breakdown);
-
-void SaveTenantMetrics(const TenantMetrics& tenant, Encoder* enc);
-Status RestoreTenantMetrics(Decoder* dec, TenantMetrics* tenant);
-
-void SaveClusterMetrics(const ClusterMetrics& cluster, Encoder* enc);
-Status RestoreClusterMetrics(Decoder* dec, ClusterMetrics* cluster);
 
 void SaveSimMetrics(const SimMetrics& metrics, Encoder* enc);
 Status RestoreSimMetrics(Decoder* dec, SimMetrics* metrics);

@@ -24,9 +24,9 @@ namespace persist {
 /// exact `ExperimentConfig` that produced it — restoring into a different
 /// configuration is rejected before any section is decoded.
 inline constexpr uint32_t kSnapshotMagic = 0x504B4343;  // "CCKP"
-/// v2: the metrics section's quantile accumulator became the obs-layer
-/// Histogram (sparse log2 buckets) in both SimMetrics and TenantMetrics.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// v3: no section grows with the run length (docs/persistence.md lists
+/// the sections and their bounds).
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Accumulates named sections and writes the container atomically:
 /// serialize to `<path>.tmp`, flush, then rename over `path`, so a crash

@@ -21,28 +21,6 @@ Status RestoreRng(Decoder* dec, Rng* rng) {
   return Status::OK();
 }
 
-void SaveRunningStats(const RunningStats& stats, Encoder* enc) {
-  enc->PutI64(stats.count());
-  enc->PutDouble(stats.raw_mean());
-  enc->PutDouble(stats.raw_m2());
-  enc->PutDouble(stats.sum());
-  enc->PutDouble(stats.raw_min());
-  enc->PutDouble(stats.raw_max());
-}
-
-Status RestoreRunningStats(Decoder* dec, RunningStats* stats) {
-  int64_t count = 0;
-  double mean = 0, m2 = 0, sum = 0, min = 0, max = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&count));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&mean));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&m2));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&sum));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&min));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&max));
-  stats->RestoreRaw(count, mean, m2, sum, min, max);
-  return Status::OK();
-}
-
 void SaveTimeSeries(const TimeSeries& series, Encoder* enc) {
   enc->PutU64(series.size());
   for (double t : series.times()) enc->PutDouble(t);

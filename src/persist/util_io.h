@@ -7,15 +7,12 @@
 namespace cloudcache {
 namespace persist {
 
-/// Serializers for the util accumulator types. Separate from metrics_io so
-/// econ-layer components (accounts, schemes) can persist their RNGs and
-/// histories without pulling in the sim layer's metrics tree.
+/// Serializers for the util types. Separate from metrics_io so econ-layer
+/// components (schemes, budgets) can persist their RNGs without pulling in
+/// the sim layer's metrics tree.
 
 void SaveRng(const Rng& rng, Encoder* enc);
 Status RestoreRng(Decoder* dec, Rng* rng);
-
-void SaveRunningStats(const RunningStats& stats, Encoder* enc);
-Status RestoreRunningStats(Decoder* dec, RunningStats* stats);
 
 void SaveTimeSeries(const TimeSeries& series, Encoder* enc);
 Status RestoreTimeSeries(Decoder* dec, TimeSeries* series);

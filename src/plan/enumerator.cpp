@@ -212,21 +212,4 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
   return set;
 }
 
-void PlanEnumerator::Enumerate(const Query& query, const CacheState& cache,
-                               PlanSet* out) const {
-  const PlanSet* shared = EnumerateShared(query, cache);
-  size_t used = 0;
-  for (const QueryPlan& plan : shared->plans) {
-    AcquireSlot(&out->plans, &used, &plan_spares_) = plan;
-  }
-  ReleaseSurplus(&out->plans, used, &plan_spares_);
-}
-
-PlanSet PlanEnumerator::Enumerate(const Query& query,
-                                  const CacheState& cache) const {
-  PlanSet set;
-  Enumerate(query, cache, &set);
-  return set;
-}
-
 }  // namespace cloudcache

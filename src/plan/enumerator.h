@@ -70,17 +70,9 @@ class PlanEnumerator {
     return index_candidates_;
   }
 
-  /// Enumerates plans for `query` against the current cache contents.
-  PlanSet Enumerate(const Query& query, const CacheState& cache) const;
-
-  /// Buffer-reusing variant: fills `out` (clearing previous contents but
-  /// recycling its plan slots and their inner vectors). `out` must not
-  /// alias internal state.
-  void Enumerate(const Query& query, const CacheState& cache,
-                 PlanSet* out) const;
-
-  /// Zero-copy variant for the per-query decision loop: returns the
-  /// enumerator-OWNED plan set, freshly priced for this query instance.
+  /// Enumerates plans for `query` against the current cache contents and
+  /// returns the enumerator-OWNED plan set, freshly priced for this query
+  /// instance (zero-copy: the per-query decision loop reads it in place).
   /// On a template-cache hit no plan vectors are touched at all — only
   /// `execution` and `carried_charges` are rewritten in place. The
   /// pointee is valid until the next call on this enumerator; callers may
@@ -142,7 +134,7 @@ class PlanEnumerator {
   std::vector<StructureId> index_candidates_;
   uint64_t generation_ = 0;
 
-  /// Plan cache + scratch. Mutable: Enumerate is logically const (the
+  /// Plan cache + scratch. Mutable: EnumerateShared is logically const (the
   /// plan set it returns is a pure function of (query, cache, candidates))
   /// and an enumerator is owned by one single-threaded engine. The spare
   /// pools park surplus output elements when a smaller template follows a
@@ -152,8 +144,6 @@ class PlanEnumerator {
   mutable std::vector<StructureId> structures_scratch_;
   /// Spare slots for BuildPlans targets (cache entries, adhoc set).
   mutable std::vector<QueryPlan> build_spares_;
-  /// Spare slots for the copying Enumerate overloads' `out` sets.
-  mutable std::vector<QueryPlan> plan_spares_;
   /// Shares the per-family ExecutionBase across a query's node variants.
   mutable CostModel::BatchEstimator batch_;
   mutable uint64_t cache_hits_ = 0;

@@ -6,7 +6,7 @@ namespace cloudcache {
 
 namespace {
 
-/// The one definition of skyline dominance, shared by both entry points:
+/// The one definition of skyline dominance, run once per partition:
 /// streams the packed keys through a Pareto frontier kept sorted by
 /// ascending time / strictly descending price, then invokes `keep(idx)`
 /// for the final frontier in ascending-time order. A key survives iff its
@@ -70,26 +70,13 @@ void FillPartitions(const PlanSet& in, std::vector<SkylineScratch::Key>* existin
 
 }  // namespace
 
-std::vector<size_t> SkylineIndices(const std::vector<QueryPlan>& plans) {
-  std::vector<SkylineScratch::Key> keys;
-  keys.reserve(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    keys.push_back(SkylineScratch::Key{plans[i].TimeSeconds(),
-                                       plans[i].Price().micros(), i});
-  }
-  std::vector<size_t> skyline;
-  std::vector<SkylineScratch::Key> frontier;
-  ScanSkyline(keys, &frontier, [&](size_t idx) { skyline.push_back(idx); });
-  return skyline;
-}
-
 void SkylineIndicesInto(const PlanSet& in, std::vector<size_t>* out,
                         SkylineScratch* scratch) {
   out->clear();
   const auto keep = [&](size_t idx) { out->push_back(idx); };
   // Existing plans first, then possible — each partition keeps its
-  // original relative order going into the scan, so ties resolve exactly
-  // as a partition-then-SkylineIndices pipeline would.
+  // original relative order going into the scan, so ties resolve to the
+  // earliest plan of each partition.
   FillPartitions(in, &scratch->existing_keys, &scratch->possible_keys);
   ScanSkyline(scratch->existing_keys, &scratch->frontier, keep);
   ScanSkyline(scratch->possible_keys, &scratch->frontier, keep);

@@ -7,17 +7,6 @@
 
 namespace cloudcache {
 
-/// Pareto skyline over (execution time, price), per footnote 2 of the
-/// paper: "PQ holds only the skyline query plans (w.r.t. execution time and
-/// overall cost); i.e. if there are two plans with the same execution time,
-/// only the cheapest one is encompassed."
-///
-/// A plan is dominated if another plan is no slower AND no more expensive
-/// (and strictly better on at least one axis). Ties on both axes keep the
-/// first plan (stable). Returns the surviving indices in ascending-time
-/// order.
-std::vector<size_t> SkylineIndices(const std::vector<QueryPlan>& plans);
-
 /// Reusable buffers for SkylineIndicesInto; hold one per engine so the
 /// per-query filter allocates nothing in steady state.
 struct SkylineScratch {
@@ -34,6 +23,15 @@ struct SkylineScratch {
   std::vector<Key> frontier;
 };
 
+/// Pareto skyline over (execution time, price), per footnote 2 of the
+/// paper: "PQ holds only the skyline query plans (w.r.t. execution time and
+/// overall cost); i.e. if there are two plans with the same execution time,
+/// only the cheapest one is encompassed."
+///
+/// A plan is dominated if another plan is no slower AND no more expensive
+/// (and strictly better on at least one axis). Ties on both axes keep the
+/// first plan (stable).
+///
 /// The per-query decision loop's skyline: applies the skyline to each
 /// partition of `in` separately — existing and possible plans are
 /// skylined independently, because PQexist must retain an executable

@@ -87,6 +87,43 @@ MeteredBill MeterServedQuery(const CostModel& metered, const PriceList& p,
   return bill;
 }
 
+void AccountOutcome(const ServedQuery& served, const MeteredBill& bill,
+                    QueryCounters* c) {
+  ++c->queries;
+  c->wan_bytes += bill.wan_bytes;
+  c->operating_cost += bill.breakdown;
+  if (served.served) {
+    ++c->served;
+    c->response_hist.Add(served.execution.time_seconds);
+    if (served.spec.access == PlanSpec::Access::kBackend) {
+      ++c->served_in_backend;
+    } else {
+      ++c->served_in_cache;
+    }
+    c->revenue += served.payment;
+    c->profit += served.profit;
+  }
+  c->investments += served.investments;
+  c->evictions += served.evictions;
+  // Counts queries *served* while the tenant was throttled (the metric's
+  // documented meaning); a declined query under a decline-configured
+  // economy is already counted by the budget-case mix.
+  if (served.served && served.throttled) ++c->throttled;
+  if (served.has_budget_case) {
+    switch (served.budget_case) {
+      case BudgetCase::kCaseA:
+        ++c->case_a;
+        break;
+      case BudgetCase::kCaseB:
+        ++c->case_b;
+        break;
+      case BudgetCase::kCaseC:
+        ++c->case_c;
+        break;
+    }
+  }
+}
+
 Status WriteCheckpointFrame(
     const CheckpointOptions& cp, uint8_t mode, uint64_t processed,
     uint64_t num_queries, const Scheme& scheme,

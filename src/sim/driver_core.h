@@ -60,9 +60,6 @@ struct SimulatorOptions {
   /// Real infrastructure rates used for metering operating cost,
   /// regardless of what the scheme believes internally.
   PriceList metered_prices = PriceList::AmazonEc2_2009();
-  /// Cumulative-cost / credit timelines keep one point per this many
-  /// queries.
-  uint64_t timeline_stride = 500;
   /// Rent of one rented cluster node (Scheme::RentedNodes) as a multiple
   /// of the node-reservation rate. Irrelevant — and never consulted — for
   /// single-node schemes, which rent no cluster nodes.
@@ -171,44 +168,39 @@ struct MeteredBill {
 MeteredBill MeterServedQuery(const CostModel& metered, const PriceList& prices,
                              const Query& query, const ServedQuery& served);
 
-/// Books one served-query outcome into a counter block. SimMetrics and
-/// TenantMetrics intentionally share the names of every per-query
-/// counter — response histogram included — so the run-wide aggregates and
-/// a tenant slice stay in lockstep through this single accounting path.
-template <typename Counters>
-void AccountOutcome(const ServedQuery& served, Counters* c) {
-  ++c->queries;
-  if (served.served) {
-    ++c->served;
-    c->response_seconds.Add(served.execution.time_seconds);
-    c->response_hist.Add(served.execution.time_seconds);
-    if (served.spec.access == PlanSpec::Access::kBackend) {
-      ++c->served_in_backend;
-    } else {
-      ++c->served_in_cache;
-    }
-    c->revenue += served.payment;
-    c->profit += served.profit;
+/// Books one served-query outcome and its metered bill into a counter
+/// block — the run-wide aggregates and, on the multi-tenant path, the
+/// serving tenant's slice, so the two stay in lockstep.
+void AccountOutcome(const ServedQuery& served, const MeteredBill& bill,
+                    QueryCounters* c);
+
+/// The cumulative-cost and credit timelines sample every kTimelineStride-th
+/// query plus the run's last one...
+inline constexpr uint64_t kTimelineStride = 500;
+/// ...until they hold kTimelineCap points. Then they keep every other
+/// point and sample at twice the stride, so a timeline stays within the
+/// cap however long the run. Reports downsample to at most 2000 points, so
+/// below the cap the cap changes nothing they print.
+inline constexpr size_t kTimelineCap = 4096;
+
+/// Samples the timelines of `metrics` after query `index` (0-based) of a
+/// `num_queries` run, at arrival time `now`: cumulative operating dollars
+/// from `metrics`, and CR from `credit()`, which is only called on a
+/// sampled query. The stride is a pure function of `index`, and halving
+/// depends only on the points already taken, which a snapshot carries, so
+/// a restored run samples exactly where the uninterrupted one does.
+template <typename CreditFn>
+void SampleTimelines(uint64_t index, uint64_t num_queries, SimTime now,
+                     SimMetrics* metrics, CreditFn&& credit) {
+  uint64_t stride = kTimelineStride;
+  while (index / stride >= kTimelineCap) stride *= 2;
+  if (index % stride != 0 && index + 1 != num_queries) return;
+  if (metrics->cost_over_time.size() >= kTimelineCap) {
+    metrics->cost_over_time.KeepEveryOther();
+    metrics->credit_over_time.KeepEveryOther();
   }
-  c->investments += served.investments;
-  c->evictions += served.evictions;
-  // Counts queries *served* while the tenant was throttled (the metric's
-  // documented meaning); a declined query under a decline-configured
-  // economy is already counted by the budget-case mix.
-  if (served.served && served.throttled) ++c->throttled;
-  if (served.has_budget_case) {
-    switch (served.budget_case) {
-      case BudgetCase::kCaseA:
-        ++c->case_a;
-        break;
-      case BudgetCase::kCaseB:
-        ++c->case_b;
-        break;
-      case BudgetCase::kCaseC:
-        ++c->case_c;
-        break;
-    }
-  }
+  metrics->cost_over_time.Add(now, metrics->operating_cost.Total());
+  metrics->credit_over_time.Add(now, credit().ToDollars());
 }
 
 /// Driver-mode tags stamped into a snapshot's "meta" section: restoring a

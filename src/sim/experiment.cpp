@@ -272,7 +272,6 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config) {
   // snapshot's driver-mode tag, not this hash, refuses that cross-restore.
   enc.PutU64(config.sim.num_queries);
   EncodePriceList(config.sim.metered_prices, &enc);
-  enc.PutU64(config.sim.timeline_stride);
 
   EncodePriceList(config.decision_prices, &enc);
   enc.PutU64(config.index_candidates);

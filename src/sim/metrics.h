@@ -33,15 +33,11 @@ struct ResourceBreakdown {
   }
 };
 
-/// Per-tenant slice of a multi-tenant run: what one query stream consumed
-/// and paid. `operating_cost` covers execution and builds billed to this
-/// tenant's queries; shared-infrastructure rent (disk byte-seconds, node
-/// reservations) is metered only on the run-wide breakdown because no
-/// single tenant owns the shared cache, so summing these over tenants
-/// yields the run total minus rent.
-struct TenantMetrics {
-  uint32_t tenant_id = 0;
-
+/// The per-query counter block: everything AccountOutcome books for one
+/// served-query outcome. The run-wide aggregates (SimMetrics) and every
+/// tenant slice (TenantMetrics) are this one block, so they stay in
+/// lockstep through one accounting path and one Save/Restore.
+struct QueryCounters {
   // --- Traffic mix.
   uint64_t queries = 0;
   uint64_t served = 0;
@@ -49,34 +45,38 @@ struct TenantMetrics {
   uint64_t served_in_backend = 0;
   uint64_t wan_bytes = 0;
 
-  // --- Response time over this tenant's served queries: moments from
-  // the running stats, quantiles from the deterministic histogram (fed
-  // the identical samples).
-  RunningStats response_seconds;
+  // --- Fig. 5: response time over served queries, in arrival order on
+  // every driver. The histogram keeps the exact count, sum, min and max
+  // beside its quantile buckets (p50/p95/p99).
   obs::Histogram response_hist;
 
-  // --- Execution + build dollars billed to this tenant's queries.
+  // --- Fig. 4: metered execution + build dollars. On SimMetrics it also
+  // carries the rent; shared-infrastructure rent (disk byte-seconds, node
+  // reservations) never lands on a tenant slice because no single tenant
+  // owns the shared cache, so summing the slices yields the run total
+  // minus rent.
   ResourceBreakdown operating_cost;
 
   // --- Economic identity (economy schemes only).
   Money revenue;
   Money profit;
-  /// Regret the economy holds on this tenant's behalf at run end (the
-  /// tenant's unserved demand for faster/cheaper structures).
-  Money final_regret;
+
+  // --- Budget case mix (economy schemes only).
   uint64_t case_a = 0;
   uint64_t case_b = 0;
   uint64_t case_c = 0;
 
-  // --- Adaptation the tenant's queries triggered.
+  // --- Adaptation the queries triggered.
   uint64_t investments = 0;
   uint64_t evictions = 0;
-
-  // --- Queries served while the tenant was under admission throttling
-  // (still served and billed; only their regret went unbooked).
+  /// Queries served while their tenant was under admission throttling
+  /// (still served and billed; only their regret went unbooked).
   uint64_t throttled = 0;
 
-  double MeanResponse() const { return response_seconds.mean(); }
+  /// Mean response time in seconds (0 if nothing served): the exact sum
+  /// over the exact count.
+  double MeanResponse() const { return response_hist.mean(); }
+  /// Fraction of served queries answered from the cache.
   double CacheHitRate() const {
     return served == 0 ? 0.0
                        : static_cast<double>(served_in_cache) /
@@ -84,46 +84,28 @@ struct TenantMetrics {
   }
 };
 
+/// Per-tenant slice of a multi-tenant run: what one query stream consumed
+/// and paid.
+struct TenantMetrics : QueryCounters {
+  uint32_t tenant_id = 0;
+  /// Regret the economy holds on this tenant's behalf at run end (the
+  /// tenant's unserved demand for faster/cheaper structures).
+  Money final_regret;
+};
+
 /// Everything one simulation run measures.
-struct SimMetrics {
+struct SimMetrics : QueryCounters {
   std::string scheme_name;
 
-  // --- Fig. 5: response time over served queries. The histogram carries
-  // the quantiles (p50/p95/p99); both accumulators see exactly the served
-  // samples, in arrival order, on every driver.
-  RunningStats response_seconds;
-  obs::Histogram response_hist;
-
-  // --- Fig. 4: metered operating cost.
-  ResourceBreakdown operating_cost;
-
   // --- Economy health.
-  Money revenue;
-  Money profit;
   Money final_credit;
-
-  // --- Traffic mix.
-  uint64_t queries = 0;
-  uint64_t served = 0;
-  uint64_t served_in_cache = 0;
-  uint64_t served_in_backend = 0;
-  uint64_t wan_bytes = 0;
-
-  // --- Adaptation activity.
-  uint64_t investments = 0;
-  uint64_t evictions = 0;
-  uint64_t throttled = 0;
-
-  // --- Budget case mix (economy schemes only).
-  uint64_t case_a = 0;
-  uint64_t case_b = 0;
-  uint64_t case_c = 0;
 
   // --- Final cache shape.
   uint64_t final_resident_bytes = 0;
   uint32_t final_extra_nodes = 0;
 
-  // --- Timelines (downsampled on report).
+  // --- Timelines, sampled by SampleTimelines (src/sim/driver_core.h) and
+  // capped at kTimelineCap points each; downsampled again on report.
   TimeSeries cost_over_time;    // Cumulative operating dollars.
   TimeSeries credit_over_time;  // CR in dollars.
 
@@ -141,15 +123,6 @@ struct SimMetrics {
   // --- Cluster shape (Scheme::DescribeCluster at run end). Inert —
   // active = false, all zeros, no node slices — on the single-node path.
   ClusterMetrics cluster;
-
-  /// Mean response time in seconds (0 if nothing served).
-  double MeanResponse() const { return response_seconds.mean(); }
-  /// Fraction of served queries answered from the cache.
-  double CacheHitRate() const {
-    return served == 0 ? 0.0
-                       : static_cast<double>(served_in_cache) /
-                             static_cast<double>(served);
-  }
 };
 
 }  // namespace cloudcache

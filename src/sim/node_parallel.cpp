@@ -44,25 +44,19 @@ void ParallelNodeSimulator::ServeSlice(size_t index,
 }
 
 void ParallelNodeSimulator::MergeRecord(const QueryRecord& rec) {
-  const SimTime now = rec.query.arrival_time;
-
   // Same per-query sequence as Simulator::Step: rent first, then the
-  // execution/build bill, then the outcome counters.
+  // outcome with its execution/build bill, then the timelines.
   rec.rent.AddTo(&metrics_);
-  metrics_.operating_cost += rec.bill.breakdown;
-  metrics_.wan_bytes += rec.bill.wan_bytes;
-
-  AccountOutcome(rec.served, &metrics_);
+  AccountOutcome(rec.served, rec.bill, &metrics_);
   books_[rec.node].credit = rec.credit_after;
 
-  if (options_.timeline_stride != 0 &&
-      (rec.index % options_.timeline_stride == 0 ||
-       rec.index + 1 == options_.num_queries)) {
-    metrics_.cost_over_time.Add(now, metrics_.operating_cost.Total());
+  const auto fleet_credit = [this] {
     Money credit;
     for (const NodeBooks& books : books_) credit += books.credit;
-    metrics_.credit_over_time.Add(now, credit.ToDollars());
-  }
+    return credit;
+  };
+  SampleTimelines(rec.index, options_.num_queries, rec.query.arrival_time,
+                  &metrics_, fleet_credit);
 }
 
 void ParallelNodeSimulator::SyncRentTo(SimTime close) {

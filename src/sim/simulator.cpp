@@ -60,23 +60,13 @@ ServedQuery Simulator::Step(const Query& query, size_t stream) {
   ServedQuery served = scheme_->OnQuery(query, now);
   const MeteredBill bill =
       MeterServedQuery(metered_model_, options_.metered_prices, query, served);
-  metrics_.wan_bytes += bill.wan_bytes;
-  metrics_.operating_cost += bill.breakdown;
-  if (tenant != nullptr) {
-    tenant->wan_bytes += bill.wan_bytes;
-    tenant->operating_cost += bill.breakdown;
-  }
   if (!bill.charged.IsZero()) scheme_->ChargeExpenditure(bill.charged, now);
 
-  AccountOutcome(served, &metrics_);
-  if (tenant != nullptr) AccountOutcome(served, tenant);
+  AccountOutcome(served, bill, &metrics_);
+  if (tenant != nullptr) AccountOutcome(served, bill, tenant);
 
-  const uint64_t i = processed_++;
-  if (options_.timeline_stride != 0 &&
-      (i % options_.timeline_stride == 0 || i + 1 == options_.num_queries)) {
-    metrics_.cost_over_time.Add(now, metrics_.operating_cost.Total());
-    metrics_.credit_over_time.Add(now, scheme_->credit().ToDollars());
-  }
+  SampleTimelines(processed_++, options_.num_queries, now, &metrics_,
+                  [this] { return scheme_->credit(); });
   return served;
 }
 

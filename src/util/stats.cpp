@@ -47,6 +47,16 @@ void TimeSeries::Add(double time, double value) {
   values_.push_back(value);
 }
 
+void TimeSeries::KeepEveryOther() {
+  size_t kept = 0;
+  for (size_t i = 0; i < times_.size(); i += 2, ++kept) {
+    times_[kept] = times_[i];
+    values_[kept] = values_[i];
+  }
+  times_.resize(kept);
+  values_.resize(kept);
+}
+
 TimeSeries TimeSeries::Downsample(size_t max_points) const {
   TimeSeries out;
   const size_t n = times_.size();

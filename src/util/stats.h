@@ -11,8 +11,8 @@ namespace cloudcache {
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
-/// Numerically stable over millions of samples; used for per-query response
-/// time and cost statistics in the simulator.
+/// Numerically stable over millions of samples; used for per-template
+/// statistics in the examples.
 class RunningStats {
  public:
   /// Adds one observation.
@@ -32,23 +32,6 @@ class RunningStats {
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  /// Raw accumulator fields for checkpointing: m2 is not derivable from
-  /// variance() below two samples, and min/max sit at ±inf while empty, so
-  /// an exact restore needs the internals rather than the public views.
-  double raw_mean() const { return mean_; }
-  double raw_m2() const { return m2_; }
-  double raw_min() const { return min_; }
-  double raw_max() const { return max_; }
-  void RestoreRaw(int64_t count, double mean, double m2, double sum,
-                  double min, double max) {
-    count_ = count;
-    mean_ = mean;
-    m2_ = m2;
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
-  }
-
  private:
   int64_t count_ = 0;
   double mean_ = 0;
@@ -58,7 +41,7 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Append-only (time, value) series with down-sampling for reports.
+/// (time, value) series with down-sampling for reports.
 class TimeSeries {
  public:
   /// Appends a point; times must be non-decreasing.
@@ -70,6 +53,10 @@ class TimeSeries {
 
   /// Last value, or 0 if empty.
   double Last() const { return values_.empty() ? 0.0 : values_.back(); }
+
+  /// Keeps the points at even positions (the first among them) and drops
+  /// the rest, halving the series in place.
+  void KeepEveryOther();
 
   /// At most `max_points` evenly-spaced-by-index points, keeping first and
   /// last. Returns the whole series if it is already small enough.

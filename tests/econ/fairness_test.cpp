@@ -86,7 +86,7 @@ TEST(ComputeFairnessTest, SingleTenantMatchesDefaultReport) {
   // A one-tenant run must compute exactly the defaults a classic run
   // carries, or the --tenants=1 bit-for-bit equivalence would break.
   std::vector<TenantMetrics> tenants(1);
-  tenants[0].response_seconds.Add(0.5);
+  tenants[0].response_hist.Add(0.5);
   tenants[0].operating_cost.cpu_dollars = 3.25;
   const FairnessReport report = ComputeFairness(tenants);
   const FairnessReport defaults;
@@ -99,8 +99,8 @@ TEST(ComputeFairnessTest, SingleTenantMatchesDefaultReport) {
 TEST(ComputeFairnessTest, HandBuiltSlices) {
   std::vector<TenantMetrics> tenants(2);
   // Mean responses 1.0 and 3.0; billed dollars 4.0 and 2.0.
-  tenants[0].response_seconds.Add(1.0);
-  tenants[1].response_seconds.Add(3.0);
+  tenants[0].response_hist.Add(1.0);
+  tenants[1].response_hist.Add(3.0);
   tenants[0].operating_cost.network_dollars = 4.0;
   tenants[1].operating_cost.io_dollars = 2.0;
   const FairnessReport report = ComputeFairness(tenants);

@@ -43,27 +43,38 @@ class SkylineProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
   Rng rng(GetParam());
-  std::vector<QueryPlan> plans;
+  PlanSet set;
   const int n = static_cast<int>(rng.NextInt(1, 60));
-  for (int i = 0; i < n; ++i) plans.push_back(RandomPlan(rng));
+  for (int i = 0; i < n; ++i) set.plans.push_back(RandomPlan(rng));
+  const std::vector<QueryPlan>& plans = set.plans;
 
-  const std::vector<size_t> kept = SkylineIndices(plans);
+  std::vector<size_t> kept;
+  SkylineScratch scratch;
+  SkylineIndicesInto(set, &kept, &scratch);
   ASSERT_FALSE(kept.empty());
 
   std::vector<bool> is_kept(plans.size(), false);
   for (size_t idx : kept) is_kept[idx] = true;
 
+  // Existing and possible plans are skylined separately, so dominance
+  // only counts within a plan's own partition.
+  const auto same_partition = [&](size_t i, size_t j) {
+    return plans[i].IsExisting() == plans[j].IsExisting();
+  };
   for (size_t i = 0; i < plans.size(); ++i) {
     if (is_kept[i]) {
-      // No plan strictly dominates a survivor.
+      // No plan of its partition strictly dominates a survivor.
       for (size_t j = 0; j < plans.size(); ++j) {
-        EXPECT_FALSE(j != i && Dominates(plans[j], plans[i]))
+        EXPECT_FALSE(j != i && same_partition(i, j) &&
+                     Dominates(plans[j], plans[i]))
             << "plan " << j << " dominates surviving plan " << i;
       }
     } else {
-      // Every eliminated plan is dominated or duplicates a survivor.
+      // Every eliminated plan is dominated by, or duplicates, a survivor
+      // of its partition.
       bool justified = false;
       for (size_t idx : kept) {
+        if (!same_partition(idx, i)) continue;
         justified |= Dominates(plans[idx], plans[i]);
         justified |= plans[idx].TimeSeconds() == plans[i].TimeSeconds() &&
                      plans[idx].Price() == plans[i].Price();
@@ -72,10 +83,16 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
     }
   }
 
-  // Survivors are reported in strictly ascending time.
+  // Survivors list the existing partition first, each partition in
+  // strictly ascending time.
   for (size_t k = 1; k < kept.size(); ++k) {
-    EXPECT_LT(plans[kept[k - 1]].TimeSeconds(),
-              plans[kept[k]].TimeSeconds());
+    const QueryPlan& prev = plans[kept[k - 1]];
+    const QueryPlan& next = plans[kept[k]];
+    if (same_partition(kept[k - 1], kept[k])) {
+      EXPECT_LT(prev.TimeSeconds(), next.TimeSeconds());
+    } else {
+      EXPECT_TRUE(prev.IsExisting() && !next.IsExisting());
+    }
   }
 }
 
@@ -256,7 +273,7 @@ TEST_P(SimulatorInvariants, MetricsAreStructurallyConsistent) {
   EXPECT_GE(m.operating_cost.disk_dollars, 0.0);
   EXPECT_GE(m.operating_cost.io_dollars, 0.0);
   EXPECT_GT(m.operating_cost.Total(), 0.0);
-  EXPECT_EQ(m.response_seconds.count(), static_cast<int64_t>(m.served));
+  EXPECT_EQ(m.response_hist.count(), m.served);
   EXPECT_GE(m.response_hist.Quantile(1.0), m.response_hist.Quantile(0.0));
   EXPECT_GE(m.MeanResponse(), m.response_hist.Quantile(0.0));
   EXPECT_LE(m.MeanResponse(), m.response_hist.Quantile(1.0));

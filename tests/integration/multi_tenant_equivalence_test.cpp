@@ -219,7 +219,7 @@ TEST_F(MultiTenantEquivalenceTest, TenantSlicesPartitionAggregates) {
   uint64_t queries = 0, served = 0, in_cache = 0, in_backend = 0;
   uint64_t wan = 0, investments = 0, evictions = 0;
   uint64_t case_a = 0, case_b = 0, case_c = 0;
-  int64_t response_count = 0;
+  uint64_t response_count = 0;
   Money revenue, profit;
   double cpu = 0, network = 0, io = 0;
   for (const TenantMetrics& tenant : metrics.tenants) {
@@ -233,7 +233,7 @@ TEST_F(MultiTenantEquivalenceTest, TenantSlicesPartitionAggregates) {
     case_a += tenant.case_a;
     case_b += tenant.case_b;
     case_c += tenant.case_c;
-    response_count += tenant.response_seconds.count();
+    response_count += tenant.response_hist.count();
     revenue += tenant.revenue;
     profit += tenant.profit;
     cpu += tenant.operating_cost.cpu_dollars;
@@ -253,7 +253,7 @@ TEST_F(MultiTenantEquivalenceTest, TenantSlicesPartitionAggregates) {
   EXPECT_EQ(case_a, metrics.case_a);
   EXPECT_EQ(case_b, metrics.case_b);
   EXPECT_EQ(case_c, metrics.case_c);
-  EXPECT_EQ(response_count, metrics.response_seconds.count());
+  EXPECT_EQ(response_count, metrics.response_hist.count());
   EXPECT_EQ(revenue.micros(), metrics.revenue.micros());
   EXPECT_EQ(profit.micros(), metrics.profit.micros());
   // Billed dollars partition the run-wide breakdown up to shared rent:

@@ -184,10 +184,9 @@ TEST(ElasticityControllerPersistTest, StreaksAndCooldownSurviveRestore) {
 
 TEST(AccountPersistTest, BooksBalanceAfterRestore) {
   CloudAccount account(Money::FromDollars(100.0));
-  account.DepositRevenue(Money::FromDollars(3.5), 1.0);
-  account.ChargeExpenditure(Money::FromMicros(123'456), 2.0);
-  ASSERT_TRUE(
-      account.WithdrawInvestment(Money::FromDollars(10.0), 3.0).ok());
+  account.DepositRevenue(Money::FromDollars(3.5));
+  account.ChargeExpenditure(Money::FromMicros(123'456));
+  ASSERT_TRUE(account.WithdrawInvestment(Money::FromDollars(10.0)).ok());
 
   Encoder enc;
   account.SaveState(&enc);
@@ -207,7 +206,6 @@ TEST(AccountPersistTest, BooksBalanceAfterRestore) {
             (twin.initial_credit() + twin.total_revenue() -
              twin.total_expenditure() - twin.total_investment())
                 .micros());
-  EXPECT_EQ(twin.history().size(), account.history().size());
 }
 
 TEST(RngPersistTest, RestoredStreamContinuesExactly) {

@@ -105,10 +105,11 @@ TEST(SnapshotTest, BadMagicIsRejected) {
 }
 
 TEST(SnapshotTest, VersionSkewIsRejectedCleanly) {
-  // A snapshot stamped with a newer format version must be refused with a
-  // descriptive Status — not misparsed by a reader that only speaks the
-  // current layout. The version field is the u32 after the magic.
-  for (uint32_t skew : {kSnapshotFormatVersion + 1, 0u, 0xFFu}) {
+  // A snapshot stamped with an older (v2) or newer format version must be
+  // refused with a descriptive Status — not misparsed by a reader that
+  // only speaks the current layout. The version field is the u32 after
+  // the magic.
+  for (uint32_t skew : {2u, kSnapshotFormatVersion + 1, 0u, 0xFFu}) {
     std::vector<uint8_t> bytes = MakeTwoSectionWriter().Serialize();
     for (int i = 0; i < 4; ++i) {
       bytes[4 + static_cast<size_t>(i)] =

@@ -50,7 +50,7 @@ class EnumeratorTest : public ::testing::Test {
 TEST_F(EnumeratorTest, BackendPlanAlwaysPresent) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   size_t backend_plans = 0;
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kBackend) {
@@ -65,7 +65,7 @@ TEST_F(EnumeratorTest, BackendPlanAlwaysPresent) {
 TEST_F(EnumeratorTest, ColdCacheMakesCachePlansHypothetical) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access != PlanSpec::Access::kBackend) {
       EXPECT_FALSE(plan.IsExisting());
@@ -78,7 +78,7 @@ TEST_F(EnumeratorTest, WarmCacheMakesScanExecutable) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   CacheQueryColumns(q);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   bool found = false;
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan &&
@@ -93,7 +93,7 @@ TEST_F(EnumeratorTest, WarmCacheMakesScanExecutable) {
 TEST_F(EnumeratorTest, ScanUsesOneStructurePerAccessedColumn) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan &&
         plan.spec.cpu_nodes == 1) {
@@ -105,7 +105,7 @@ TEST_F(EnumeratorTest, ScanUsesOneStructurePerAccessedColumn) {
 TEST_F(EnumeratorTest, IndexAppliesOnlyWithLeadingPredicate) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex) {
       EXPECT_FALSE(plan.spec.covered_predicates.empty());
@@ -125,7 +125,7 @@ TEST_F(EnumeratorTest, IndexAppliesOnlyWithLeadingPredicate) {
 TEST_F(EnumeratorTest, CoveringIndexDetected) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   bool saw_covering = false;
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex &&
@@ -143,7 +143,7 @@ TEST_F(EnumeratorTest, CoveringIndexDetected) {
 TEST_F(EnumeratorTest, NonCoveringIndexPullsBaseColumns) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex &&
         !plan.spec.covering && plan.spec.cpu_nodes == 1) {
@@ -161,7 +161,7 @@ TEST_F(EnumeratorTest, NodeVariantsEmitted) {
   options.node_options = {1, 2, 4};
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   std::vector<uint32_t> scan_nodes;
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan) {
@@ -175,7 +175,7 @@ TEST_F(EnumeratorTest, NodeVariantsEmitted) {
 TEST_F(EnumeratorTest, MultiNodePlansRequireCpuStructures) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     if (plan.spec.cpu_nodes > 1) {
       size_t cpu_structures = 0;
@@ -192,7 +192,7 @@ TEST_F(EnumeratorTest, NoIndexesWhenDisabled) {
   options.allow_indexes = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  for (const QueryPlan& plan : enumerator.Enumerate(q, cache_).plans) {
+  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
     EXPECT_NE(plan.spec.access, PlanSpec::Access::kCacheIndex);
   }
 }
@@ -202,7 +202,7 @@ TEST_F(EnumeratorTest, NoParallelWhenDisabled) {
   options.allow_parallel = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  for (const QueryPlan& plan : enumerator.Enumerate(q, cache_).plans) {
+  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
     EXPECT_EQ(plan.spec.cpu_nodes, 1u);
   }
 }
@@ -212,7 +212,7 @@ TEST_F(EnumeratorTest, NoHypotheticalsWhenDisabled) {
   options.include_hypothetical = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     EXPECT_TRUE(plan.IsExisting());
   }
@@ -226,7 +226,7 @@ TEST_F(EnumeratorTest, MissingListsExactlyNonResidentStructures) {
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   CLOUDCACHE_CHECK(
       cache_.Add(registry_.Intern(ColumnKey(catalog_, date)), 0).ok());
-  const PlanSet set = enumerator.Enumerate(q, cache_);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   for (const QueryPlan& plan : set.plans) {
     for (StructureId id : plan.missing) {
       EXPECT_FALSE(cache_.IsResident(id));
@@ -245,7 +245,7 @@ TEST_F(EnumeratorTest, IndexesOnOtherTablesIgnored) {
   const ColumnId d_attr = *catalog_.FindColumn("dim.d_attr");
   enumerator.SetIndexCandidates({IndexKey(catalog_, {d_attr})});
   const Query q = testing::MakeTinyQuery(catalog_);  // On fact.
-  for (const QueryPlan& plan : enumerator.Enumerate(q, cache_).plans) {
+  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
     EXPECT_NE(plan.spec.access, PlanSpec::Access::kCacheIndex);
   }
 }
@@ -279,14 +279,14 @@ TEST_F(EnumeratorTest, PlanCacheHitServesIdenticalPlans) {
   // Two instances of the same template with different selectivities.
   const Query q1 = testing::MakeTinyQuery(catalog_, 0.01, 1);
   const Query q2 = testing::MakeTinyQuery(catalog_, 0.2, 2);
-  const PlanSet first = cached.Enumerate(q1, cache_);
+  const PlanSet first = *cached.EnumerateShared(q1, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 1u);
-  const PlanSet second = cached.Enumerate(q2, cache_);
+  const PlanSet second = *cached.EnumerateShared(q2, cache_);
   EXPECT_EQ(cached.plan_cache_hits(), 1u);
   EXPECT_EQ(cached.plan_cache_size(), 1u);
 
-  ExpectSamePlanSet(first, reference.Enumerate(q1, cache_));
-  ExpectSamePlanSet(second, reference.Enumerate(q2, cache_));
+  ExpectSamePlanSet(first, *reference.EnumerateShared(q1, cache_));
+  ExpectSamePlanSet(second, *reference.EnumerateShared(q2, cache_));
   EXPECT_EQ(reference.plan_cache_hits(), 0u);
   EXPECT_EQ(reference.plan_cache_size(), 0u);
 }
@@ -298,36 +298,36 @@ TEST_F(EnumeratorTest, PlanCacheInvalidatedByResidencyEpoch) {
   PlanEnumerator reference = MakeEnumerator(off);
 
   const Query q = testing::MakeTinyQuery(catalog_);
-  (void)cached.Enumerate(q, cache_);
+  (void)cached.EnumerateShared(q, cache_);
   // Residency moves: cached skeletons must be re-derived, and the fresh
   // missing-sets must reflect the new epoch.
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   CLOUDCACHE_CHECK(
       cache_.Add(registry_.Intern(ColumnKey(catalog_, date)), 0).ok());
-  const PlanSet after = cached.Enumerate(q, cache_);
+  const PlanSet after = *cached.EnumerateShared(q, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
   EXPECT_EQ(cached.plan_cache_hits(), 0u);
-  ExpectSamePlanSet(after, reference.Enumerate(q, cache_));
+  ExpectSamePlanSet(after, *reference.EnumerateShared(q, cache_));
 
   // And removal invalidates again.
   CLOUDCACHE_CHECK(
       cache_.Remove(registry_.Intern(ColumnKey(catalog_, date))).ok());
-  ExpectSamePlanSet(cached.Enumerate(q, cache_),
-                    reference.Enumerate(q, cache_));
+  ExpectSamePlanSet(*cached.EnumerateShared(q, cache_),
+                    *reference.EnumerateShared(q, cache_));
   EXPECT_EQ(cached.plan_cache_misses(), 3u);
 }
 
 TEST_F(EnumeratorTest, PlanCacheInvalidatedByCandidateGeneration) {
   PlanEnumerator cached = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
-  (void)cached.Enumerate(q, cache_);
+  (void)cached.EnumerateShared(q, cache_);
   const uint64_t generation = cached.candidate_generation();
 
   // Re-registering candidates bumps the generation and re-derives.
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   cached.SetIndexCandidates({IndexKey(catalog_, {date})});
   EXPECT_EQ(cached.candidate_generation(), generation + 1);
-  const PlanSet after = cached.Enumerate(q, cache_);
+  const PlanSet after = *cached.EnumerateShared(q, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
 
   size_t index_plans = 0;
@@ -357,19 +357,19 @@ TEST_F(EnumeratorTest, DistinctCacheStatesWithEqualEpochsDoNotCollide) {
       other.Add(registry_.Intern(ColumnKey(catalog_, value)), 0).ok());
   ASSERT_EQ(cache_.epoch(), other.epoch());
 
-  (void)cached.Enumerate(q, cache_);
-  const PlanSet from_other = cached.Enumerate(q, other);
+  (void)cached.EnumerateShared(q, cache_);
+  const PlanSet from_other = *cached.EnumerateShared(q, other);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
   EXPECT_EQ(cached.plan_cache_hits(), 0u);
-  ExpectSamePlanSet(from_other, reference.Enumerate(q, other));
+  ExpectSamePlanSet(from_other, *reference.EnumerateShared(q, other));
 }
 
 TEST_F(EnumeratorTest, AdHocQueriesBypassPlanCache) {
   PlanEnumerator cached = MakeEnumerator();
   Query q = testing::MakeTinyQuery(catalog_);
   q.template_id = -1;
-  (void)cached.Enumerate(q, cache_);
-  (void)cached.Enumerate(q, cache_);
+  (void)cached.EnumerateShared(q, cache_);
+  (void)cached.EnumerateShared(q, cache_);
   EXPECT_EQ(cached.plan_cache_size(), 0u);
   EXPECT_EQ(cached.plan_cache_hits(), 0u);
   EXPECT_EQ(cached.plan_cache_misses(), 0u);
@@ -380,8 +380,8 @@ TEST_F(EnumeratorTest, PlanCacheKillSwitchDisablesCaching) {
   options.enable_plan_cache = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  (void)enumerator.Enumerate(q, cache_);
-  (void)enumerator.Enumerate(q, cache_);
+  (void)enumerator.EnumerateShared(q, cache_);
+  (void)enumerator.EnumerateShared(q, cache_);
   EXPECT_EQ(enumerator.plan_cache_size(), 0u);
   EXPECT_EQ(enumerator.plan_cache_hits(), 0u);
 }
@@ -393,38 +393,16 @@ TEST_F(EnumeratorTest, SignatureMismatchFallsBackToRederivation) {
   PlanEnumerator reference = MakeEnumerator(off);
 
   const Query q1 = testing::MakeTinyQuery(catalog_);
-  (void)cached.Enumerate(q1, cache_);
+  (void)cached.EnumerateShared(q1, cache_);
 
   // Same template id, different shape (trace replay could do this): the
   // signature check must reject the cached skeletons.
   Query q2 = testing::MakeTinyQuery(catalog_);
   q2.output_columns = {*catalog_.FindColumn("fact.f_key")};
   DeriveResultShape(catalog_, 1.0, &q2);
-  const PlanSet got = cached.Enumerate(q2, cache_);
+  const PlanSet got = *cached.EnumerateShared(q2, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
-  ExpectSamePlanSet(got, reference.Enumerate(q2, cache_));
-}
-
-TEST_F(EnumeratorTest, ReusedOutputBufferShrinksAndGrows) {
-  PlanEnumerator cached = MakeEnumerator();
-  EnumeratorOptions off;
-  off.enable_plan_cache = false;
-  PlanEnumerator reference = MakeEnumerator(off);
-
-  PlanSet reused;
-  const Query big = testing::MakeTinyQuery(catalog_);
-  Query small = testing::MakeTinyQuery(catalog_);
-  small.template_id = 1;
-  small.predicates.clear();  // No predicates: no index plans apply.
-  DeriveResultShape(catalog_, 1.0, &small);
-
-  cached.Enumerate(big, cache_, &reused);
-  ExpectSamePlanSet(reused, reference.Enumerate(big, cache_));
-  cached.Enumerate(small, cache_, &reused);  // Must shrink.
-  ExpectSamePlanSet(reused, reference.Enumerate(small, cache_));
-  cached.Enumerate(big, cache_, &reused);  // Must grow back, from cache.
-  ExpectSamePlanSet(reused, reference.Enumerate(big, cache_));
-  EXPECT_EQ(cached.plan_cache_hits(), 1u);
+  ExpectSamePlanSet(got, *reference.EnumerateShared(q2, cache_));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace cloudcache {
 namespace {
 
@@ -13,43 +16,54 @@ QueryPlan MakePlan(double time_s, double cost_dollars, bool existing = true) {
   return plan;
 }
 
+/// Skylines `plans` as one set; they are all existing plans unless a test
+/// says otherwise, so they form one partition.
+std::vector<size_t> SurvivorIndices(std::vector<QueryPlan> plans) {
+  PlanSet set;
+  set.plans = std::move(plans);
+  std::vector<size_t> out;
+  SkylineScratch scratch;
+  SkylineIndicesInto(set, &out, &scratch);
+  return out;
+}
+
 TEST(SkylineTest, EmptyInput) {
-  EXPECT_TRUE(SkylineIndices({}).empty());
+  EXPECT_TRUE(SurvivorIndices({}).empty());
 }
 
 TEST(SkylineTest, SinglePlanSurvives) {
-  EXPECT_EQ(SkylineIndices({MakePlan(1, 1)}).size(), 1u);
+  EXPECT_EQ(SurvivorIndices({MakePlan(1, 1)}).size(), 1u);
 }
 
 TEST(SkylineTest, DominatedPlanRemoved) {
   // Plan 1 is slower AND pricier than plan 0.
-  const auto kept = SkylineIndices({MakePlan(1, 1), MakePlan(2, 2)});
+  const auto kept = SurvivorIndices({MakePlan(1, 1), MakePlan(2, 2)});
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0], 0u);
 }
 
 TEST(SkylineTest, TradeoffFrontierKept) {
   // Faster-but-pricier and slower-but-cheaper both survive.
-  const auto kept = SkylineIndices({MakePlan(1, 10), MakePlan(5, 2)});
+  const auto kept = SurvivorIndices({MakePlan(1, 10), MakePlan(5, 2)});
   EXPECT_EQ(kept.size(), 2u);
 }
 
 TEST(SkylineTest, SameTimeKeepsCheapest) {
   // Footnote 2: equal execution time -> only the cheapest survives.
   const auto kept =
-      SkylineIndices({MakePlan(3, 7), MakePlan(3, 2), MakePlan(3, 5)});
+      SurvivorIndices({MakePlan(3, 7), MakePlan(3, 2), MakePlan(3, 5)});
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0], 1u);
 }
 
 TEST(SkylineTest, SamePriceKeepsFastest) {
-  const auto kept = SkylineIndices({MakePlan(5, 2), MakePlan(3, 2)});
+  const auto kept = SurvivorIndices({MakePlan(5, 2), MakePlan(3, 2)});
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0], 1u);
 }
 
 TEST(SkylineTest, ResultSortedByTime) {
-  const auto kept = SkylineIndices(
+  const auto kept = SurvivorIndices(
       {MakePlan(9, 1), MakePlan(1, 9), MakePlan(5, 5), MakePlan(3, 7)});
   EXPECT_EQ(kept.size(), 4u);
   // Indices in ascending-time order: plan1 (t=1), plan3, plan2, plan0.
@@ -63,7 +77,7 @@ TEST(SkylineTest, PriceIncludesCarriedCharges) {
   QueryPlan cheap_exec = MakePlan(2, 1);
   cheap_exec.carried_charges = Money::FromDollars(100);  // Actually pricey.
   QueryPlan expensive_exec = MakePlan(2, 5);
-  const auto kept = SkylineIndices({cheap_exec, expensive_exec});
+  const auto kept = SurvivorIndices({cheap_exec, expensive_exec});
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0], 1u);  // 5 < 1 + 100.
 }
@@ -73,14 +87,7 @@ TEST(SkylineTest, StrictDominanceChain) {
   for (int i = 0; i < 10; ++i) {
     plans.push_back(MakePlan(1 + i, 10 - i));  // All on the frontier.
   }
-  EXPECT_EQ(SkylineIndices(plans).size(), 10u);
-}
-
-std::vector<size_t> SurvivorIndices(const PlanSet& set) {
-  std::vector<size_t> out;
-  SkylineScratch scratch;
-  SkylineIndicesInto(set, &out, &scratch);
-  return out;
+  EXPECT_EQ(SurvivorIndices(plans).size(), 10u);
 }
 
 TEST(SkylineFilterTest, PartitionsExistingAndPossible) {
@@ -89,7 +96,7 @@ TEST(SkylineFilterTest, PartitionsExistingAndPossible) {
   // A hypothetical plan that dominates the existing one must NOT evict it:
   // the executable frontier is skylined separately.
   set.plans.push_back(MakePlan(1, 1, /*existing=*/false));
-  EXPECT_EQ(SurvivorIndices(set), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(SurvivorIndices(set.plans), (std::vector<size_t>{0, 1}));
 }
 
 TEST(SkylineFilterTest, FiltersWithinEachPartition) {
@@ -98,7 +105,7 @@ TEST(SkylineFilterTest, FiltersWithinEachPartition) {
   set.plans.push_back(MakePlan(2, 2, true));   // Dominated.
   set.plans.push_back(MakePlan(1, 1, false));
   set.plans.push_back(MakePlan(3, 3, false));  // Dominated.
-  EXPECT_EQ(SurvivorIndices(set), (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(SurvivorIndices(set.plans), (std::vector<size_t>{0, 2}));
 }
 
 TEST(SkylineFilterTest, ExistingPartitionComesFirstAndScratchIsReused) {

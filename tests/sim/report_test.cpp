@@ -9,10 +9,7 @@ SimMetrics MakeMetrics(const char* name, double mean_response,
                        double cost) {
   SimMetrics m;
   m.scheme_name = name;
-  for (int i = 0; i < 10; ++i) {
-    m.response_seconds.Add(mean_response);
-    m.response_hist.Add(mean_response);
-  }
+  for (int i = 0; i < 10; ++i) m.response_hist.Add(mean_response);
   m.operating_cost.cpu_dollars = cost / 2;
   m.operating_cost.network_dollars = cost / 2;
   m.queries = 10;

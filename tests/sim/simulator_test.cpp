@@ -105,8 +105,7 @@ TEST_F(SimulatorTest, ResponseTimeStatsPopulated) {
   EXPECT_GT(metrics.MeanResponse(), 0.0);
   EXPECT_GE(metrics.response_hist.Quantile(0.95),
             metrics.response_hist.Quantile(0.5));
-  EXPECT_EQ(metrics.response_seconds.count(),
-            static_cast<int64_t>(metrics.served));
+  EXPECT_EQ(metrics.response_hist.count(), metrics.served);
 }
 
 TEST_F(SimulatorTest, TimelinesRecorded) {
@@ -114,9 +113,8 @@ TEST_F(SimulatorTest, TimelinesRecorded) {
     bypass_options.cache_fraction = 0.9;  // Fit all three hot columns.
     BypassYieldScheme scheme(&catalog_, bypass_options);
   WorkloadGenerator workload(&catalog_, templates_, DefaultWorkload());
-  SimulatorOptions options = DefaultSim();
-  options.timeline_stride = 100;
-  Simulator sim(&catalog_, &scheme, &workload, options);
+  Simulator sim(&catalog_, &scheme, &workload,
+                DefaultSim(5 * kTimelineStride));
   const SimMetrics metrics = sim.Run();
   EXPECT_GE(metrics.cost_over_time.size(), 5u);
   // Cumulative cost is non-decreasing.
@@ -125,6 +123,46 @@ TEST_F(SimulatorTest, TimelinesRecorded) {
     EXPECT_GE(v, last);
     last = v;
   }
+}
+
+/// Feeds queries 0..n-1 of an n-query run to SampleTimelines, each at
+/// arrival time == its index and with CR == its index in dollars.
+SimMetrics SampleRun(uint64_t n) {
+  SimMetrics metrics;
+  for (uint64_t i = 0; i < n; ++i) {
+    const double at = static_cast<double>(i);
+    metrics.operating_cost.cpu_dollars = at;
+    SampleTimelines(i, n, at, &metrics,
+                    [at] { return Money::FromDollars(at); });
+    EXPECT_LE(metrics.cost_over_time.size(), kTimelineCap);
+  }
+  return metrics;
+}
+
+TEST(SampleTimelinesTest, BelowTheCapSamplesEveryStrideAndTheLastQuery) {
+  const SimMetrics metrics = SampleRun(3 * kTimelineStride + 7);
+  const std::vector<double> want = {0, kTimelineStride, 2 * kTimelineStride,
+                                    3 * kTimelineStride,
+                                    3 * kTimelineStride + 6};
+  EXPECT_EQ(metrics.cost_over_time.times(), want);
+  EXPECT_EQ(metrics.cost_over_time.values(), want);
+  EXPECT_EQ(metrics.credit_over_time.times(), want);
+  EXPECT_EQ(metrics.credit_over_time.values(), want);
+}
+
+TEST(SampleTimelinesTest, FullTimelineHalvesAndDoublesTheStride) {
+  // Past 2 * kTimelineCap strides the stride has doubled twice.
+  const uint64_t n = 3 * kTimelineCap * kTimelineStride + 123;
+  const uint64_t stride = 4 * kTimelineStride;
+  const SimMetrics metrics = SampleRun(n);
+  const std::vector<double>& times = metrics.cost_over_time.times();
+  ASSERT_EQ(times.size(), (n - 1) / stride + 2);
+  for (size_t k = 0; k + 1 < times.size(); ++k) {
+    EXPECT_EQ(times[k], static_cast<double>(k * stride));
+  }
+  EXPECT_EQ(times.back(), static_cast<double>(n - 1));
+  EXPECT_EQ(metrics.credit_over_time.times(), times);
+  EXPECT_EQ(metrics.cost_over_time.values(), times);
 }
 
 TEST_F(SimulatorTest, EconSchemeMetricsComplete) {
@@ -275,8 +313,7 @@ TEST_F(SimulatorTest, MultiTenantSliceMatchesDedicatedRuns) {
   ASSERT_EQ(metrics.tenants.size(), 2u);
   for (const TenantMetrics& tenant : metrics.tenants) {
     EXPECT_EQ(tenant.served, tenant.queries);
-    EXPECT_EQ(tenant.response_seconds.count(),
-              static_cast<int64_t>(tenant.served));
+    EXPECT_EQ(tenant.response_hist.count(), tenant.served);
     EXPECT_GT(tenant.operating_cost.Total(), 0.0);
     EXPECT_EQ(tenant.operating_cost.disk_dollars, 0.0);  // Rent is shared.
   }

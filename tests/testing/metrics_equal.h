@@ -16,46 +16,44 @@ inline bool ByteIdenticalSeries(const std::vector<double>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Asserts every aggregate metric a run produces — counts, exact Money
-/// amounts, double-precision cost breakdowns, response-time statistics,
-/// and the full cost/credit timelines — is identical between two runs.
-/// The per-tenant slices are compared separately (see
-/// ExpectBitIdenticalTenants) because only the multi-tenant simulation
-/// path fills them: a single-stream run and its forced-event twin must
-/// agree on every aggregate even though one of them carries a slice.
-inline void ExpectBitIdenticalMetrics(const SimMetrics& a,
-                                      const SimMetrics& b) {
-  EXPECT_EQ(a.scheme_name, b.scheme_name);
-
+/// Asserts two per-query counter blocks are identical, field by field, to
+/// the last micro-dollar and double bit — the run-wide aggregates or one
+/// tenant slice.
+inline void ExpectBitIdenticalCounters(const QueryCounters& a,
+                                       const QueryCounters& b) {
   EXPECT_EQ(a.queries, b.queries);
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.served_in_cache, b.served_in_cache);
   EXPECT_EQ(a.served_in_backend, b.served_in_backend);
   EXPECT_EQ(a.wan_bytes, b.wan_bytes);
-
-  EXPECT_EQ(a.investments, b.investments);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.throttled, b.throttled);
-  EXPECT_EQ(a.case_a, b.case_a);
-  EXPECT_EQ(a.case_b, b.case_b);
-  EXPECT_EQ(a.case_c, b.case_c);
-
-  EXPECT_EQ(a.revenue.micros(), b.revenue.micros());
-  EXPECT_EQ(a.profit.micros(), b.profit.micros());
-  EXPECT_EQ(a.final_credit.micros(), b.final_credit.micros());
-
+  EXPECT_TRUE(obs::BitIdentical(a.response_hist, b.response_hist));
   EXPECT_EQ(a.operating_cost.cpu_dollars, b.operating_cost.cpu_dollars);
   EXPECT_EQ(a.operating_cost.network_dollars,
             b.operating_cost.network_dollars);
   EXPECT_EQ(a.operating_cost.disk_dollars, b.operating_cost.disk_dollars);
   EXPECT_EQ(a.operating_cost.io_dollars, b.operating_cost.io_dollars);
+  EXPECT_EQ(a.revenue.micros(), b.revenue.micros());
+  EXPECT_EQ(a.profit.micros(), b.profit.micros());
+  EXPECT_EQ(a.case_a, b.case_a);
+  EXPECT_EQ(a.case_b, b.case_b);
+  EXPECT_EQ(a.case_c, b.case_c);
+  EXPECT_EQ(a.investments, b.investments);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.throttled, b.throttled);
+}
 
-  EXPECT_EQ(a.response_seconds.count(), b.response_seconds.count());
-  EXPECT_EQ(a.response_seconds.sum(), b.response_seconds.sum());
-  EXPECT_EQ(a.response_seconds.mean(), b.response_seconds.mean());
-  EXPECT_EQ(a.response_seconds.min(), b.response_seconds.min());
-  EXPECT_EQ(a.response_seconds.max(), b.response_seconds.max());
-  EXPECT_TRUE(obs::BitIdentical(a.response_hist, b.response_hist));
+/// Asserts every aggregate metric a run produces — the counter block, the
+/// final credit and cache shape, fairness, and the full cost/credit
+/// timelines — is identical between two runs. The per-tenant slices are
+/// compared separately (see ExpectBitIdenticalTenants) because only the
+/// multi-tenant simulation path fills them: a single-stream run and its
+/// forced-event twin must agree on every aggregate even though one of them
+/// carries a slice.
+inline void ExpectBitIdenticalMetrics(const SimMetrics& a,
+                                      const SimMetrics& b) {
+  EXPECT_EQ(a.scheme_name, b.scheme_name);
+  ExpectBitIdenticalCounters(a, b);
+  EXPECT_EQ(a.final_credit.micros(), b.final_credit.micros());
 
   EXPECT_EQ(a.final_resident_bytes, b.final_resident_bytes);
   EXPECT_EQ(a.final_extra_nodes, b.final_extra_nodes);
@@ -116,29 +114,8 @@ inline void ExpectBitIdenticalTenants(const SimMetrics& a,
     const TenantMetrics& ta = a.tenants[t];
     const TenantMetrics& tb = b.tenants[t];
     EXPECT_EQ(ta.tenant_id, tb.tenant_id);
-    EXPECT_EQ(ta.queries, tb.queries);
-    EXPECT_EQ(ta.served, tb.served);
-    EXPECT_EQ(ta.served_in_cache, tb.served_in_cache);
-    EXPECT_EQ(ta.served_in_backend, tb.served_in_backend);
-    EXPECT_EQ(ta.wan_bytes, tb.wan_bytes);
-    EXPECT_EQ(ta.response_seconds.count(), tb.response_seconds.count());
-    EXPECT_EQ(ta.response_seconds.sum(), tb.response_seconds.sum());
-    EXPECT_TRUE(obs::BitIdentical(ta.response_hist, tb.response_hist));
-    EXPECT_EQ(ta.operating_cost.cpu_dollars, tb.operating_cost.cpu_dollars);
-    EXPECT_EQ(ta.operating_cost.network_dollars,
-              tb.operating_cost.network_dollars);
-    EXPECT_EQ(ta.operating_cost.disk_dollars,
-              tb.operating_cost.disk_dollars);
-    EXPECT_EQ(ta.operating_cost.io_dollars, tb.operating_cost.io_dollars);
-    EXPECT_EQ(ta.revenue.micros(), tb.revenue.micros());
-    EXPECT_EQ(ta.profit.micros(), tb.profit.micros());
+    ExpectBitIdenticalCounters(ta, tb);
     EXPECT_EQ(ta.final_regret.micros(), tb.final_regret.micros());
-    EXPECT_EQ(ta.case_a, tb.case_a);
-    EXPECT_EQ(ta.case_b, tb.case_b);
-    EXPECT_EQ(ta.case_c, tb.case_c);
-    EXPECT_EQ(ta.investments, tb.investments);
-    EXPECT_EQ(ta.evictions, tb.evictions);
-    EXPECT_EQ(ta.throttled, tb.throttled);
   }
 }
 
