@@ -8,29 +8,6 @@
 
 namespace cloudcache {
 
-std::unique_ptr<BudgetFunction> BudgetModel::Make(Money reference_price,
-                                                  double reference_seconds,
-                                                  Rng& rng) const {
-  const double jitter =
-      rng.NextUniform(-options_.jitter, options_.jitter);
-  const double multiplier =
-      std::max(0.0, options_.price_multiplier + jitter);
-  const Money amount = reference_price * multiplier;
-  const double t_max =
-      std::max(1e-6, reference_seconds * options_.tmax_multiplier);
-  switch (options_.shape) {
-    case BudgetModelOptions::Shape::kStep:
-      return std::make_unique<StepBudget>(amount, t_max);
-    case BudgetModelOptions::Shape::kLinear:
-      return std::make_unique<LinearBudget>(amount, t_max);
-    case BudgetModelOptions::Shape::kConvex:
-      return std::make_unique<ConvexBudget>(amount, t_max);
-    case BudgetModelOptions::Shape::kConcave:
-      return std::make_unique<ConcaveBudget>(amount, t_max);
-  }
-  return std::make_unique<StepBudget>(amount, t_max);
-}
-
 const BudgetFunction& BudgetModel::MakeInto(Money reference_price,
                                             double reference_seconds,
                                             Rng& rng,

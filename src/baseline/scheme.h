@@ -67,14 +67,10 @@ class BudgetModel {
   explicit BudgetModel(BudgetModelOptions options) : options_(options) {}
 
   /// Builds the budget for a query whose back-end quote is
-  /// (reference_price, reference_seconds).
-  std::unique_ptr<BudgetFunction> Make(Money reference_price,
-                                       double reference_seconds,
-                                       Rng& rng) const;
-
-  /// Allocation-free form: parameters land in `scratch`'s recycled
-  /// function object (same rng draws, same values as Make). The returned
-  /// reference is valid until the next MakeInto on the same scratch.
+  /// (reference_price, reference_seconds). The parameters land in
+  /// `scratch`'s recycled function object, so steady-state synthesis
+  /// allocates nothing. The returned reference is valid until the next
+  /// MakeInto on the same scratch.
   const BudgetFunction& MakeInto(Money reference_price,
                                  double reference_seconds, Rng& rng,
                                  BudgetScratch* scratch) const;

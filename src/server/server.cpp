@@ -3,13 +3,12 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
 
 #include "src/obs/registry.h"
-#include "src/persist/snapshot.h"
-#include "src/structure/index_advisor.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
@@ -39,8 +38,6 @@ CloudCachedServer::CloudCachedServer(
       config_(config),
       options_(std::move(options)) {
   config_hash_ = HashExperimentConfig(*config_);
-  multi_tenant_ =
-      config_->tenancy.tenants > 1 || config_->tenancy.force_event_path;
   stream_count_ = config_->tenancy.tenants;
 }
 
@@ -51,82 +48,24 @@ CloudCachedServer::~CloudCachedServer() {
   pool_.reset();
 }
 
-Status CloudCachedServer::BuildEconomy() {
-  if (resolved_.empty()) {
-    Result<std::vector<ResolvedTemplate>> resolved =
-        ResolveTemplates(*catalog_, *templates_);
-    CLOUDCACHE_RETURN_IF_ERROR(resolved.status());
-    resolved_ = std::move(resolved).value();
-    indexes_ =
-        RecommendIndexes(*catalog_, resolved_, config_->index_candidates);
-  }
-  // The identical graph RunExperiment builds — that is the whole point:
-  // scheme construction, per-stream generators, and simulator options
-  // all come from the one shared config, so the economy the connections
-  // drive is the economy the simulator pins.
-  scheme_ = MakeExperimentScheme(*catalog_, indexes_, *config_);
-  twins_.clear();
-  twins_.reserve(stream_count_);
-  for (uint32_t t = 0; t < stream_count_; ++t) {
-    twins_.push_back(std::make_unique<WorkloadGenerator>(
-        catalog_, resolved_,
-        TenantWorkloadOptions(config_->workload, config_->tenancy, t)));
-  }
-  SimulatorOptions sim_options = config_->sim;
-  sim_options.node_rent_multiplier = config_->cluster.node_rent_multiplier;
-  sim_options.checkpoint.config_hash = config_hash_;
-  sim_options.checkpoint.path = options_.snapshot_path;
-  // Cadence is the server's own (after-serve under mu_), and restore is
-  // handled in Start(): the simulator never runs its internal drivers
-  // here.
-  sim_options.checkpoint.every = 0;
-  sim_options.checkpoint.crash_after = 0;
-  if (multi_tenant_) {
-    std::vector<WorkloadGenerator*> generators;
-    generators.reserve(twins_.size());
-    for (const std::unique_ptr<WorkloadGenerator>& twin : twins_) {
-      generators.push_back(twin.get());
-    }
-    sim_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
-                                       std::move(generators), sim_options);
-  } else {
-    sim_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
-                                       twins_[0].get(), sim_options);
-  }
-  return Status::OK();
-}
-
 Status CloudCachedServer::Start() {
   if (stream_count_ == 0) {
     return Status::InvalidArgument("config.tenancy.tenants must be >= 1");
   }
-  CLOUDCACHE_RETURN_IF_ERROR(BuildEconomy());
-
-  if (options_.restore != CheckpointOptions::Restore::kNone) {
-    if (options_.snapshot_path.empty()) {
-      return Status::InvalidArgument(
-          "restore requested without a snapshot path");
-    }
-    const bool hard = options_.restore == CheckpointOptions::Restore::kHard;
-    Status restored = Status::OK();
-    Result<persist::SnapshotReader> reader =
-        persist::SnapshotReader::FromFile(options_.snapshot_path);
-    if (!reader.ok()) {
-      restored = reader.status();
-    } else {
-      restored = sim_->RestoreFrom(reader.value());
-    }
-    if (!restored.ok()) {
-      if (hard) return restored;
-      std::fprintf(stderr,
-                   "cloudcached: snapshot unusable (%s); starting fresh\n",
-                   restored.ToString().c_str());
-      // A partial restore may have touched the graph; rebuild from
-      // scratch, exactly like RunExperimentChecked's kAuto fallback.
-      CLOUDCACHE_RETURN_IF_ERROR(BuildEconomy());
-    }
+  if (config_->sim.parallel_threads > 0) {
+    return Status::InvalidArgument(
+        "the server drives the serial economy; parallel_threads must be 0");
   }
-  sim_->ExternalBegin();
+  if (config_->sim.checkpoint.crash_after > 0) {
+    return Status::InvalidArgument(
+        "crash injection is a simulator-only control; crash_after must be "
+        "0");
+  }
+  Result<std::unique_ptr<ExperimentGraph>> graph =
+      ExperimentGraph::Build(*catalog_, *templates_, *config_);
+  CLOUDCACHE_RETURN_IF_ERROR(graph.status());
+  graph_ = std::move(graph).value();
+  sim().ExternalBegin();
 
   Result<Socket> listener = ListenTcp(options_.host, options_.port);
   CLOUDCACHE_RETURN_IF_ERROR(listener.status());
@@ -197,26 +136,26 @@ Status CloudCachedServer::Wait() {
 
   std::lock_guard<std::mutex> lock(mu_);
   CLOUDCACHE_RETURN_IF_ERROR(checkpoint_status_);
-  if (options_.snapshot_path.empty()) return Status::OK();
+  if (config_->sim.checkpoint.path.empty()) return Status::OK();
   if (tainted_) {
     return Status::FailedPrecondition(
         "refusing the shutdown snapshot: " + taint_reason_ +
         " (the economy no longer matches any simulator-reachable state)");
   }
-  if (sim_->external_processed() >= sim_->options().num_queries) {
+  if (sim().external_processed() >= sim().options().num_queries) {
     // Same rule as the drivers: a completed run is never checkpointed.
     std::fprintf(stderr,
                  "cloudcached: run complete (%llu queries); no shutdown "
                  "snapshot (nothing to resume)\n",
-                 static_cast<unsigned long long>(sim_->external_processed()));
+                 static_cast<unsigned long long>(sim().external_processed()));
     return Status::OK();
   }
-  return sim_->ExternalCheckpoint();
+  return sim().ExternalCheckpoint();
 }
 
 uint64_t CloudCachedServer::processed() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sim_->external_processed();
+  return sim().external_processed();
 }
 
 void CloudCachedServer::AcceptLoop() {
@@ -269,7 +208,7 @@ void CloudCachedServer::HandleConnection(std::shared_ptr<Socket> conn) {
 
   HelloAckMsg ack;
   ack.config_hash = config_hash_;
-  ack.num_queries = sim_->options().num_queries;
+  ack.num_queries = sim().options().num_queries;
   if (hello.protocol_version != kProtocolVersion) {
     SendError(*conn, ErrorCode::kVersionMismatch,
               "server speaks protocol version " +
@@ -332,9 +271,9 @@ void CloudCachedServer::HandleConnection(std::shared_ptr<Socket> conn) {
                           " already left the merge and cannot rejoin";
       } else {
         state.claimed = true;
-        merge_[stream] = twins_[stream].get();
+        merge_[stream] = graph_->stream(stream);
         ack.stream_id = stream;
-        ack.next_query_id = twins_[stream]->queries_generated();
+        ack.next_query_id = graph_->stream(stream)->queries_generated();
       }
     }
     if (refused) {
@@ -425,18 +364,18 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
       std::unique_lock<std::mutex> lock(mu_);
       merge_cv_.wait(lock, [this, stream] {
         return draining_ ||
-               sim_->external_processed() >= sim_->options().num_queries ||
+               sim().external_processed() >= sim().options().num_queries ||
                MergeTurnLocked(stream);
       });
       if (draining_) {
         error = ErrorCode::kShuttingDown;
         error_message = "server is draining";
         serve_failed = true;
-      } else if (sim_->external_processed() >=
-                 sim_->options().num_queries) {
+      } else if (sim().external_processed() >=
+                 sim().options().num_queries) {
         error = ErrorCode::kRunComplete;
         error_message = "the configured run of " +
-                        std::to_string(sim_->options().num_queries) +
+                        std::to_string(sim().options().num_queries) +
                         " queries is complete";
         serve_failed = true;
       } else {
@@ -444,7 +383,7 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
         // verify the client sent the same one, and serve the twin's
         // instance — the economy's evolution is then a pure function of
         // the configuration, never of client-marshalled bytes.
-        const Query expected = twins_[stream]->Next();
+        const Query expected = graph_->stream(stream)->Next();
         if (received.id != expected.id ||
             received.template_id != expected.template_id ||
             received.arrival_time != expected.arrival_time ||
@@ -458,8 +397,8 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
           error_message = taint_reason_;
           serve_failed = true;
         } else {
-          const ServedQuery served = sim_->ExternalServe(expected);
-          const uint64_t processed = sim_->external_processed();
+          const ServedQuery served = sim().ExternalServe(expected);
+          const uint64_t processed = sim().external_processed();
           outcome.query_id = expected.id;
           outcome.global_index = processed - 1;
           outcome.served = served.served;
@@ -472,11 +411,11 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
           outcome.budget_case = static_cast<uint8_t>(served.budget_case);
           outcome.investments = served.investments;
           outcome.evictions = served.evictions;
-          if (options_.checkpoint_every > 0 &&
-              processed % options_.checkpoint_every == 0 &&
-              processed < sim_->options().num_queries &&
-              checkpoint_status_.ok() && !tainted_) {
-            checkpoint_status_ = sim_->ExternalCheckpoint();
+          if (checkpoint_status_.ok() && !tainted_) {
+            checkpoint_status_ = CheckpointBoundary(
+                sim().options().checkpoint, sim().options().num_queries,
+                processed - 1, processed,
+                [this] { return sim().ExternalCheckpoint(); });
             if (!checkpoint_status_.ok()) {
               std::fprintf(stderr, "cloudcached: checkpoint failed: %s\n",
                            checkpoint_status_.ToString().c_str());
@@ -488,8 +427,8 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
                 stderr, "cloudcached: served %llu/%llu, credit $%.2f\n",
                 static_cast<unsigned long long>(processed),
                 static_cast<unsigned long long>(
-                    sim_->options().num_queries),
-                scheme_->credit().ToDollars());
+                    sim().options().num_queries),
+                graph_->scheme().credit().ToDollars());
           }
         }
       }
@@ -557,14 +496,16 @@ void CloudCachedServer::SubscriptionLoop(const Socket& conn,
       std::unique_lock<std::mutex> lock(mu_);
       merge_cv_.wait(lock, [this, next_at] {
         return draining_ || stop_.load() ||
-               sim_->external_processed() >= next_at ||
-               sim_->external_processed() >= sim_->options().num_queries;
+               sim().external_processed() >= next_at ||
+               sim().external_processed() >= sim().options().num_queries;
       });
       stats = StatsLocked();
       final_ack = draining_ || stop_.load() ||
                   stats.processed >= stats.num_queries;
     }
-    next_at = stats.processed + every;
+    // Saturating: an `every` past the run's end means "final ack only".
+    next_at = every > UINT64_MAX - stats.processed ? UINT64_MAX
+                                                   : stats.processed + every;
     // The frame goes out without mu_: a slow or stalled watcher must
     // never hold up the merge.
     persist::Encoder enc;
@@ -576,11 +517,11 @@ void CloudCachedServer::SubscriptionLoop(const Socket& conn,
 
 StatsAckMsg CloudCachedServer::StatsLocked() const {
   StatsAckMsg stats;
-  const SimMetrics& metrics = sim_->external_metrics();
-  stats.processed = sim_->external_processed();
-  stats.num_queries = sim_->options().num_queries;
+  const SimMetrics& metrics = sim().external_metrics();
+  stats.processed = sim().external_processed();
+  stats.num_queries = sim().options().num_queries;
   stats.served = metrics.served;
-  stats.credit_micros = scheme_->credit().micros();
+  stats.credit_micros = graph_->scheme().credit().micros();
   for (const WorkloadGenerator* twin : merge_) {
     if (twin != nullptr) ++stats.active_streams;
   }
@@ -615,14 +556,14 @@ std::string CloudCachedServer::RenderMetricsText() const {
   obs::Registry registry;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    obs::FillFromSimMetrics(sim_->external_metrics(), &registry);
+    obs::FillFromSimMetrics(sim().external_metrics(), &registry);
     // Server-side liveness gauges, beyond what SimMetrics carries.
     registry.Counter("cloudcache_server_processed_total",
                      "Queries served so far, in merged order.",
-                     static_cast<double>(sim_->external_processed()));
+                     static_cast<double>(sim().external_processed()));
     registry.Gauge("cloudcache_server_run_queries",
                    "Configured merged run length.",
-                   static_cast<double>(sim_->options().num_queries));
+                   static_cast<double>(sim().options().num_queries));
     uint32_t active = 0;
     for (const WorkloadGenerator* twin : merge_) {
       if (twin != nullptr) ++active;
@@ -631,7 +572,8 @@ std::string CloudCachedServer::RenderMetricsText() const {
                    "Workload streams with a live connection.",
                    static_cast<double>(active));
     registry.Gauge("cloudcache_server_credit_dollars",
-                   "Live cloud credit CR.", scheme_->credit().ToDollars());
+                   "Live cloud credit CR.",
+                   graph_->scheme().credit().ToDollars());
   }
   // Rendering is pure string work — do it off the economy's mutex.
   return registry.RenderPrometheus();

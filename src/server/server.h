@@ -28,15 +28,6 @@ struct ServerOptions {
   /// worker for its lifetime, so this must exceed the number of
   /// concurrent connections or late arrivals queue until one closes.
   uint32_t workers = 0;
-  /// Snapshot file written on graceful shutdown (and by the periodic
-  /// cadence below). Empty disables persistence.
-  std::string snapshot_path;
-  /// Also snapshot every N served queries (0 = shutdown-only).
-  uint64_t checkpoint_every = 0;
-  /// Restore from snapshot_path at startup (same semantics as the
-  /// simulator's --restore: kAuto degrades to a fresh economy on a
-  /// missing/corrupt/mismatched snapshot, kHard fails Start()).
-  CheckpointOptions::Restore restore = CheckpointOptions::Restore::kNone;
   /// Log a progress line to stderr every N served queries (0 = quiet).
   uint64_t log_every = 0;
   /// Serve Prometheus text exposition over HTTP on this port: GET
@@ -48,10 +39,14 @@ struct ServerOptions {
 };
 
 /// The economy served over TCP (docs/server.md). One process hosts the
-/// exact object graph the simulator drives — MakeExperimentScheme's
-/// scheme, one twin WorkloadGenerator per stream, a Simulator in
-/// external-drive mode — and an accept loop hands each connection to a
+/// experiment's own ExperimentGraph — the scheme, one twin
+/// WorkloadGenerator per stream, and the serial Simulator, driven through
+/// its external surface — and an accept loop hands each connection to a
 /// worker-pool handler.
+///
+/// Persistence is the experiment's: config.sim.checkpoint names the
+/// snapshot file written on graceful shutdown, its periodic cadence, and
+/// the restore policy applied when the graph is built.
 ///
 /// Determinism discipline: client connection #t claims workload stream t
 /// (= tenant t). The server re-derives every stream from the shared
@@ -83,6 +78,8 @@ class CloudCachedServer {
 
   /// Builds the economy (restoring from the snapshot when configured),
   /// binds the listen socket, and spawns the accept loop + worker pool.
+  /// Refuses parallel_threads > 0 and crash injection: the server is the
+  /// serial economy's external drive.
   Status Start();
 
   /// The bound port (after Start()).
@@ -116,7 +113,7 @@ class CloudCachedServer {
 
   /// The live metrics block. Only meaningful once Wait() returned —
   /// while handlers run it is being mutated under the internal mutex.
-  const SimMetrics& metrics() const { return sim_->external_metrics(); }
+  const SimMetrics& metrics() const { return sim().external_metrics(); }
 
   uint64_t config_hash() const { return config_hash_; }
 
@@ -126,9 +123,8 @@ class CloudCachedServer {
     bool retired = false;  // Left the merge for good (close/divergence).
   };
 
-  /// Builds (or rebuilds, for kAuto restore fallback) the scheme, the
-  /// twin generators, and the external-drive simulator.
-  Status BuildEconomy();
+  /// The graph's serial driver (after Start()).
+  Simulator& sim() const { return *graph_->simulator(); }
   void AcceptLoop();
   void HandleConnection(std::shared_ptr<Socket> conn);
   /// Serves the stream-t data loop after a successful Hello.
@@ -156,14 +152,9 @@ class CloudCachedServer {
   const ExperimentConfig* config_;
   ServerOptions options_;
   uint64_t config_hash_ = 0;
-  bool multi_tenant_ = false;
   uint32_t stream_count_ = 1;
-
-  std::vector<ResolvedTemplate> resolved_;
-  std::vector<StructureKey> indexes_;
-  std::unique_ptr<Scheme> scheme_;
-  std::vector<std::unique_ptr<WorkloadGenerator>> twins_;
-  std::unique_ptr<Simulator> sim_;
+  /// The economy; stream t's generator is its twin.
+  std::unique_ptr<ExperimentGraph> graph_;
 
   Socket listener_;
   uint16_t port_ = 0;
@@ -174,7 +165,7 @@ class CloudCachedServer {
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<bool> stop_{false};
 
-  /// Guards the economy (scheme_, twins_, sim_), the stream table, and
+  /// Guards the economy (graph_), the stream table, and
   /// the connection registry. merge_cv_ wakes handlers when the merge
   /// head may have moved or a drain began.
   mutable std::mutex mu_;

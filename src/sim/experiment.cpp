@@ -38,76 +38,15 @@ WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
 
 namespace {
 
-/// One construction + drive of the experiment's object graph. When
-/// `snapshot` is non-null the freshly built graph is overwritten with the
-/// snapshot's state before driving — on any restore error the graph is
-/// abandoned (the caller rebuilds from scratch for a fresh run).
-Result<SimMetrics> RunExperimentImpl(
-    const Catalog& catalog, const std::vector<QueryTemplate>& templates,
-    const ExperimentConfig& config,
-    const persist::SnapshotReader* snapshot) {
-  Result<std::vector<ResolvedTemplate>> resolved =
-      ResolveTemplates(catalog, templates);
-  CLOUDCACHE_CHECK(resolved.ok());
+/// N merged streams with tenant slices, rather than the paper's one stream.
+bool MultiTenant(const ExperimentConfig& config) {
+  return config.tenancy.tenants > 1 || config.tenancy.force_event_path;
+}
 
-  const std::vector<StructureKey> indexes =
-      RecommendIndexes(catalog, *resolved, config.index_candidates);
-
-  const bool multi_tenant =
-      config.tenancy.tenants > 1 || config.tenancy.force_event_path;
-  const bool clustered = config.cluster.nodes > 1 ||
-                         config.cluster.elastic ||
-                         config.cluster.force_cluster_path;
-
-  std::unique_ptr<Scheme> scheme =
-      MakeExperimentScheme(catalog, indexes, config);
-  if (config.tracer != nullptr) {
-    scheme->SetEventTracer(config.tracer, /*node_ordinal=*/0);
-  }
-  SimulatorOptions sim_options = config.sim;
-  sim_options.node_rent_multiplier = config.cluster.node_rent_multiplier;
-  sim_options.checkpoint.config_hash = HashExperimentConfig(config);
-
-  if (!multi_tenant) {
-    WorkloadGenerator workload(&catalog, *resolved, config.workload);
-    // The windowed parallel driver applies to clustered single-stream
-    // runs when threads are requested; everything else stays on the
-    // classic serial driver (the multi-tenant merge is a serial
-    // discipline by construction).
-    if (clustered && sim_options.parallel_threads > 0) {
-      auto* cluster = static_cast<ClusterScheme*>(scheme.get());
-      ParallelNodeSimulator simulator(&catalog, cluster, &workload,
-                                      sim_options);
-      if (snapshot != nullptr) {
-        CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
-      }
-      return simulator.RunChecked();
-    }
-    Simulator simulator(&catalog, scheme.get(), &workload, sim_options);
-    if (snapshot != nullptr) {
-      CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
-    }
-    return simulator.RunChecked();
-  }
-
-  // Multi-tenant: one generator per stream, merged by the event-driven
-  // simulator through the shared scheme.
-  std::vector<std::unique_ptr<WorkloadGenerator>> generators;
-  std::vector<WorkloadGenerator*> generator_ptrs;
-  generators.reserve(config.tenancy.tenants);
-  generator_ptrs.reserve(config.tenancy.tenants);
-  for (uint32_t t = 0; t < config.tenancy.tenants; ++t) {
-    generators.push_back(std::make_unique<WorkloadGenerator>(
-        &catalog, *resolved,
-        TenantWorkloadOptions(config.workload, config.tenancy, t)));
-    generator_ptrs.push_back(generators.back().get());
-  }
-  Simulator simulator(&catalog, scheme.get(), std::move(generator_ptrs),
-                      sim_options);
-  if (snapshot != nullptr) {
-    CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
-  }
-  return simulator.RunChecked();
+/// A ClusterScheme wraps the per-node economies.
+bool Clustered(const ExperimentConfig& config) {
+  return config.cluster.nodes > 1 || config.cluster.elastic ||
+         config.cluster.force_cluster_path;
 }
 
 /// FNV-1a over the canonical little-endian serialization of the config.
@@ -144,11 +83,7 @@ void EncodePriceList(const PriceList& p, persist::Encoder* enc) {
 std::unique_ptr<Scheme> MakeExperimentScheme(
     const Catalog& catalog, const std::vector<StructureKey>& indexes,
     const ExperimentConfig& config) {
-  const bool multi_tenant =
-      config.tenancy.tenants > 1 || config.tenancy.force_event_path;
-  const bool clustered = config.cluster.nodes > 1 ||
-                         config.cluster.elastic ||
-                         config.cluster.force_cluster_path;
+  const bool multi_tenant = MultiTenant(config);
 
   // Builds the scheme for one cache node. Ordinal 0 carries the
   // experiment's own seed — on the single-node path it IS the classic
@@ -215,7 +150,7 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
     return scheme;
   };
 
-  if (clustered) {
+  if (Clustered(config)) {
     return std::make_unique<ClusterScheme>(
         catalog_ptr, &config.decision_prices, config.cluster, node_factory);
   }
@@ -288,37 +223,95 @@ SimMetrics RunExperiment(const Catalog& catalog,
   return std::move(result).value();
 }
 
-Result<SimMetrics> RunExperimentChecked(
+Result<std::unique_ptr<ExperimentGraph>> ExperimentGraph::Build(
     const Catalog& catalog, const std::vector<QueryTemplate>& templates,
     const ExperimentConfig& config) {
   const CheckpointOptions& cp = config.sim.checkpoint;
   const bool restoring = cp.restore != CheckpointOptions::Restore::kNone;
   if ((cp.every > 0 || restoring) && cp.path.empty()) {
     return Status::InvalidArgument(
-        "checkpointing requires a snapshot path (--checkpoint-path)");
+        "checkpointing requires a snapshot path");
   }
-  if (!restoring) {
-    return RunExperimentImpl(catalog, templates, config, nullptr);
-  }
+  std::unique_ptr<ExperimentGraph> graph(
+      new ExperimentGraph(&catalog, &config));
+  Result<std::vector<ResolvedTemplate>> resolved =
+      ResolveTemplates(catalog, templates);
+  CLOUDCACHE_RETURN_IF_ERROR(resolved.status());
+  graph->resolved_ = std::move(resolved).value();
+  graph->indexes_ =
+      RecommendIndexes(catalog, graph->resolved_, config.index_candidates);
+  graph->Assemble();
+  if (!restoring) return graph;
 
-  const bool hard = cp.restore == CheckpointOptions::Restore::kHard;
   Result<persist::SnapshotReader> reader =
       persist::SnapshotReader::FromFile(cp.path);
-  if (!reader.ok()) {
-    if (hard) return reader.status();
-    return RunExperimentImpl(catalog, templates, config, nullptr);
+  Status restored = reader.status();
+  if (restored.ok()) {
+    restored = graph->windowed_ != nullptr
+                   ? graph->windowed_->RestoreFrom(reader.value())
+                   : graph->serial_->RestoreFrom(reader.value());
   }
-  Result<SimMetrics> resumed =
-      RunExperimentImpl(catalog, templates, config, &reader.value());
-  if (resumed.ok()) return resumed;
-  if (hard) return resumed.status();
-  // Crash injection is a run outcome, not a restore failure — it must
-  // never trigger the fresh-start fallback (nor can it: the persist layer
-  // never returns kResourceExhausted).
-  if (resumed.status().code() == StatusCode::kResourceExhausted) {
-    return resumed.status();
+  if (restored.ok()) return graph;
+  if (cp.restore == CheckpointOptions::Restore::kHard) return restored;
+  CLOUDCACHE_LOG(kWarning) << "snapshot " << cp.path << " unusable ("
+                           << restored.ToString() << "); starting fresh";
+  graph->Assemble();
+  return graph;
+}
+
+ExperimentGraph::ExperimentGraph(const Catalog* catalog,
+                                 const ExperimentConfig* config)
+    : catalog_(catalog), config_(config) {}
+
+ExperimentGraph::~ExperimentGraph() = default;
+
+void ExperimentGraph::Assemble() {
+  const ExperimentConfig& config = *config_;
+  // The drivers point into the scheme and the streams: drop them first.
+  serial_.reset();
+  windowed_.reset();
+  scheme_ = MakeExperimentScheme(*catalog_, indexes_, config);
+  if (config.tracer != nullptr) {
+    scheme_->SetEventTracer(config.tracer, /*node_ordinal=*/0);
   }
-  return RunExperimentImpl(catalog, templates, config, nullptr);
+  streams_.clear();
+  std::vector<WorkloadGenerator*> streams;
+  for (uint32_t t = 0; t < config.tenancy.tenants; ++t) {
+    streams_.push_back(std::make_unique<WorkloadGenerator>(
+        catalog_, resolved_,
+        TenantWorkloadOptions(config.workload, config.tenancy, t)));
+    streams.push_back(streams_.back().get());
+  }
+
+  SimulatorOptions options = config.sim;
+  options.node_rent_multiplier = config.cluster.node_rent_multiplier;
+  options.checkpoint.config_hash = HashExperimentConfig(config);
+  if (MultiTenant(config)) {
+    // The merge of N streams is a serial discipline by construction.
+    serial_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
+                                          std::move(streams), options);
+  } else if (Clustered(config) && options.parallel_threads > 0) {
+    windowed_ = std::make_unique<ParallelNodeSimulator>(
+        catalog_, static_cast<ClusterScheme*>(scheme_.get()), streams[0],
+        options);
+  } else {
+    serial_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
+                                          streams[0], options);
+  }
+}
+
+Result<SimMetrics> ExperimentGraph::Run() {
+  return windowed_ != nullptr ? windowed_->RunChecked()
+                              : serial_->RunChecked();
+}
+
+Result<SimMetrics> RunExperimentChecked(
+    const Catalog& catalog, const std::vector<QueryTemplate>& templates,
+    const ExperimentConfig& config) {
+  Result<std::unique_ptr<ExperimentGraph>> graph =
+      ExperimentGraph::Build(catalog, templates, config);
+  CLOUDCACHE_RETURN_IF_ERROR(graph.status());
+  return graph.value()->Run();
 }
 
 std::vector<SimMetrics> RunAllSchemes(

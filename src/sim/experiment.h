@@ -16,6 +16,8 @@
 
 namespace cloudcache {
 
+class ParallelNodeSimulator;
+
 /// Multi-tenant shape of an experiment: how many concurrent query streams
 /// share the scheme's one cache, and how the streams differ.
 struct TenancyOptions {
@@ -101,18 +103,66 @@ WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
 /// rented/extra nodes derive salted seeds from their ordinal), tenancy
 /// provisioning on the event path (tenant identities, fairness policies,
 /// per-tenant budget shapes), and the ClusterScheme wrapper whenever the
-/// cluster options ask for one. Exposed so cloudcached hosts the
-/// identical object graph the simulator's equivalence tests pin.
-/// `catalog`, `indexes`, and `config` (its decision_prices in particular)
-/// must outlive the returned scheme.
+/// cluster options ask for one. ExperimentGraph::Build calls it for every
+/// host. `catalog`, `indexes`, and `config` (its decision_prices in
+/// particular) must outlive the returned scheme.
 std::unique_ptr<Scheme> MakeExperimentScheme(
     const Catalog& catalog, const std::vector<StructureKey>& indexes,
     const ExperimentConfig& config);
 
-/// Runs one experiment end to end: resolve templates, recommend indexes,
-/// build the scheme, generate the workload (per tenant when
-/// config.tenancy asks for more than one stream), simulate, return
-/// metrics.
+/// The experiment's object graph, built in one place for every host:
+/// the resolved templates, the recommended indexes, MakeExperimentScheme's
+/// scheme, one generator per stream (tenant t's from
+/// TenantWorkloadOptions), and the driver over them — the windowed
+/// ParallelNodeSimulator for a clustered single-stream run with
+/// parallel_threads > 0, the serial Simulator otherwise.
+/// RunExperimentChecked runs it to completion; cloudcached serves it
+/// through the serial driver's external surface.
+class ExperimentGraph {
+ public:
+  /// Builds the graph and applies config.sim.checkpoint's restore policy,
+  /// once: with kNone the graph is fresh; otherwise it is restored from
+  /// the snapshot at `path`. If the snapshot cannot be read or restored,
+  /// kHard returns that error and kAuto logs it and returns a freshly
+  /// rebuilt graph (a partial restore never leaks into it). Refuses a
+  /// cadence or restore without a snapshot path. `catalog` and `config`
+  /// must outlive the graph (the scheme keeps pointers into both).
+  static Result<std::unique_ptr<ExperimentGraph>> Build(
+      const Catalog& catalog, const std::vector<QueryTemplate>& templates,
+      const ExperimentConfig& config);
+
+  ~ExperimentGraph();
+  ExperimentGraph(const ExperimentGraph&) = delete;
+  ExperimentGraph& operator=(const ExperimentGraph&) = delete;
+
+  /// Drives the run to completion on the graph's driver, honoring the
+  /// checkpoint cadence and crash injection (a kResourceExhausted Status).
+  Result<SimMetrics> Run();
+
+  /// The serial driver; null when the run is on the windowed driver.
+  Simulator* simulator() const { return serial_.get(); }
+  /// Stream t's generator, t < config.tenancy.tenants.
+  WorkloadGenerator* stream(uint32_t t) const { return streams_[t].get(); }
+  const Scheme& scheme() const { return *scheme_; }
+
+ private:
+  ExperimentGraph(const Catalog* catalog, const ExperimentConfig* config);
+  /// (Re)builds the scheme, the streams, and the driver from the resolved
+  /// templates and indexes.
+  void Assemble();
+
+  const Catalog* catalog_;
+  const ExperimentConfig* config_;
+  std::vector<ResolvedTemplate> resolved_;
+  std::vector<StructureKey> indexes_;
+  std::unique_ptr<Scheme> scheme_;
+  std::vector<std::unique_ptr<WorkloadGenerator>> streams_;
+  std::unique_ptr<Simulator> serial_;
+  std::unique_ptr<ParallelNodeSimulator> windowed_;
+};
+
+/// Runs one experiment end to end: RunExperimentChecked, asserting
+/// success.
 SimMetrics RunExperiment(const Catalog& catalog,
                          const std::vector<QueryTemplate>& templates,
                          const ExperimentConfig& config);
@@ -126,14 +176,12 @@ SimMetrics RunExperiment(const Catalog& catalog,
 /// hashed; a run using them must supply the identical hooks on restore.
 uint64_t HashExperimentConfig(const ExperimentConfig& config);
 
-/// Checkpoint/restore-aware RunExperiment: honors
-/// config.sim.checkpoint — periodic snapshots, crash injection (surfacing
-/// as a kResourceExhausted Status), and restore-at-startup. With
-/// Restore::kAuto a missing, corrupt, or mismatched snapshot degrades to
-/// a fresh run (the object graph is rebuilt from scratch first, so a
-/// partial restore never leaks into the fresh run); Restore::kHard fails
-/// loudly instead. With checkpointing off this is RunExperiment, bit for
-/// bit.
+/// Builds the experiment's graph (restoring it as config.sim.checkpoint
+/// asks) and runs it: periodic snapshots, crash injection, and
+/// restore-at-startup. Restore and run are separate steps — kAuto falls
+/// back to a fresh run only when the snapshot cannot be read or restored,
+/// never because the resumed run failed. With checkpointing off this is
+/// RunExperiment, bit for bit.
 Result<SimMetrics> RunExperimentChecked(
     const Catalog& catalog, const std::vector<QueryTemplate>& templates,
     const ExperimentConfig& config);

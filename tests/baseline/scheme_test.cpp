@@ -111,13 +111,14 @@ TEST_F(SchemeTest, BudgetModelShapes) {
     options.price_multiplier = 2.0;
     options.tmax_multiplier = 3.0;
     BudgetModel model(options);
-    const std::unique_ptr<BudgetFunction> budget =
-        model.Make(Money::FromDollars(10), 4.0, rng);
-    EXPECT_DOUBLE_EQ(budget->t_max(), 12.0);
+    BudgetScratch scratch;
+    const BudgetFunction& budget =
+        model.MakeInto(Money::FromDollars(10), 4.0, rng, &scratch);
+    EXPECT_DOUBLE_EQ(budget.t_max(), 12.0);
     // Non-increasing by construction.
-    EXPECT_TRUE(budget->ValidateMonotone().ok());
+    EXPECT_TRUE(budget.ValidateMonotone().ok());
     // Early values reflect the doubled reference price.
-    EXPECT_GT(budget->At(0.01), Money::FromDollars(19.9));
+    EXPECT_GT(budget.At(0.01), Money::FromDollars(19.9));
   }
 }
 
@@ -127,11 +128,12 @@ TEST_F(SchemeTest, BudgetJitterStraddlesReference) {
   options.jitter = 0.3;
   BudgetModel model(options);
   Rng rng(5);
+  BudgetScratch scratch;
   int below = 0, above = 0;
   for (int i = 0; i < 200; ++i) {
-    const std::unique_ptr<BudgetFunction> budget =
-        model.Make(Money::FromDollars(10), 1.0, rng);
-    (budget->At(0.5) < Money::FromDollars(10) ? below : above)++;
+    const BudgetFunction& budget =
+        model.MakeInto(Money::FromDollars(10), 1.0, rng, &scratch);
+    (budget.At(0.5) < Money::FromDollars(10) ? below : above)++;
   }
   EXPECT_GT(below, 50);
   EXPECT_GT(above, 50);

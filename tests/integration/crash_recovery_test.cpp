@@ -246,6 +246,32 @@ TEST_F(CrashRecoveryTest, AutoRestoreFallsBackToFreshOnMissingSnapshot) {
   ExpectBitIdenticalMetrics(plain, *fresh);
 }
 
+TEST_F(CrashRecoveryTest, AutoRestoreReturnsTheResumedRunsFailure) {
+  // kAuto falls back only when the snapshot cannot be read or restored.
+  // After a good restore, a failure of the resumed run is returned as is,
+  // never re-run from scratch. A crash point below the restored position
+  // tells the two apart: the resumed run stops on its first step (query
+  // 201), a fresh run would stop at query 100.
+  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 1000);
+  config.sim.checkpoint.every = 200;
+  config.sim.checkpoint.path = SnapPath("auto_resumed_failure");
+  config.sim.checkpoint.crash_after = 300;
+  Result<SimMetrics> crashed =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_FALSE(crashed.ok());
+  ASSERT_EQ(crashed.status().code(), StatusCode::kResourceExhausted);
+
+  config.sim.checkpoint.crash_after = 100;
+  config.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  Result<SimMetrics> resumed =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(resumed.status().ToString().find("after 201 queries"),
+            std::string::npos)
+      << resumed.status().ToString();
+}
+
 TEST_F(CrashRecoveryTest, HardRestoreRejectsMismatchedConfiguration) {
   // Snapshot a single-tenant run, then ask a 3-tenant run to restore it:
   // the config hash must refuse before any state is touched.

@@ -2,23 +2,29 @@
 // exactly that claim:
 //
 //  1. Per-query equivalence: the outcome of every query served over a
-//     real TCP connection equals what an externally-driven Simulator on
-//     a duplicate object graph produces for the same query.
+//     real TCP connection equals what the external drive of a second
+//     ExperimentGraph — the server's own builder — produces for it.
 //  2. Concurrency is fan-in, not reordering: N racing connections
 //     produce metrics bit-identical to serially merge-driving the same
 //     streams — the merge gate serializes service into simulator order.
-//  3. Persistence interop: the snapshot a draining server writes resumes
-//     the classic driver bit-identically to an uninterrupted run.
+//  3. Persistence is the experiment's: the snapshot a draining server
+//     writes resumes the classic driver bit-identically to an
+//     uninterrupted run, the periodic cadence writes the simulator's
+//     exact bytes, and restore follows RunExperimentChecked's policy.
 //  4. Protocol discipline: the Hello gate rejects version, config-hash,
 //     duplicate-claim, and out-of-range errors; a diverged stream taints
-//     the run and shutdown refuses to write its snapshot.
+//     the run and shutdown refuses to write its snapshot; a stats
+//     subscription never outruns its cadence.
 
 #include "src/server/server.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,7 +34,6 @@
 #include "src/server/protocol.h"
 #include "src/server/socket_io.h"
 #include "src/sim/experiment.h"
-#include "src/structure/index_advisor.h"
 #include "tests/testing/metrics_equal.h"
 
 namespace cloudcache::server {
@@ -71,67 +76,31 @@ class ServerIntegrationTest : public ::testing::Test {
     return config;
   }
 
-  /// The duplicate object graph the server builds internally, wired for
-  /// external drive — the reference the socket path must match.
-  struct Reference {
-    std::vector<ResolvedTemplate> resolved;
-    std::vector<StructureKey> indexes;
-    std::unique_ptr<Scheme> scheme;
-    std::vector<std::unique_ptr<WorkloadGenerator>> generators;
-    std::unique_ptr<Simulator> sim;
-  };
-
-  static Reference MakeReference(const ExperimentConfig& config) {
-    Reference ref;
-    ref.resolved = ResolveTemplates(*catalog_, *templates_).value();
-    ref.indexes =
-        RecommendIndexes(*catalog_, ref.resolved, config.index_candidates);
-    ref.scheme = MakeExperimentScheme(*catalog_, ref.indexes, config);
-    SimulatorOptions options = config.sim;
-    options.node_rent_multiplier = config.cluster.node_rent_multiplier;
-    const uint32_t tenants = config.tenancy.tenants;
-    for (uint32_t t = 0; t < tenants; ++t) {
-      ref.generators.push_back(std::make_unique<WorkloadGenerator>(
-          catalog_, ref.resolved,
-          TenantWorkloadOptions(config.workload, config.tenancy, t)));
-    }
-    const bool multi =
-        tenants > 1 || config.tenancy.force_event_path;
-    if (multi) {
-      std::vector<WorkloadGenerator*> ptrs;
-      for (auto& g : ref.generators) ptrs.push_back(g.get());
-      ref.sim = std::make_unique<Simulator>(catalog_, ref.scheme.get(),
-                                            std::move(ptrs), options);
-    } else {
-      ref.sim = std::make_unique<Simulator>(
-          catalog_, ref.scheme.get(), ref.generators[0].get(), options);
-    }
-    ref.sim->ExternalBegin();
+  /// The server's own graph, built once more and begun for external
+  /// drive — the reference the socket path must match.
+  static std::unique_ptr<ExperimentGraph> MakeReference(
+      const ExperimentConfig& config) {
+    std::unique_ptr<ExperimentGraph> ref =
+        ExperimentGraph::Build(*catalog_, *templates_, config).value();
+    ref->simulator()->ExternalBegin();
     return ref;
   }
 
   /// Pre-draws each stream's share of the next `count` merged queries
   /// (earliest arrival, ties to the lowest stream — the simulator rule).
-  static std::vector<std::vector<Query>> DrawPlans(
-      const ExperimentConfig& config, uint64_t count) {
-    const std::vector<ResolvedTemplate> resolved =
-        ResolveTemplates(*catalog_, *templates_).value();
-    std::vector<std::unique_ptr<WorkloadGenerator>> generators;
+  static std::vector<std::vector<Query>> DrawPlans(ExperimentConfig config,
+                                                   uint64_t count) {
+    config.sim.checkpoint = CheckpointOptions{};  // Streams only.
+    const std::unique_ptr<ExperimentGraph> graph =
+        ExperimentGraph::Build(*catalog_, *templates_, config).value();
+    std::vector<WorkloadGenerator*> streams;
     for (uint32_t t = 0; t < config.tenancy.tenants; ++t) {
-      generators.push_back(std::make_unique<WorkloadGenerator>(
-          catalog_, resolved,
-          TenantWorkloadOptions(config.workload, config.tenancy, t)));
+      streams.push_back(graph->stream(t));
     }
-    std::vector<std::vector<Query>> plans(generators.size());
+    std::vector<std::vector<Query>> plans(streams.size());
     for (uint64_t i = 0; i < count; ++i) {
-      size_t head = 0;
-      for (size_t u = 1; u < generators.size(); ++u) {
-        if (generators[u]->PeekNextArrival() <
-            generators[head]->PeekNextArrival()) {
-          head = u;
-        }
-      }
-      plans[head].push_back(generators[head]->Next());
+      const size_t head = MergeHead(streams);
+      plans[head].push_back(streams[head]->Next());
     }
     return plans;
   }
@@ -210,6 +179,66 @@ Status ExchangeQuery(const Socket& conn, const Query& query,
   return DecodeOutcome(&dec, &reply->outcome);
 }
 
+/// Claims stream t for every plans[t] on (*conns)[t], then races one
+/// replay thread per stream; the server's merge gate must serialize
+/// service into simulator order. The caller owns the connections, so it
+/// decides whether they are still open at shutdown. Returns each stream's
+/// first failure ("" = claimed and every query served).
+std::vector<std::string> ServePlans(
+    const CloudCachedServer& server,
+    const std::vector<std::vector<Query>>& plans,
+    std::vector<Socket>* conns) {
+  conns->resize(plans.size());
+  std::vector<std::string> failures(plans.size());
+  for (uint32_t t = 0; t < plans.size(); ++t) {
+    HelloReply hello;
+    const Status status = DoHello(&(*conns)[t], server.port(), t,
+                                  server.config_hash(), &hello);
+    if (!status.ok() || !hello.acked) {
+      failures[t] = !status.ok() ? status.ToString()
+                                 : "Hello refused: " + hello.error.message;
+      return failures;
+    }
+  }
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < plans.size(); ++t) {
+    threads.emplace_back([conns, &plans, &failures, t] {
+      for (const Query& query : plans[t]) {
+        QueryReply reply;
+        const Status status = ExchangeQuery((*conns)[t], query, &reply);
+        if (!status.ok() || !reply.has_outcome) {
+          failures[t] = !status.ok() ? status.ToString()
+                                     : reply.error.message;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return failures;
+}
+
+/// Reads one frame that must be a StatsAck; `*closed` reports a clean EOF
+/// instead.
+Status ReadStatsAck(const Socket& conn, StatsAckMsg* stats, bool* closed) {
+  std::vector<uint8_t> payload;
+  CLOUDCACHE_RETURN_IF_ERROR(ReadFrame(conn, &payload, closed));
+  if (*closed) return Status::OK();
+  persist::Decoder dec(payload.data(), payload.size());
+  MessageType type = MessageType::kStatsAck;
+  CLOUDCACHE_RETURN_IF_ERROR(PeekType(&dec, &type));
+  if (type != MessageType::kStatsAck) {
+    return Status::Internal("expected a StatsAck");
+  }
+  return DecodeStatsAck(&dec, stats);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST_F(ServerIntegrationTest, SocketOutcomesMatchExternalDriveReference) {
   const uint64_t kQueries = 400;
   const ExperimentConfig config = ActiveConfig(kQueries, /*tenants=*/1);
@@ -218,10 +247,10 @@ TEST_F(ServerIntegrationTest, SocketOutcomesMatchExternalDriveReference) {
   CloudCachedServer server(catalog_, templates_, &config, options);
   ASSERT_TRUE(server.Start().ok());
 
-  Reference ref = MakeReference(config);
-  WorkloadGenerator client_stream(
-      catalog_, ref.resolved,
-      TenantWorkloadOptions(config.workload, config.tenancy, 0));
+  const std::unique_ptr<ExperimentGraph> ref = MakeReference(config);
+  // The reference's stream 0 plays the client, as the server's twin does:
+  // the external drive serves what it is handed and never draws itself.
+  WorkloadGenerator& client_stream = *ref->stream(0);
 
   Socket conn;
   HelloReply hello;
@@ -237,7 +266,7 @@ TEST_F(ServerIntegrationTest, SocketOutcomesMatchExternalDriveReference) {
     ASSERT_TRUE(ExchangeQuery(conn, query, &reply).ok()) << "query " << i;
     ASSERT_TRUE(reply.has_outcome) << "query " << i << ": "
                                    << reply.error.message;
-    const ServedQuery expected = ref.sim->ExternalServe(query);
+    const ServedQuery expected = ref->simulator()->ExternalServe(query);
     EXPECT_EQ(reply.outcome.query_id, query.id);
     EXPECT_EQ(reply.outcome.global_index, i);
     EXPECT_EQ(reply.outcome.served, expected.served);
@@ -263,7 +292,8 @@ TEST_F(ServerIntegrationTest, SocketOutcomesMatchExternalDriveReference) {
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
   EXPECT_EQ(server.processed(), kQueries);
-  ExpectBitIdenticalMetrics(ref.sim->external_metrics(), server.metrics());
+  ExpectBitIdenticalMetrics(ref->simulator()->external_metrics(),
+                            server.metrics());
 }
 
 TEST_F(ServerIntegrationTest, ConcurrentStreamsMatchSerialMergeReference) {
@@ -276,33 +306,9 @@ TEST_F(ServerIntegrationTest, ConcurrentStreamsMatchSerialMergeReference) {
   ASSERT_TRUE(server.Start().ok());
 
   const std::vector<std::vector<Query>> plans = DrawPlans(config, kQueries);
-
-  // Claim every stream, then race the three replays; the server's merge
-  // gate must serialize service into simulator order.
-  std::vector<Socket> conns(kStreams);
-  for (uint32_t t = 0; t < kStreams; ++t) {
-    HelloReply hello;
-    ASSERT_TRUE(DoHello(&conns[t], server.port(), t, server.config_hash(),
-                        &hello)
-                    .ok());
-    ASSERT_TRUE(hello.acked) << "stream " << t;
-  }
-  std::vector<std::string> failures(kStreams);
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < kStreams; ++t) {
-    threads.emplace_back([&conns, &plans, &failures, t] {
-      for (const Query& query : plans[t]) {
-        QueryReply reply;
-        const Status status = ExchangeQuery(conns[t], query, &reply);
-        if (!status.ok() || !reply.has_outcome) {
-          failures[t] = !status.ok() ? status.ToString()
-                                     : reply.error.message;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+  std::vector<Socket> conns;
+  const std::vector<std::string> failures =
+      ServePlans(server, plans, &conns);
   for (uint32_t t = 0; t < kStreams; ++t) {
     EXPECT_EQ(failures[t], "") << "stream " << t;
   }
@@ -312,7 +318,7 @@ TEST_F(ServerIntegrationTest, ConcurrentStreamsMatchSerialMergeReference) {
   EXPECT_EQ(server.processed(), kQueries);
 
   // Serial reference: merge-drive the identical streams one by one.
-  Reference ref = MakeReference(config);
+  const std::unique_ptr<ExperimentGraph> ref = MakeReference(config);
   {
     std::vector<size_t> cursor(kStreams, 0);
     for (uint64_t i = 0; i < kQueries; ++i) {
@@ -326,12 +332,14 @@ TEST_F(ServerIntegrationTest, ConcurrentStreamsMatchSerialMergeReference) {
         }
       }
       ASSERT_LT(head, kStreams);
-      ref.sim->ExternalServe(plans[head][cursor[head]]);
+      ref->simulator()->ExternalServe(plans[head][cursor[head]]);
       ++cursor[head];
     }
   }
-  ExpectBitIdenticalMetrics(ref.sim->external_metrics(), server.metrics());
-  ExpectBitIdenticalTenants(ref.sim->external_metrics(), server.metrics());
+  ExpectBitIdenticalMetrics(ref->simulator()->external_metrics(),
+                            server.metrics());
+  ExpectBitIdenticalTenants(ref->simulator()->external_metrics(),
+                            server.metrics());
 }
 
 TEST_F(ServerIntegrationTest, ShutdownSnapshotResumesClassicDriver) {
@@ -343,34 +351,20 @@ TEST_F(ServerIntegrationTest, ShutdownSnapshotResumesClassicDriver) {
       ::testing::TempDir() + "/cloudcached_shutdown.snap";
 
   {
+    ExperimentConfig served = config;
+    served.sim.checkpoint.path = snapshot;
     ServerOptions options;
     options.port = 0;
-    options.snapshot_path = snapshot;
-    CloudCachedServer server(catalog_, templates_, &config, options);
+    CloudCachedServer server(catalog_, templates_, &served, options);
     ASSERT_TRUE(server.Start().ok());
-    const std::vector<std::vector<Query>> plans =
-        DrawPlans(config, kServe);
-    std::vector<Socket> conns(kStreams);
+    // Both claimed streams stay open through shutdown: the snapshot is
+    // written by a draining server whose handlers idle in ReadFrame.
+    std::vector<Socket> conns;
+    const std::vector<std::string> failures =
+        ServePlans(server, DrawPlans(config, kServe), &conns);
     for (uint32_t t = 0; t < kStreams; ++t) {
-      HelloReply hello;
-      ASSERT_TRUE(DoHello(&conns[t], server.port(), t,
-                          server.config_hash(), &hello)
-                      .ok());
-      ASSERT_TRUE(hello.acked);
+      ASSERT_EQ(failures[t], "") << "stream " << t;
     }
-    std::vector<std::thread> threads;
-    for (uint32_t t = 0; t < kStreams; ++t) {
-      threads.emplace_back([&conns, &plans, t] {
-        for (const Query& query : plans[t]) {
-          QueryReply reply;
-          if (!ExchangeQuery(conns[t], query, &reply).ok() ||
-              !reply.has_outcome) {
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
     EXPECT_EQ(server.processed(), kServe);
     server.RequestShutdown();
     ASSERT_TRUE(server.Wait().ok());
@@ -388,6 +382,132 @@ TEST_F(ServerIntegrationTest, ShutdownSnapshotResumesClassicDriver) {
   ExpectBitIdenticalMetrics(uninterrupted, *resumed);
   ExpectBitIdenticalTenants(uninterrupted, *resumed);
   std::remove(snapshot.c_str());
+}
+
+TEST_F(ServerIntegrationTest, PeriodicSnapshotIsTheSimulatorsSnapshot) {
+  // The server's cadence goes through the simulator's CheckpointBoundary:
+  // at the same `every`, its last periodic snapshot is the one
+  // RunExperimentChecked leaves behind, byte for byte.
+  const uint64_t kQueries = 500;
+  const uint32_t kStreams = 2;
+  ExperimentConfig config = ActiveConfig(kQueries, kStreams);
+  config.sim.checkpoint.every = 150;
+  const std::string served_path =
+      ::testing::TempDir() + "/cloudcached_periodic.snap";
+  const std::string simulated_path =
+      ::testing::TempDir() + "/cloudcached_periodic_sim.snap";
+
+  ExperimentConfig served = config;
+  served.sim.checkpoint.path = served_path;
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &served, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<Socket> conns;
+  for (const std::string& failure :
+       ServePlans(server, DrawPlans(config, kQueries), &conns)) {
+    EXPECT_EQ(failure, "");
+  }
+  for (Socket& conn : conns) conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());  // Complete: no shutdown snapshot.
+
+  ExperimentConfig simulated = config;
+  simulated.sim.checkpoint.path = simulated_path;
+  ASSERT_TRUE(RunExperimentChecked(*catalog_, *templates_, simulated).ok());
+  const std::string bytes = ReadFileBytes(simulated_path);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(ReadFileBytes(served_path) == bytes)
+      << "the server's snapshot at " << config.sim.checkpoint.every
+      << "-query cadence differs from the simulator's";
+  std::remove(served_path.c_str());
+  std::remove(simulated_path.c_str());
+}
+
+TEST_F(ServerIntegrationTest, RestoreFollowsTheExperimentsPolicy) {
+  const std::string foreign =
+      ::testing::TempDir() + "/cloudcached_foreign.snap";
+  const std::string corrupt =
+      ::testing::TempDir() + "/cloudcached_corrupt.snap";
+  {
+    // A snapshot of a single-stream run...
+    ExperimentConfig writer = ActiveConfig(300, /*tenants=*/1);
+    writer.sim.checkpoint.every = 100;
+    writer.sim.checkpoint.path = foreign;
+    ASSERT_TRUE(RunExperimentChecked(*catalog_, *templates_, writer).ok());
+    std::ofstream out(corrupt, std::ios::binary | std::ios::trunc);
+    out << "not a snapshot";
+  }
+
+  // ...refused under kHard by a 2-stream server with the simulator's code.
+  ExperimentConfig config = ActiveConfig(300, /*tenants=*/2);
+  config.sim.checkpoint.path = foreign;
+  config.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
+  const Result<SimMetrics> simulated =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_FALSE(simulated.ok());
+  EXPECT_EQ(simulated.status().code(), StatusCode::kFailedPrecondition);
+  {
+    ServerOptions options;
+    options.port = 0;
+    CloudCachedServer server(catalog_, templates_, &config, options);
+    const Status started = server.Start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_EQ(started.code(), simulated.status().code())
+        << started.ToString();
+  }
+
+  // Under kAuto an unreadable file starts a fresh economy.
+  config.sim.checkpoint.path = corrupt;
+  config.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t kServe = 200;
+  const std::vector<std::vector<Query>> plans = DrawPlans(config, kServe);
+  std::vector<Socket> conns;
+  for (const std::string& failure : ServePlans(server, plans, &conns)) {
+    EXPECT_EQ(failure, "");
+  }
+  for (Socket& conn : conns) conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+
+  ExperimentConfig fresh = config;
+  fresh.sim.checkpoint = CheckpointOptions{};
+  const std::unique_ptr<ExperimentGraph> ref = MakeReference(fresh);
+  std::vector<WorkloadGenerator*> streams = {ref->stream(0),
+                                             ref->stream(1)};
+  for (uint64_t i = 0; i < kServe; ++i) {
+    ref->simulator()->ExternalServe(streams[MergeHead(streams)]->Next());
+  }
+  ExpectBitIdenticalMetrics(ref->simulator()->external_metrics(),
+                            server.metrics());
+  ExpectBitIdenticalTenants(ref->simulator()->external_metrics(),
+                            server.metrics());
+  std::remove(foreign.c_str());
+  std::remove(corrupt.c_str());
+}
+
+TEST_F(ServerIntegrationTest, StartRefusesSimulatorOnlyControls) {
+  // The server is the serial external drive: the windowed driver and
+  // crash injection belong to the simulator and are refused at Start().
+  ExperimentConfig threaded = ActiveConfig(100, /*tenants=*/1);
+  threaded.cluster.nodes = 2;
+  threaded.sim.parallel_threads = 2;
+  ExperimentConfig crashing = ActiveConfig(100, /*tenants=*/1);
+  crashing.sim.checkpoint.path =
+      ::testing::TempDir() + "/cloudcached_crash.snap";
+  crashing.sim.checkpoint.crash_after = 1;
+  for (const ExperimentConfig* config : {&threaded, &crashing}) {
+    ServerOptions options;
+    options.port = 0;
+    CloudCachedServer server(catalog_, templates_, config, options);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << started.ToString();
+  }
 }
 
 TEST_F(ServerIntegrationTest, HelloGateRejectsProtocolViolations) {
@@ -457,18 +577,13 @@ TEST_F(ServerIntegrationTest, HelloGateRejectsProtocolViolations) {
 }
 
 TEST_F(ServerIntegrationTest, DivergedStreamTaintsRunAndRefusesSnapshot) {
-  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  config.sim.checkpoint.path =
+      ::testing::TempDir() + "/cloudcached_tainted.snap";
   ServerOptions options;
   options.port = 0;
-  options.snapshot_path =
-      ::testing::TempDir() + "/cloudcached_tainted.snap";
   CloudCachedServer server(catalog_, templates_, &config, options);
   ASSERT_TRUE(server.Start().ok());
-
-  Reference ref = MakeReference(config);
-  WorkloadGenerator client_stream(
-      catalog_, ref.resolved,
-      TenantWorkloadOptions(config.workload, config.tenancy, 0));
 
   Socket conn;
   HelloReply hello;
@@ -476,7 +591,7 @@ TEST_F(ServerIntegrationTest, DivergedStreamTaintsRunAndRefusesSnapshot) {
       DoHello(&conn, server.port(), 0, server.config_hash(), &hello).ok());
   ASSERT_TRUE(hello.acked);
 
-  Query tampered = client_stream.Next();
+  Query tampered = DrawPlans(config, 1)[0][0];
   tampered.id += 1'000'000;  // Not the twin's next query.
   QueryReply reply;
   ASSERT_TRUE(ExchangeQuery(conn, tampered, &reply).ok());
@@ -507,25 +622,18 @@ TEST_F(ServerIntegrationTest, ControlConnectionServesStatsAndShutdown) {
   persist::Encoder enc;
   EncodeStats(&enc);
   ASSERT_TRUE(WriteFrame(conn, enc).ok());
-  std::vector<uint8_t> payload;
+  StatsAckMsg stats;
   bool clean_eof = false;
-  ASSERT_TRUE(ReadFrame(conn, &payload, &clean_eof).ok());
+  ASSERT_TRUE(ReadStatsAck(conn, &stats, &clean_eof).ok());
   ASSERT_FALSE(clean_eof);
-  {
-    persist::Decoder dec(payload.data(), payload.size());
-    MessageType type = MessageType::kStatsAck;
-    ASSERT_TRUE(PeekType(&dec, &type).ok());
-    ASSERT_EQ(type, MessageType::kStatsAck);
-    StatsAckMsg stats;
-    ASSERT_TRUE(DecodeStatsAck(&dec, &stats).ok());
-    EXPECT_EQ(stats.processed, 0u);
-    EXPECT_EQ(stats.num_queries, 100u);
-    EXPECT_EQ(stats.active_streams, 0u);
-  }
+  EXPECT_EQ(stats.processed, 0u);
+  EXPECT_EQ(stats.num_queries, 100u);
+  EXPECT_EQ(stats.active_streams, 0u);
 
   enc.Clear();
   EncodeShutdown(&enc);
   ASSERT_TRUE(WriteFrame(conn, enc).ok());
+  std::vector<uint8_t> payload;
   ASSERT_TRUE(ReadFrame(conn, &payload, &clean_eof).ok());
   ASSERT_FALSE(clean_eof);
   {
@@ -536,6 +644,62 @@ TEST_F(ServerIntegrationTest, ControlConnectionServesStatsAndShutdown) {
     ASSERT_TRUE(DecodeShutdownAck(&dec).ok());
   }
   EXPECT_TRUE(server.ShutdownRequested());
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerIntegrationTest, SubscriptionWithHugeCadenceSendsOnlyFinalAck) {
+  // every = 2^64-1 after queries were served: the next ack is due past
+  // the end of the run, so the watcher gets the immediate ack and then
+  // the final one — never a flood of repeats.
+  const uint64_t kQueries = 40;
+  const uint64_t kFirst = 20;
+  const ExperimentConfig config = ActiveConfig(kQueries, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<Query> plan = DrawPlans(config, kQueries)[0];
+  Socket stream;
+  HelloReply hello;
+  ASSERT_TRUE(
+      DoHello(&stream, server.port(), 0, server.config_hash(), &hello).ok());
+  ASSERT_TRUE(hello.acked);
+  for (uint64_t i = 0; i < kFirst; ++i) {
+    QueryReply reply;
+    ASSERT_TRUE(ExchangeQuery(stream, plan[i], &reply).ok());
+    ASSERT_TRUE(reply.has_outcome) << reply.error.message;
+  }
+
+  Socket watcher;
+  ASSERT_TRUE(DoHello(&watcher, server.port(), kControlStream,
+                      server.config_hash(), &hello)
+                  .ok());
+  ASSERT_TRUE(hello.acked);
+  StatsSubscribeMsg sub;
+  sub.every = UINT64_MAX;
+  persist::Encoder enc;
+  EncodeStatsSubscribe(sub, &enc);
+  ASSERT_TRUE(WriteFrame(watcher, enc).ok());
+  StatsAckMsg stats;
+  bool closed = false;
+  ASSERT_TRUE(ReadStatsAck(watcher, &stats, &closed).ok());
+  ASSERT_FALSE(closed);
+  EXPECT_EQ(stats.processed, kFirst);
+
+  for (uint64_t i = kFirst; i < kQueries; ++i) {
+    QueryReply reply;
+    ASSERT_TRUE(ExchangeQuery(stream, plan[i], &reply).ok());
+    ASSERT_TRUE(reply.has_outcome) << reply.error.message;
+  }
+  ASSERT_TRUE(ReadStatsAck(watcher, &stats, &closed).ok());
+  ASSERT_FALSE(closed);
+  EXPECT_EQ(stats.processed, kQueries) << "a repeat ack, not the final one";
+  ASSERT_TRUE(ReadStatsAck(watcher, &stats, &closed).ok());
+  EXPECT_TRUE(closed) << "the subscription outlived its final ack";
+
+  stream.Close();
+  server.RequestShutdown();
   EXPECT_TRUE(server.Wait().ok());
 }
 

@@ -47,13 +47,10 @@ using tools::FlagValue;
 struct Args {
   ExperimentFlags exp;    // The shared experiment surface.
   bool sweep = false;     // Run the full scheme x interarrival grid.
-  unsigned threads = 0;   // Sweep workers; 0 = hardware concurrency.
+  unsigned threads = 0;   // Sweep or windowed-driver workers.
   std::string csv;        // Credit/cost timeline CSV.
   std::string trace_out;  // Record the workload instead of simulating.
-  uint64_t checkpoint_every = 0;  // Snapshot cadence in queries (0 = off).
-  std::string checkpoint_path;    // Snapshot file.
-  std::string restore;            // "", "auto", or "hard".
-  uint64_t crash_after = 0;       // Crash-injection point (0 = off).
+  CheckpointOptions checkpoint;   // Cadence, file, restore, crash point.
   std::string metrics_json;       // Machine-readable SimMetrics export.
   std::string trace;              // Economic event trace (JSONL).
   bool profile_stages = false;    // Decision-loop stage timing table.
@@ -65,9 +62,9 @@ void Usage(const char* argv0) {
       "usage: %s [flags]\n"
       "%s"
       "  --sweep               run all 4 schemes x 4 paper intervals\n"
-      "  --threads=N           sweep worker threads (0 = all cores); with\n"
-      "                        --checkpoint-path, intra-run workers for\n"
-      "                        clustered runs (windowed driver)\n"
+      "  --threads=N           sweep worker threads (0 = all cores); on a\n"
+      "                        single clustered run, the windowed driver's\n"
+      "                        workers (0 = serial driver)\n"
       "  --csv=PATH            write credit/cost timeline CSV\n"
       "  --trace-out=PATH      write the workload trace and exit\n"
       "  --checkpoint-every=N  snapshot the full economy every N queries\n"
@@ -92,6 +89,10 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
+    const FlagParse restore =
+        tools::ParseRestoreFlag(argv[i], &args.checkpoint.restore);
+    if (restore == FlagParse::kConsumed) continue;
+    if (restore == FlagParse::kError) return std::nullopt;
     std::string v;
     if (std::strcmp(argv[i], "--sweep") == 0) args.sweep = true;
     else if (FlagValue(argv[i], "--threads", &v))
@@ -100,13 +101,11 @@ std::optional<Args> Parse(int argc, char** argv) {
     else if (FlagValue(argv[i], "--csv", &v)) args.csv = v;
     else if (FlagValue(argv[i], "--trace-out", &v)) args.trace_out = v;
     else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint_every = std::stoull(v);
+      args.checkpoint.every = std::stoull(v);
     else if (FlagValue(argv[i], "--checkpoint-path", &v))
-      args.checkpoint_path = v;
-    else if (std::strcmp(argv[i], "--restore") == 0) args.restore = "hard";
-    else if (FlagValue(argv[i], "--restore", &v)) args.restore = v;
+      args.checkpoint.path = v;
     else if (FlagValue(argv[i], "--crash-after", &v))
-      args.crash_after = std::stoull(v);
+      args.checkpoint.crash_after = std::stoull(v);
     else if (FlagValue(argv[i], "--metrics-json", &v))
       args.metrics_json = v;
     else if (FlagValue(argv[i], "--trace", &v)) args.trace = v;
@@ -126,25 +125,21 @@ std::optional<Args> Parse(int argc, char** argv) {
 /// from the snapshot's config hash).
 Status ValidateArgs(const Args& args) {
   CLOUDCACHE_RETURN_IF_ERROR(tools::ValidateExperimentFlags(args.exp));
-  if (!args.restore.empty() && args.restore != "auto" &&
-      args.restore != "hard") {
-    return Status::InvalidArgument(
-        "--restore wants no value (hard), =auto, or =hard; got '" +
-        args.restore + "'");
-  }
-  const bool checkpointing = args.checkpoint_every > 0 ||
-                             !args.restore.empty() || args.crash_after > 0;
-  if (checkpointing && args.checkpoint_path.empty()) {
+  const CheckpointOptions& cp = args.checkpoint;
+  const bool checkpointing =
+      cp.every > 0 || cp.restore != CheckpointOptions::Restore::kNone ||
+      cp.crash_after > 0;
+  if (checkpointing && cp.path.empty()) {
     return Status::InvalidArgument(
         "--checkpoint-every/--restore/--crash-after need a snapshot file; "
         "add --checkpoint-path=PATH");
   }
-  if (!args.checkpoint_path.empty() && args.sweep) {
+  if (!cp.path.empty() && args.sweep) {
     return Status::InvalidArgument(
         "--sweep runs a grid of cells that would clobber one snapshot "
         "file; checkpoint/restore applies to single runs only");
   }
-  if (!args.checkpoint_path.empty() && !args.trace_out.empty()) {
+  if (!cp.path.empty() && !args.trace_out.empty()) {
     return Status::InvalidArgument(
         "--trace-out records the workload without simulating, so there is "
         "no economy state to checkpoint or restore");
@@ -175,9 +170,9 @@ Status ValidateArgs(const Args& args) {
           "order; drop --threads");
     }
   }
-  if (args.crash_after > 0 && args.crash_after >= args.exp.queries) {
+  if (cp.crash_after > 0 && cp.crash_after >= args.exp.queries) {
     return Status::InvalidArgument(
-        "--crash-after=" + std::to_string(args.crash_after) +
+        "--crash-after=" + std::to_string(cp.crash_after) +
         " never fires: the run finalizes at --queries=" +
         std::to_string(args.exp.queries) +
         " (crash injection stops strictly before the final query)");
@@ -288,40 +283,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  SimMetrics metrics;
-  if (!args.checkpoint_path.empty()) {
-    // Checkpoint/restore run. A kFixed one-cell sweep leaves the config
-    // untouched, so driving RunExperimentChecked directly is the sweep
-    // path bit for bit — plus snapshots, crash injection, and restore.
-    config.sim.checkpoint.every = args.checkpoint_every;
-    config.sim.checkpoint.path = args.checkpoint_path;
-    config.sim.checkpoint.crash_after = args.crash_after;
-    config.sim.parallel_threads = args.threads;
-    if (args.restore == "auto") {
-      config.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
-    } else if (args.restore == "hard") {
-      config.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
-    }
-    Result<SimMetrics> run = RunExperimentChecked(catalog, templates, config);
-    if (!run.ok()) {
-      std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
-      // Crash injection is a deliberate stop (snapshot on disk, no final
-      // report), distinct from a genuine failure.
-      return run.status().code() == StatusCode::kResourceExhausted ? 3 : 1;
-    }
-    metrics = std::move(run).value();
-  } else {
-    // One cell of the sweep engine: same code path as the grid runs.
-    SweepSpec spec;
-    spec.schemes = {config.scheme};
-    spec.interarrivals = {args.exp.interarrival};
-    spec.seed_policy = SweepSpec::SeedPolicy::kFixed;
-    spec.base_seed = args.exp.seed;
-    spec.base = config;
-    std::vector<SweepResult> results =
-        RunSweep(catalog, templates, spec, /*n_threads=*/1);
-    metrics = std::move(results[0].metrics);
+  config.sim.checkpoint = args.checkpoint;
+  config.sim.parallel_threads = args.threads;
+  Result<SimMetrics> run = RunExperimentChecked(catalog, templates, config);
+  if (!run.ok()) {
+    std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
+    // Crash injection is a deliberate stop (snapshot on disk, no final
+    // report), distinct from a genuine failure.
+    return run.status().code() == StatusCode::kResourceExhausted ? 3 : 1;
   }
+  const SimMetrics metrics = std::move(run).value();
   std::fputs(FormatRunDetail(metrics).c_str(), stdout);
   if (metrics.tenants.size() > 1) {
     std::printf("\nPer-tenant breakdown (%zu tenants, traffic skew %g%s%s)\n",

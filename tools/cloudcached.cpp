@@ -43,9 +43,7 @@ struct Args {
   uint16_t port = server::kDefaultPort;  // 0 = ephemeral.
   std::string port_file;  // Write the bound port here after startup.
   uint32_t workers = 0;   // 0 = streams + headroom.
-  std::string snapshot_path;
-  uint64_t checkpoint_every = 0;
-  std::string restore;  // "", "auto", or "hard".
+  CheckpointOptions checkpoint;  // Snapshot file, cadence, restore.
   uint64_t log_every = 0;
   int32_t metrics_port = -1;  // -1 = off, 0 = ephemeral.
   std::string metrics_port_file;
@@ -78,6 +76,10 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
+    const FlagParse restore =
+        tools::ParseRestoreFlag(argv[i], &args.checkpoint.restore);
+    if (restore == FlagParse::kConsumed) continue;
+    if (restore == FlagParse::kError) return std::nullopt;
     std::string v;
     if (FlagValue(argv[i], "--host", &v)) args.host = v;
     else if (FlagValue(argv[i], "--port", &v))
@@ -87,11 +89,9 @@ std::optional<Args> Parse(int argc, char** argv) {
       args.workers =
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--snapshot-path", &v))
-      args.snapshot_path = v;
+      args.checkpoint.path = v;
     else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint_every = std::stoull(v);
-    else if (std::strcmp(argv[i], "--restore") == 0) args.restore = "hard";
-    else if (FlagValue(argv[i], "--restore", &v)) args.restore = v;
+      args.checkpoint.every = std::stoull(v);
     else if (FlagValue(argv[i], "--log-every", &v))
       args.log_every = std::stoull(v);
     else if (FlagValue(argv[i], "--metrics-port", &v))
@@ -109,14 +109,9 @@ std::optional<Args> Parse(int argc, char** argv) {
 
 Status ValidateArgs(const Args& args) {
   CLOUDCACHE_RETURN_IF_ERROR(tools::ValidateExperimentFlags(args.exp));
-  if (!args.restore.empty() && args.restore != "auto" &&
-      args.restore != "hard") {
-    return Status::InvalidArgument(
-        "--restore wants no value (hard), =auto, or =hard; got '" +
-        args.restore + "'");
-  }
-  if ((args.checkpoint_every > 0 || !args.restore.empty()) &&
-      args.snapshot_path.empty()) {
+  if ((args.checkpoint.every > 0 ||
+       args.checkpoint.restore != CheckpointOptions::Restore::kNone) &&
+      args.checkpoint.path.empty()) {
     return Status::InvalidArgument(
         "--checkpoint-every/--restore need a snapshot file; add "
         "--snapshot-path=PATH");
@@ -157,21 +152,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 2;
   }
-  const ExperimentConfig config = std::move(built).value();
+  ExperimentConfig config = std::move(built).value();
+  config.sim.checkpoint = args.checkpoint;  // Persistence is the run's.
 
   server::ServerOptions options;
   options.host = args.host;
   options.port = args.port;
   options.workers = args.workers;
-  options.snapshot_path = args.snapshot_path;
-  options.checkpoint_every = args.checkpoint_every;
   options.log_every = args.log_every;
   options.metrics_port = args.metrics_port;
-  if (args.restore == "auto") {
-    options.restore = CheckpointOptions::Restore::kAuto;
-  } else if (args.restore == "hard") {
-    options.restore = CheckpointOptions::Restore::kHard;
-  }
 
   server::CloudCachedServer server(&catalog, &templates, &config, options);
   const Status started = server.Start();

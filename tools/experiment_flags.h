@@ -177,6 +177,29 @@ inline FlagParse ParseExperimentFlag(const char* arg,
   return FlagParse::kConsumed;
 }
 
+/// Tries one argv entry against the --restore flag the snapshot-taking
+/// binaries share: bare --restore is kHard, =auto and =hard name theirs.
+inline FlagParse ParseRestoreFlag(const char* arg,
+                                  CheckpointOptions::Restore* restore) {
+  std::string v;
+  if (std::strcmp(arg, "--restore") == 0) {
+    *restore = CheckpointOptions::Restore::kHard;
+  } else if (!FlagValue(arg, "--restore", &v)) {
+    return FlagParse::kNotMine;
+  } else if (v == "hard") {
+    *restore = CheckpointOptions::Restore::kHard;
+  } else if (v == "auto") {
+    *restore = CheckpointOptions::Restore::kAuto;
+  } else {
+    std::fprintf(stderr,
+                 "--restore wants no value (hard), =auto, or =hard; got "
+                 "'%s'\n",
+                 v.c_str());
+    return FlagParse::kError;
+  }
+  return FlagParse::kConsumed;
+}
+
 /// Usage fragment for the shared flags (callers append their own).
 inline const char* ExperimentFlagsUsage() {
   return
