@@ -42,11 +42,6 @@ struct ClusterBenchOptions {
   BenchOptions bench;
   std::string json_path = "BENCH_cluster.json";
   bool smoke = false;
-  /// Workers for the windowed parallel driver; 0 = classic serial driver
-  /// (the committed baselines are serial so the guard compares like with
-  /// like — the windowed discipline routes against window-start snapshots
-  /// and so is a different, equally deterministic schedule).
-  uint32_t threads = 0;
 };
 
 bool ConsumeFlag(const char* arg, const char* name, std::string* value) {
@@ -71,15 +66,12 @@ ClusterBenchOptions ParseClusterArgs(int argc, char** argv) {
       options.bench.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ConsumeFlag(argv[i], "--json", &value)) {
       options.json_path = value;
-    } else if (ConsumeFlag(argv[i], "--threads", &value)) {
-      options.threads =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       options.smoke = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--queries=N] [--scale-tb=X] [--seed=N] "
-                   "[--json=PATH] [--threads=N] [--smoke]\n",
+                   "[--json=PATH] [--smoke]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -147,8 +139,6 @@ int main(int argc, char** argv) {
       config.cluster.nodes = fleet.nodes;
       config.cluster.elastic = fleet.elastic;
       config.cluster.elasticity.max_nodes = 4;
-      config.sim.parallel_threads = options.threads;
-      if (options.threads > 0) config.cluster.force_cluster_path = true;
 
       const auto start = std::chrono::steady_clock::now();
       const SimMetrics metrics =

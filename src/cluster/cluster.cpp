@@ -43,9 +43,17 @@ size_t ClusterScheme::RouteQuery(const Query& query) {
   return router_.Route(query, cache_view_);
 }
 
-ServedQuery ClusterScheme::ServeOnNode(size_t index, const Query& query,
-                                       SimTime now) {
-  Node& node = nodes_[index];
+ServedQuery ClusterScheme::OnQuery(const Query& query, SimTime now) {
+  if (!saw_query_) {
+    first_arrival_ = query.arrival_time;
+    saw_query_ = true;
+  }
+  last_arrival_ = query.arrival_time;
+  trace_query_ = query.id;
+  trace_tenant_ = query.tenant_id;
+
+  last_served_ = RouteQuery(query);
+  Node& node = nodes_[last_served_];
   const ServedQuery served = node.scheme->OnQuery(query, now);
   ++node.queries;
   ++node.window_queries;
@@ -57,21 +65,6 @@ ServedQuery ClusterScheme::ServeOnNode(size_t index, const Query& query,
     node.revenue += served.payment;
     node.profit += served.profit;
   }
-  return served;
-}
-
-ServedQuery ClusterScheme::OnQuery(const Query& query, SimTime now) {
-  if (!saw_query_) {
-    first_arrival_ = query.arrival_time;
-    saw_query_ = true;
-  }
-  last_arrival_ = query.arrival_time;
-  trace_query_ = query.id;
-  trace_tenant_ = query.tenant_id;
-
-  const size_t n = RouteQuery(query);
-  last_served_ = n;
-  const ServedQuery served = ServeOnNode(n, query, now);
 
   ++queries_;
   if (options_.elastic &&
@@ -81,30 +74,7 @@ ServedQuery ClusterScheme::OnQuery(const Query& query, SimTime now) {
   return served;
 }
 
-ClusterScheme::WindowEnd ClusterScheme::EndWindow(SimTime window_close,
-                                                  SimTime first_arrival,
-                                                  SimTime last_arrival,
-                                                  uint64_t window_queries) {
-  if (window_queries > 0) {
-    if (!saw_query_) {
-      first_arrival_ = first_arrival;
-      saw_query_ = true;
-    }
-    last_arrival_ = last_arrival;
-    queries_ += window_queries;
-  }
-  // The controller runs only on full check intervals — exactly the
-  // cadence at which the serial path's `queries_ % interval == 0` fires
-  // (the driver's window IS the check interval; a short final window
-  // never lands on the boundary there either).
-  if (options_.elastic &&
-      window_queries == options_.elasticity.check_interval_queries) {
-    return MaybeScale(window_close);
-  }
-  return WindowEnd{};
-}
-
-ClusterScheme::WindowEnd ClusterScheme::MaybeScale(SimTime now) {
+void ClusterScheme::MaybeScale(SimTime now) {
   ElasticityWindow window;
   window.standing_regret = StandingRegret();
   window.routed.reserve(nodes_.size());
@@ -130,8 +100,6 @@ ClusterScheme::WindowEnd ClusterScheme::MaybeScale(SimTime now) {
       mean_interarrival;
 
   const ElasticAction action = controller_.Step(window);
-  WindowEnd end;
-  end.decision = action.decision;
   switch (action.decision) {
     case ElasticDecision::kHold:
       break;
@@ -139,11 +107,9 @@ ClusterScheme::WindowEnd ClusterScheme::MaybeScale(SimTime now) {
       RentNode(now);
       break;
     case ElasticDecision::kRelease:
-      end.released_index = action.release_index;
-      end.heir_index = ReleaseNode(action.release_index, now);
+      ReleaseNode(action.release_index, now);
       break;
   }
-  return end;
 }
 
 void ClusterScheme::SetEventTracer(obs::EventTracer* tracer,
@@ -184,7 +150,7 @@ size_t ClusterScheme::WarmestSurvivor(size_t releasing) const {
   return warmest;
 }
 
-size_t ClusterScheme::ReleaseNode(size_t index, SimTime now) {
+void ClusterScheme::ReleaseNode(size_t index, SimTime now) {
   CLOUDCACHE_CHECK_GT(index, 0u);  // The coordinator is never released.
   CLOUDCACHE_CHECK_LT(index, nodes_.size());
   const size_t destination = WarmestSurvivor(index);
@@ -256,7 +222,6 @@ size_t ClusterScheme::ReleaseNode(size_t index, SimTime now) {
   } else if (last_served_ > index) {
     --last_served_;
   }
-  return destination > index ? destination - 1 : destination;
 }
 
 Money ClusterScheme::credit() const {

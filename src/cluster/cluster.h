@@ -108,41 +108,10 @@ class ClusterScheme : public Scheme {
   Scheme& mutable_node(size_t index) { return *nodes_[index].scheme; }
   const ClusterOptions& options() const { return options_; }
 
-  // --- Windowed driver hooks (ParallelNodeSimulator,
-  // src/sim/node_parallel.h). The driver routes a whole window of queries
-  // up front with RouteQuery — nothing has served yet, so every route sees
-  // the window-start residencies — then runs each node's slice through
-  // ServeOnNode concurrently (a slice touches only its own Node entry and
-  // scheme), and closes the window with EndWindow, the only place
-  // cluster-global state (query counter, arrival bounds, elasticity)
-  // moves. OnQuery composes exactly these pieces serially, so the two
-  // paths share every line of per-query behavior.
-
   /// Routes one query against the current node residencies without
-  /// serving it. Non-const only for the router's reused score buffer.
+  /// serving it (OnQuery's first step). Non-const only for the router's
+  /// reused score buffer.
   size_t RouteQuery(const Query& query);
-
-  /// Serves `query` on node `index` and books the per-node traffic
-  /// counters. Safe to call concurrently for DIFFERENT indices: it
-  /// touches nothing outside nodes_[index].
-  ServedQuery ServeOnNode(size_t index, const Query& query, SimTime now);
-
-  /// What a window close did to the fleet.
-  struct WindowEnd {
-    ElasticDecision decision = ElasticDecision::kHold;
-    /// Pre-release index of the released node (valid for kRelease).
-    size_t released_index = 0;
-    /// Post-release index of the heir that absorbed the released node's
-    /// credit and warm structures (valid for kRelease).
-    size_t heir_index = 0;
-  };
-
-  /// Closes one driver window: advances the global query counter and
-  /// arrival bounds, then — when the cluster is elastic and the window
-  /// was a full check interval — runs the elasticity controller at
-  /// `window_close`, exactly where the serial path would have run it.
-  WindowEnd EndWindow(SimTime window_close, SimTime first_arrival,
-                      SimTime last_arrival, uint64_t window_queries);
 
   /// Checkpoint support. The fleet itself is run state: restore tears
   /// down the constructor-built nodes and rebuilds each saved node through
@@ -167,12 +136,12 @@ class ClusterScheme : public Scheme {
     Money profit;
   };
 
-  /// Runs the controller at window boundaries and applies its action,
-  /// reporting what moved (the serial OnQuery path ignores the report).
-  WindowEnd MaybeScale(SimTime now);
+  /// Runs the controller at a window boundary and applies its action.
+  void MaybeScale(SimTime now);
   void RentNode(SimTime now);
-  /// Releases node `index`, returning the post-release index of its heir.
-  size_t ReleaseNode(size_t index, SimTime now);
+  /// Releases node `index`; its credit and warm structures pass to the
+  /// warmest survivor.
+  void ReleaseNode(size_t index, SimTime now);
   /// Index of the surviving node (excluding `releasing`) with the most
   /// lifetime traffic — the migration destination.
   size_t WarmestSurvivor(size_t releasing) const;
@@ -199,9 +168,9 @@ class ClusterScheme : public Scheme {
   uint64_t scale_in_events_ = 0;
   uint64_t migrations_ = 0;
   uint64_t migration_failures_ = 0;
-  /// Structured event trace (null when off) and the last query served on
-  /// the serial path — elasticity events fire at window boundaries, so
-  /// they are stamped with the query whose arrival closed the window.
+  /// Structured event trace (null when off) and the last query served —
+  /// elasticity events fire at window boundaries, so they are stamped
+  /// with the query whose arrival closed the window.
   obs::EventTracer* tracer_ = nullptr;
   uint64_t trace_query_ = 0;
   uint32_t trace_tenant_ = 0;

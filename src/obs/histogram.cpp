@@ -57,16 +57,6 @@ void Histogram::Add(double x) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Histogram::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -22,10 +22,8 @@ namespace obs {
 /// Everything about the histogram is deterministic and platform-stable:
 /// bucket indices come from the value's IEEE-754 exponent and mantissa
 /// (frexp), never from std::log, so the same double always lands in the
-/// same bucket; counts are integers, so Merge is associative and
-/// commutative and the merged histogram of any partition of a sample
-/// stream equals the serial histogram bucket for bucket. That property
-/// is what lets p50/p95/p99 be pinned bit-identical across `--threads`
+/// same bucket and counts are integers. That is what lets p50/p95/p99 be
+/// pinned bit-identical across repeats, restores and sweep thread
 /// counts.
 ///
 /// Values below 2^kMinExponent (≈ 1 ns) or non-positive land in the
@@ -45,12 +43,6 @@ class Histogram {
 
   /// Records one observation.
   void Add(double x);
-
-  /// Adds another histogram's counts into this one. Order-independent:
-  /// merging in any order yields identical bucket counts, count, sum
-  /// extremes aside from double-addition order in sum() (quantiles never
-  /// read sum()).
-  void Merge(const Histogram& other);
 
   /// Value at quantile q in [0, 1]; 0 if empty. q=0 returns the exact
   /// min, q=1 the exact max; interior quantiles interpolate linearly

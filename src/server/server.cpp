@@ -52,10 +52,6 @@ Status CloudCachedServer::Start() {
   if (stream_count_ == 0) {
     return Status::InvalidArgument("config.tenancy.tenants must be >= 1");
   }
-  if (config_->sim.parallel_threads > 0) {
-    return Status::InvalidArgument(
-        "the server drives the serial economy; parallel_threads must be 0");
-  }
   if (config_->sim.checkpoint.crash_after > 0) {
     return Status::InvalidArgument(
         "crash injection is a simulator-only control; crash_after must be "
@@ -414,8 +410,7 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
           if (checkpoint_status_.ok() && !tainted_) {
             checkpoint_status_ = CheckpointBoundary(
                 sim().options().checkpoint, sim().options().num_queries,
-                processed - 1, processed,
-                [this] { return sim().ExternalCheckpoint(); });
+                processed, [this] { return sim().ExternalCheckpoint(); });
             if (!checkpoint_status_.ok()) {
               std::fprintf(stderr, "cloudcached: checkpoint failed: %s\n",
                            checkpoint_status_.ToString().c_str());

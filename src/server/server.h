@@ -61,9 +61,8 @@ struct ServerOptions {
 /// The scheme is driven under one mutex, not sharded: ClusterScheme's
 /// cross-node router, the shared account, and the rent meter are all
 /// global state, and the paper's economy is defined over a serial order
-/// of decisions. Concurrency buys connection fan-in, not decision
-/// fan-out (ROADMAP: the parallel decision loop is the windowed driver's
-/// job, offline).
+/// of decisions. The Simulator is the one schedule for every run, served
+/// or not: concurrency buys connection fan-in, never decision fan-out.
 class CloudCachedServer {
  public:
   /// `catalog`, `templates`, and `config` must outlive the server (the
@@ -78,8 +77,8 @@ class CloudCachedServer {
 
   /// Builds the economy (restoring from the snapshot when configured),
   /// binds the listen socket, and spawns the accept loop + worker pool.
-  /// Refuses parallel_threads > 0 and crash injection: the server is the
-  /// serial economy's external drive.
+  /// Refuses crash injection, a simulator-only control: the server is the
+  /// economy's external drive.
   Status Start();
 
   /// The bound port (after Start()).

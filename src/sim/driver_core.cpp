@@ -170,7 +170,9 @@ Result<uint64_t> RestoreCheckpointFrame(
     return Status::FailedPrecondition(
         "snapshot was written by driver mode " + std::to_string(saved_mode) +
         " but this run uses mode " + std::to_string(mode) +
-        " (check --tenants and --threads against the checkpointed run)");
+        (saved_mode > kDriverModeMultiTenant
+             ? " (a driver this build no longer has; start the run fresh)"
+             : " (check --tenants against the checkpointed run)"));
   }
   if (total != options.num_queries) {
     return Status::FailedPrecondition(

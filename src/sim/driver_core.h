@@ -15,24 +15,20 @@
 #include "src/util/status.h"
 #include "src/workload/generator.h"
 
-// The pieces every query loop shares — the serial Simulator (one stream or
-// N merged tenant streams, internally or externally driven), the windowed
-// ParallelNodeSimulator, and cloudcached's connection merge: one merge
-// rule, one rent meter, one metered bill, one outcome accounting, and one
-// checkpoint frame. Each driver keeps only its own schedule and its own
-// "driver" snapshot section.
+// The pieces every query loop shares — the Simulator (one stream or N
+// merged tenant streams, internally or externally driven) and
+// cloudcached's connection merge: one merge rule, one rent meter, one
+// metered bill, one outcome accounting, and one checkpoint frame.
 
 namespace cloudcache {
 
 /// Checkpoint/restore controls (docs/persistence.md). All off by default,
 /// leaving every existing run untouched.
 struct CheckpointOptions {
-  /// Write a snapshot after every N processed queries (0 disables). The
-  /// serial driver checkpoints exactly at multiples of N; the windowed
-  /// parallel driver checkpoints at the first window close at or past
-  /// each multiple (window closes are its only deterministic boundaries).
-  /// The final boundary of a completed run is never checkpointed — a
-  /// finished run's deliverable is its metrics, not a resume point.
+  /// Write a snapshot after every N processed queries (0 disables), at
+  /// exact multiples of N. The final boundary of a completed run is never
+  /// checkpointed — a finished run's deliverable is its metrics, not a
+  /// resume point.
   uint64_t every = 0;
   /// Snapshot file. Written atomically (temp file + rename); required
   /// whenever `every` > 0 or a restore is requested.
@@ -64,11 +60,6 @@ struct SimulatorOptions {
   /// of the node-reservation rate. Irrelevant — and never consulted — for
   /// single-node schemes, which rent no cluster nodes.
   double node_rent_multiplier = 1.0;
-  /// Worker threads for the windowed parallel cluster driver
-  /// (ParallelNodeSimulator in src/sim/node_parallel.h). 0 keeps the
-  /// serial Simulator; the experiment wiring routes clustered
-  /// single-stream runs through the parallel driver when > 0.
-  uint32_t parallel_threads = 0;
   /// Checkpoint/restore and crash injection (off by default).
   CheckpointOptions checkpoint;
 };
@@ -120,10 +111,7 @@ struct RentAccrual {
 /// The one rent meter: integrates a payer's disk byte-seconds and node
 /// reservations (plus the surcharge of rented cluster nodes) between
 /// metering instants at the metered prices, and charges the payer's
-/// account. The serial Simulator keeps one for the whole scheme; the
-/// windowed driver keeps one per node, where a node beyond the coordinator
-/// is one rented node (1.0 * x == x, so both shapes share every bit of the
-/// arithmetic).
+/// account. The Simulator keeps one for the whole scheme.
 struct RentMeter {
   /// Rent is integrated up to here.
   SimTime metered_until = 0;
@@ -204,26 +192,21 @@ void SampleTimelines(uint64_t index, uint64_t num_queries, SimTime now,
 }
 
 /// Driver-mode tags stamped into a snapshot's "meta" section: restoring a
-/// snapshot into a differently-shaped driver (e.g. a windowed-parallel
-/// snapshot into the serial driver) is a configuration error, caught
-/// before any state is overwritten. HashExperimentConfig leaves out
-/// parallel_threads, so for clustered runs this tag is the only guard
-/// between the serial and the windowed schedule.
+/// snapshot into a differently-shaped driver (a multi-tenant snapshot into
+/// a single-stream run, or a tag this build does not know) is a
+/// configuration error, caught before any state is overwritten.
 inline constexpr uint8_t kDriverModeSingleStream = 0;
 inline constexpr uint8_t kDriverModeMultiTenant = 1;
-inline constexpr uint8_t kDriverModeWindowed = 2;
 
-/// The one checkpoint boundary rule. After the loop moved from `previous`
-/// to `processed` queries, writes a snapshot through `write` when that
-/// crossed a multiple of `cp.every` (the serial loop steps one query at a
-/// time, so there it is every exact multiple), then fires the configured
+/// The one checkpoint boundary rule. After the loop served its
+/// `processed`-th query, writes a snapshot through `write` when
+/// `processed` is a multiple of `cp.every`, then fires the configured
 /// crash injection. A completed run does neither.
 template <typename WriteFn>
 Status CheckpointBoundary(const CheckpointOptions& cp, uint64_t num_queries,
-                          uint64_t previous, uint64_t processed,
-                          WriteFn&& write) {
+                          uint64_t processed, WriteFn&& write) {
   if (processed >= num_queries) return Status::OK();
-  if (cp.every > 0 && previous / cp.every < processed / cp.every) {
+  if (cp.every > 0 && processed % cp.every == 0) {
     CLOUDCACHE_RETURN_IF_ERROR(write());
   }
   if (cp.crash_after > 0 && processed >= cp.crash_after) {

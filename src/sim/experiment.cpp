@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/sim/node_parallel.h"
 #include "src/sim/sweep.h"
 #include "src/structure/index_advisor.h"
 #include "src/util/logging.h"
@@ -201,10 +200,7 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config) {
   enc.PutU32(c.elasticity.max_nodes);
 
   // SimulatorOptions, minus the checkpoint block (a snapshot must be
-  // restorable regardless of the cadence that produced it) and minus
-  // parallel_threads. Worker counts above zero never change the bits, but
-  // 0 vs > 0 does for a clustered run (serial vs windowed schedule); the
-  // snapshot's driver-mode tag, not this hash, refuses that cross-restore.
+  // restorable regardless of the cadence that produced it).
   enc.PutU64(config.sim.num_queries);
   EncodePriceList(config.sim.metered_prices, &enc);
 
@@ -247,9 +243,7 @@ Result<std::unique_ptr<ExperimentGraph>> ExperimentGraph::Build(
       persist::SnapshotReader::FromFile(cp.path);
   Status restored = reader.status();
   if (restored.ok()) {
-    restored = graph->windowed_ != nullptr
-                   ? graph->windowed_->RestoreFrom(reader.value())
-                   : graph->serial_->RestoreFrom(reader.value());
+    restored = graph->simulator_->RestoreFrom(reader.value());
   }
   if (restored.ok()) return graph;
   if (cp.restore == CheckpointOptions::Restore::kHard) return restored;
@@ -267,9 +261,8 @@ ExperimentGraph::~ExperimentGraph() = default;
 
 void ExperimentGraph::Assemble() {
   const ExperimentConfig& config = *config_;
-  // The drivers point into the scheme and the streams: drop them first.
-  serial_.reset();
-  windowed_.reset();
+  // The driver points into the scheme and the streams: drop it first.
+  simulator_.reset();
   scheme_ = MakeExperimentScheme(*catalog_, indexes_, config);
   if (config.tracer != nullptr) {
     scheme_->SetEventTracer(config.tracer, /*node_ordinal=*/0);
@@ -287,23 +280,15 @@ void ExperimentGraph::Assemble() {
   options.node_rent_multiplier = config.cluster.node_rent_multiplier;
   options.checkpoint.config_hash = HashExperimentConfig(config);
   if (MultiTenant(config)) {
-    // The merge of N streams is a serial discipline by construction.
-    serial_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
-                                          std::move(streams), options);
-  } else if (Clustered(config) && options.parallel_threads > 0) {
-    windowed_ = std::make_unique<ParallelNodeSimulator>(
-        catalog_, static_cast<ClusterScheme*>(scheme_.get()), streams[0],
-        options);
+    simulator_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
+                                             std::move(streams), options);
   } else {
-    serial_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
-                                          streams[0], options);
+    simulator_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
+                                             streams[0], options);
   }
 }
 
-Result<SimMetrics> ExperimentGraph::Run() {
-  return windowed_ != nullptr ? windowed_->RunChecked()
-                              : serial_->RunChecked();
-}
+Result<SimMetrics> ExperimentGraph::Run() { return simulator_->RunChecked(); }
 
 Result<SimMetrics> RunExperimentChecked(
     const Catalog& catalog, const std::vector<QueryTemplate>& templates,

@@ -16,8 +16,6 @@
 
 namespace cloudcache {
 
-class ParallelNodeSimulator;
-
 /// Multi-tenant shape of an experiment: how many concurrent query streams
 /// share the scheme's one cache, and how the streams differ.
 struct TenancyOptions {
@@ -79,9 +77,10 @@ struct ExperimentConfig {
   std::function<void(BypassYieldScheme::Options&)> customize_bypass;
   /// Structured economic event trace (observability-only; null = off).
   /// Not owned; must outlive the run. Excluded from HashExperimentConfig —
-  /// tracing never changes a result. Record order is deterministic only
-  /// on serial drivers; callers should refuse to combine a tracer with
-  /// worker threads (cloudcache_sim does).
+  /// tracing never changes a result. Record order is the run's one
+  /// serial order; a sweep would interleave its cells into one tracer, so
+  /// callers should not share one across a sweep (cloudcache_sim refuses
+  /// --trace with --sweep).
   obs::EventTracer* tracer = nullptr;
   uint64_t seed = 7;
 };
@@ -113,11 +112,10 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
 /// The experiment's object graph, built in one place for every host:
 /// the resolved templates, the recommended indexes, MakeExperimentScheme's
 /// scheme, one generator per stream (tenant t's from
-/// TenantWorkloadOptions), and the driver over them — the windowed
-/// ParallelNodeSimulator for a clustered single-stream run with
-/// parallel_threads > 0, the serial Simulator otherwise.
-/// RunExperimentChecked runs it to completion; cloudcached serves it
-/// through the serial driver's external surface.
+/// TenantWorkloadOptions), and the serial Simulator over them — the one
+/// schedule for every run, clustered or not. RunExperimentChecked runs it
+/// to completion; cloudcached serves it through the driver's external
+/// surface.
 class ExperimentGraph {
  public:
   /// Builds the graph and applies config.sim.checkpoint's restore policy,
@@ -139,8 +137,7 @@ class ExperimentGraph {
   /// checkpoint cadence and crash injection (a kResourceExhausted Status).
   Result<SimMetrics> Run();
 
-  /// The serial driver; null when the run is on the windowed driver.
-  Simulator* simulator() const { return serial_.get(); }
+  Simulator* simulator() const { return simulator_.get(); }
   /// Stream t's generator, t < config.tenancy.tenants.
   WorkloadGenerator* stream(uint32_t t) const { return streams_[t].get(); }
   const Scheme& scheme() const { return *scheme_; }
@@ -157,8 +154,7 @@ class ExperimentGraph {
   std::vector<StructureKey> indexes_;
   std::unique_ptr<Scheme> scheme_;
   std::vector<std::unique_ptr<WorkloadGenerator>> streams_;
-  std::unique_ptr<Simulator> serial_;
-  std::unique_ptr<ParallelNodeSimulator> windowed_;
+  std::unique_ptr<Simulator> simulator_;
 };
 
 /// Runs one experiment end to end: RunExperimentChecked, asserting
@@ -169,10 +165,8 @@ SimMetrics RunExperiment(const Catalog& catalog,
 
 /// Deterministic 64-bit hash over every configuration field that shapes a
 /// run's results, stamped into snapshot headers so a checkpoint can only
-/// be restored into the identical experiment. Excludes
-/// SimulatorOptions::parallel_threads (any worker count produces the same
-/// bits, by the determinism invariant) and the checkpoint controls
-/// themselves. The customize_econ/customize_bypass hooks cannot be
+/// be restored into the identical experiment. Excludes the checkpoint
+/// controls themselves. The customize_econ/customize_bypass hooks cannot be
 /// hashed; a run using them must supply the identical hooks on restore.
 uint64_t HashExperimentConfig(const ExperimentConfig& config);
 

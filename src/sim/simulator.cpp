@@ -101,8 +101,7 @@ Result<SimMetrics> Simulator::RunChecked() {
     Step(streams_[head]->Next(), head);
     CLOUDCACHE_RETURN_IF_ERROR(
         CheckpointBoundary(options_.checkpoint, options_.num_queries,
-                           processed_ - 1, processed_,
-                           [this] { return WriteSnapshot(); }));
+                           processed_, [this] { return WriteSnapshot(); }));
   }
   Finish();
   return std::move(metrics_);

@@ -15,26 +15,6 @@ void RunningStats::Add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const int64_t total = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) /
-                         static_cast<double>(total);
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          static_cast<double>(total);
-  count_ = total;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

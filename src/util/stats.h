@@ -18,9 +18,6 @@ class RunningStats {
   /// Adds one observation.
   void Add(double x);
 
-  /// Merges another accumulator into this one (parallel sweeps).
-  void Merge(const RunningStats& other);
-
   int64_t count() const { return count_; }
   /// Mean of the observations; 0 if empty.
   double mean() const { return count_ ? mean_ : 0.0; }

@@ -2,10 +2,11 @@
 // snapshot at the crash point), restore from the last periodic checkpoint,
 // continue — and pin that save → load → continue is bit-identical to the
 // uninterrupted run, across every scheme, the multi-tenant merge, and the
-// elastic cluster under both the serial and the windowed parallel driver.
+// elastic cluster.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,6 @@ TEST_F(CrashRecoveryTest, MultiTenantEconomyResumesBitIdentically) {
 }
 
 TEST_F(CrashRecoveryTest, ElasticClusterResumesBitIdentically) {
-  // Serial classic driver over a clustered scheme (threads = 0).
   ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 900);
   config.cluster.nodes = 2;
   config.cluster.elastic = true;
@@ -132,83 +132,48 @@ TEST_F(CrashRecoveryTest, ElasticClusterResumesBitIdentically) {
   ExpectBitIdenticalCluster(plain, resumed);
 }
 
-TEST_F(CrashRecoveryTest, WindowedParallelDriverResumesAcrossThreadCounts) {
-  // Windowed driver: snapshots land at window closes; a checkpoint taken
-  // under one worker count must restore under another (worker count never
-  // reaches the bits — the driver's core determinism pin).
-  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 1500);
+TEST_F(CrashRecoveryTest, RetiredDriverModeSnapshotIsRefused) {
+  // Builds before the serial Simulator became the one cluster schedule
+  // stamped a `--threads` run's snapshots with driver mode 2 under the
+  // same config hash. Such a frame must never restore: kHard refuses it,
+  // and kAuto falls back to a fresh run, bit-identical to a plain one.
+  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 900);
   config.cluster.nodes = 2;
   config.cluster.elastic = true;
   config.cluster.elasticity.check_interval_queries = 300;
-  config.sim.parallel_threads = 2;
   const SimMetrics plain = RunExperiment(*catalog_, *templates_, config);
 
-  const std::string path = SnapPath("cluster_windowed");
-  ExperimentConfig crash = config;
-  crash.sim.checkpoint.every = 400;
-  crash.sim.checkpoint.path = path;
-  crash.sim.checkpoint.crash_after = 700;
-  Result<SimMetrics> crashed =
-      RunExperimentChecked(*catalog_, *templates_, crash);
-  ASSERT_FALSE(crashed.ok());
-  ASSERT_EQ(crashed.status().code(), StatusCode::kResourceExhausted);
-
-  ExperimentConfig resume = config;
-  resume.sim.checkpoint.path = path;
-  resume.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
-  resume.sim.parallel_threads = 3;  // Different worker count than the save.
-  Result<SimMetrics> resumed =
-      RunExperimentChecked(*catalog_, *templates_, resume);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectBitIdenticalMetrics(plain, *resumed);
-  ASSERT_TRUE(resumed->cluster.active);
-  ExpectBitIdenticalCluster(plain, *resumed);
-}
-
-TEST_F(CrashRecoveryTest, SerialAndWindowedDriversRefuseEachOthersSnapshots) {
-  // The config hash leaves out parallel_threads, yet 0 vs > 0 picks a
-  // different schedule for a multi-node run; the snapshot's driver-mode
-  // tag must refuse the cross-restore in both directions (kHard), and
-  // kAuto must fall back to a fresh run of the restoring driver.
-  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 900);
-  config.cluster.nodes = 2;
-  config.cluster.elasticity.check_interval_queries = 300;
-
-  for (const uint32_t saved_threads : {2u, 0u}) {
-    const uint32_t restored_threads = saved_threads == 0 ? 2u : 0u;
-    const std::string path =
-        SnapPath("cross_driver_" + std::to_string(saved_threads));
-    ExperimentConfig save = config;
-    save.sim.parallel_threads = saved_threads;
-    save.sim.checkpoint.every = 300;
-    save.sim.checkpoint.path = path;
-    save.sim.checkpoint.crash_after = 600;
-    Result<SimMetrics> crashed =
-        RunExperimentChecked(*catalog_, *templates_, save);
-    ASSERT_FALSE(crashed.ok());
-    ASSERT_EQ(crashed.status().code(), StatusCode::kResourceExhausted);
-
-    ExperimentConfig restore = config;
-    restore.sim.parallel_threads = restored_threads;
-    restore.sim.checkpoint.path = path;
-    restore.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
-    Result<SimMetrics> refused =
-        RunExperimentChecked(*catalog_, *templates_, restore);
-    ASSERT_FALSE(refused.ok()) << "threads " << saved_threads << " -> "
-                               << restored_threads;
-    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
-        << refused.status().ToString();
-
-    restore.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
-    Result<SimMetrics> fresh =
-        RunExperimentChecked(*catalog_, *templates_, restore);
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    ExperimentConfig plain = config;
-    plain.sim.parallel_threads = restored_threads;
-    const SimMetrics expected = RunExperiment(*catalog_, *templates_, plain);
-    ExpectBitIdenticalMetrics(expected, *fresh);
-    ExpectBitIdenticalCluster(expected, *fresh);
+  CheckpointOptions cp;
+  cp.path = SnapPath("retired_mode");
+  cp.config_hash = HashExperimentConfig(config);
+  {
+    Result<std::unique_ptr<ExperimentGraph>> graph =
+        ExperimentGraph::Build(*catalog_, *templates_, config);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    constexpr uint8_t kRetiredWindowedMode = 2;
+    ASSERT_TRUE(WriteCheckpointFrame(
+                    cp, kRetiredWindowedMode, /*processed=*/300,
+                    config.sim.num_queries, graph.value()->scheme(),
+                    {graph.value()->stream(0)}, SimMetrics{},
+                    [](persist::Encoder* enc) { enc->PutDouble(0); })
+                    .ok());
   }
+
+  ExperimentConfig restore = config;
+  restore.sim.checkpoint.path = cp.path;
+  restore.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
+  Result<SimMetrics> refused =
+      RunExperimentChecked(*catalog_, *templates_, restore);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status().ToString();
+
+  restore.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  Result<SimMetrics> fresh =
+      RunExperimentChecked(*catalog_, *templates_, restore);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectBitIdenticalMetrics(plain, *fresh);
+  ExpectBitIdenticalCluster(plain, *fresh);
 }
 
 TEST_F(CrashRecoveryTest, PeriodicCheckpointsDoNotPerturbTheRun) {

@@ -142,45 +142,6 @@ TEST(HistogramTest, UnderflowAndOverflowAreCounted) {
   EXPECT_EQ(h.Quantile(1.0), 1e300);
 }
 
-TEST(HistogramTest, MergeIsAssociativeAndMatchesSerial) {
-  Rng rng(3);
-  Histogram whole, a, b, c;
-  for (int i = 0; i < 30'000; ++i) {
-    const double x = std::exp(rng.NextGaussian() * 2 - 3);
-    whole.Add(x);
-    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).Add(x);
-  }
-  // (a + b) + c and a + (b + c) both equal the serial histogram, bucket
-  // for bucket — integer counts make merge order irrelevant.
-  Histogram left = a;
-  left.Merge(b);
-  left.Merge(c);
-  Histogram bc = b;
-  bc.Merge(c);
-  Histogram right = a;
-  right.Merge(bc);
-  EXPECT_TRUE(BitIdentical(left, right));
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_EQ(left.buckets(), whole.buckets());
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-  for (double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(left.Quantile(q), whole.Quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(HistogramTest, MergeWithEmptyIsIdentity) {
-  Histogram h, empty;
-  h.Add(1.5);
-  h.Add(2.5);
-  Histogram merged = h;
-  merged.Merge(empty);
-  EXPECT_TRUE(BitIdentical(merged, h));
-  Histogram other = empty;
-  other.Merge(h);
-  EXPECT_TRUE(BitIdentical(other, h));
-}
-
 void ExpectRoundTrips(const Histogram& h) {
   persist::Encoder enc;
   h.SaveState(&enc);

@@ -75,10 +75,8 @@ TEST(SnapshotGrowthTest, BytesAtTwiceTheQueriesStayWithinSlack) {
   elastic.cluster.nodes = 2;
   elastic.cluster.elastic = true;
   elastic.cluster.elasticity.check_interval_queries = 300;
-  elastic.sim.parallel_threads = 2;
 
-  // N is a multiple of the elastic run's 300-query window, the windowed
-  // driver's only checkpoint boundary. Going from N to 2N adds N/500
+  // Going from N to 2N adds N/500
   // timeline points of 32 bytes (192 here); the rest of the slack is room
   // for the response histograms (five in the 4-tenant run, which uses
   // ~2.2 KB of it) to fill more of their fixed bucket range. A per-query

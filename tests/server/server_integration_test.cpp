@@ -491,23 +491,17 @@ TEST_F(ServerIntegrationTest, RestoreFollowsTheExperimentsPolicy) {
 }
 
 TEST_F(ServerIntegrationTest, StartRefusesSimulatorOnlyControls) {
-  // The server is the serial external drive: the windowed driver and
-  // crash injection belong to the simulator and are refused at Start().
-  ExperimentConfig threaded = ActiveConfig(100, /*tenants=*/1);
-  threaded.cluster.nodes = 2;
-  threaded.sim.parallel_threads = 2;
+  // Crash injection belongs to the simulator and is refused at Start().
   ExperimentConfig crashing = ActiveConfig(100, /*tenants=*/1);
   crashing.sim.checkpoint.path =
       ::testing::TempDir() + "/cloudcached_crash.snap";
   crashing.sim.checkpoint.crash_after = 1;
-  for (const ExperimentConfig* config : {&threaded, &crashing}) {
-    ServerOptions options;
-    options.port = 0;
-    CloudCachedServer server(catalog_, templates_, config, options);
-    const Status started = server.Start();
-    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
-        << started.ToString();
-  }
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &crashing, options);
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+      << started.ToString();
 }
 
 TEST_F(ServerIntegrationTest, HelloGateRejectsProtocolViolations) {

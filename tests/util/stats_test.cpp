@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "src/util/rng.h"
-
 namespace cloudcache {
 namespace {
 
@@ -36,35 +32,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // Unbiased.
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(3);
-  RunningStats whole, left, right;
-  for (int i = 0; i < 10'000; ++i) {
-    const double x = rng.NextGaussian() * 3 + 1;
-    whole.Add(x);
-    (i % 2 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, b;
-  a.Add(1.0);
-  a.Add(2.0);
-  const double mean = a.mean();
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_EQ(a.mean(), mean);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_EQ(b.mean(), mean);
 }
 
 TEST(RunningStatsTest, StableOverManySamples) {

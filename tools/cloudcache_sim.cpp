@@ -18,7 +18,6 @@
 //   cloudcache_sim --trace-out=stream.csv --queries=50000   (record only)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -47,7 +46,7 @@ using tools::FlagValue;
 struct Args {
   ExperimentFlags exp;    // The shared experiment surface.
   bool sweep = false;     // Run the full scheme x interarrival grid.
-  unsigned threads = 0;   // Sweep or windowed-driver workers.
+  std::optional<unsigned> threads;  // Sweep workers (0 = all cores).
   std::string csv;        // Credit/cost timeline CSV.
   std::string trace_out;  // Record the workload instead of simulating.
   CheckpointOptions checkpoint;   // Cadence, file, restore, crash point.
@@ -62,9 +61,8 @@ void Usage(const char* argv0) {
       "usage: %s [flags]\n"
       "%s"
       "  --sweep               run all 4 schemes x 4 paper intervals\n"
-      "  --threads=N           sweep worker threads (0 = all cores); on a\n"
-      "                        single clustered run, the windowed driver's\n"
-      "                        workers (0 = serial driver)\n"
+      "  --threads=N           --sweep worker threads (0 = all cores); a\n"
+      "                        single run has one schedule and refuses it\n"
       "  --csv=PATH            write credit/cost timeline CSV\n"
       "  --trace-out=PATH      write the workload trace and exit\n"
       "  --checkpoint-every=N  snapshot the full economy every N queries\n"
@@ -77,7 +75,7 @@ void Usage(const char* argv0) {
       "  --metrics-json=PATH   write the final metrics as JSON (same names\n"
       "                        as the Prometheus exposition)\n"
       "  --trace=PATH          write the economic event trace (JSONL);\n"
-      "                        single run, serial driver only\n"
+      "                        single run only\n"
       "  --profile-stages      time the decision-loop stages and print a\n"
       "                        per-stage table to stderr at the end\n",
       argv0, tools::ExperimentFlagsUsage());
@@ -93,19 +91,24 @@ std::optional<Args> Parse(int argc, char** argv) {
         tools::ParseRestoreFlag(argv[i], &args.checkpoint.restore);
     if (restore == FlagParse::kConsumed) continue;
     if (restore == FlagParse::kError) return std::nullopt;
+    unsigned threads = 0;
+    const FlagParse thread_flag =
+        tools::ParseNumberFlag(argv[i], "--threads", &threads);
+    if (thread_flag == FlagParse::kConsumed) args.threads = threads;
+    const FlagParse numeric = tools::FirstMatch(
+        {thread_flag,
+         tools::ParseNumberFlag(argv[i], "--checkpoint-every",
+                                &args.checkpoint.every),
+         tools::ParseNumberFlag(argv[i], "--crash-after",
+                                &args.checkpoint.crash_after)});
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string v;
     if (std::strcmp(argv[i], "--sweep") == 0) args.sweep = true;
-    else if (FlagValue(argv[i], "--threads", &v))
-      args.threads =
-          static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--csv", &v)) args.csv = v;
     else if (FlagValue(argv[i], "--trace-out", &v)) args.trace_out = v;
-    else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint.every = std::stoull(v);
     else if (FlagValue(argv[i], "--checkpoint-path", &v))
       args.checkpoint.path = v;
-    else if (FlagValue(argv[i], "--crash-after", &v))
-      args.checkpoint.crash_after = std::stoull(v);
     else if (FlagValue(argv[i], "--metrics-json", &v))
       args.metrics_json = v;
     else if (FlagValue(argv[i], "--trace", &v)) args.trace = v;
@@ -125,6 +128,11 @@ std::optional<Args> Parse(int argc, char** argv) {
 /// from the snapshot's config hash).
 Status ValidateArgs(const Args& args) {
   CLOUDCACHE_RETURN_IF_ERROR(tools::ValidateExperimentFlags(args.exp));
+  if (args.threads.has_value() && !args.sweep) {
+    return Status::InvalidArgument(
+        "--threads sets --sweep's worker count; a single run is the one "
+        "serial economy, so drop --threads or add --sweep");
+  }
   const CheckpointOptions& cp = args.checkpoint;
   const bool checkpointing =
       cp.every > 0 || cp.restore != CheckpointOptions::Restore::kNone ||
@@ -163,11 +171,6 @@ Status ValidateArgs(const Args& args) {
       return Status::InvalidArgument(
           "--trace records economic events during simulation; --trace-out "
           "records the workload without simulating — pick one");
-    }
-    if (args.threads > 0) {
-      return Status::InvalidArgument(
-          "--trace needs the serial driver for deterministic record "
-          "order; drop --threads");
     }
   }
   if (cp.crash_after > 0 && cp.crash_after >= args.exp.queries) {
@@ -265,7 +268,8 @@ int main(int argc, char** argv) {
     spec.base = config;
     const std::vector<std::vector<SimMetrics>> rows =
         GroupRowsByInterarrival(
-            RunSweep(catalog, templates, spec, args.threads, LogCellDone),
+            RunSweep(catalog, templates, spec, args.threads.value_or(0),
+                     LogCellDone),
             spec.interarrivals.size());
     std::puts("Operating cost (dollars) by inter-arrival time");
     std::fputs(
@@ -284,7 +288,6 @@ int main(int argc, char** argv) {
   }
 
   config.sim.checkpoint = args.checkpoint;
-  config.sim.parallel_threads = args.threads;
   Result<SimMetrics> run = RunExperimentChecked(catalog, templates, config);
   if (!run.ok()) {
     std::fprintf(stderr, "%s\n", run.status().ToString().c_str());

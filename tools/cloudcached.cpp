@@ -80,23 +80,23 @@ std::optional<Args> Parse(int argc, char** argv) {
         tools::ParseRestoreFlag(argv[i], &args.checkpoint.restore);
     if (restore == FlagParse::kConsumed) continue;
     if (restore == FlagParse::kError) return std::nullopt;
+    uint16_t metrics_port = 0;
+    const FlagParse metrics_flag =
+        tools::ParseNumberFlag(argv[i], "--metrics-port", &metrics_port);
+    if (metrics_flag == FlagParse::kConsumed) args.metrics_port = metrics_port;
+    const FlagParse numeric = tools::FirstMatch(
+        {metrics_flag, tools::ParseNumberFlag(argv[i], "--port", &args.port),
+         tools::ParseNumberFlag(argv[i], "--workers", &args.workers),
+         tools::ParseNumberFlag(argv[i], "--checkpoint-every",
+                                &args.checkpoint.every),
+         tools::ParseNumberFlag(argv[i], "--log-every", &args.log_every)});
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string v;
     if (FlagValue(argv[i], "--host", &v)) args.host = v;
-    else if (FlagValue(argv[i], "--port", &v))
-      args.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--port-file", &v)) args.port_file = v;
-    else if (FlagValue(argv[i], "--workers", &v))
-      args.workers =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--snapshot-path", &v))
       args.checkpoint.path = v;
-    else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint.every = std::stoull(v);
-    else if (FlagValue(argv[i], "--log-every", &v))
-      args.log_every = std::stoull(v);
-    else if (FlagValue(argv[i], "--metrics-port", &v))
-      args.metrics_port =
-          static_cast<int32_t>(std::strtol(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--metrics-port-file", &v))
       args.metrics_port_file = v;
     else {
@@ -115,9 +115,6 @@ Status ValidateArgs(const Args& args) {
     return Status::InvalidArgument(
         "--checkpoint-every/--restore need a snapshot file; add "
         "--snapshot-path=PATH");
-  }
-  if (args.metrics_port > 65535) {
-    return Status::InvalidArgument("--metrics-port wants 0..65535");
   }
   if (!args.metrics_port_file.empty() && args.metrics_port < 0) {
     return Status::InvalidArgument(

@@ -7,12 +7,17 @@
 // defaults, and the config wiring live here exactly once.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/catalog/sdss.h"
@@ -69,58 +74,120 @@ inline bool FlagValue(const char* arg, const char* name,
   return false;
 }
 
+/// The checked numeric idiom every numeric flag value goes through: true
+/// when the whole of `text` is one number of T's kind that fits in T —
+/// decimal digits only for an unsigned T (so "-5" cannot wrap), an
+/// optional '-' and digits for a signed T, a finite strtod value for a
+/// floating T. Leaves `*out` untouched on failure.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  if (text.empty()) return false;
+  const unsigned char first = static_cast<unsigned char>(text[0]);
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (std::isspace(first)) return false;
+    const double value = std::strtod(text.c_str(), &end);
+    if (*end != '\0' || errno != 0 || !std::isfinite(value)) return false;
+    *out = static_cast<T>(value);
+  } else if constexpr (std::is_signed_v<T>) {
+    if (!std::isdigit(first) && first != '-') return false;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (*end != '\0' || errno != 0 ||
+        value < std::numeric_limits<T>::min() ||
+        value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  } else {
+    if (!std::isdigit(first)) return false;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno != 0 ||
+        value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
+
 enum class FlagParse {
-  kConsumed,  // The argument was an experiment flag and was applied.
-  kNotMine,   // Not an experiment flag; the caller handles it.
-  kError,     // An experiment flag with a malformed value (already
-              // reported to stderr).
+  kConsumed,  // The argument was this flag and was applied.
+  kNotMine,   // Not this flag; the caller handles it.
+  kError,     // This flag with a malformed value (already reported to
+              // stderr).
 };
+
+/// Tries one argv entry against the numeric flag `name`: its value goes
+/// through ParseNumber into `*field`, and a malformed one is reported.
+template <typename T>
+FlagParse ParseNumberFlag(const char* arg, const char* name, T* field) {
+  std::string v;
+  if (!FlagValue(arg, name, &v)) return FlagParse::kNotMine;
+  if (ParseNumber(v, field)) return FlagParse::kConsumed;
+  if constexpr (std::is_floating_point_v<T>) {
+    std::fprintf(stderr, "%s wants a finite number; got '%s'\n", name,
+                 v.c_str());
+  } else {
+    std::fprintf(stderr, "%s wants an integer in [%s, %s]; got '%s'\n",
+                 name, std::to_string(std::numeric_limits<T>::min()).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str(),
+                 v.c_str());
+  }
+  return FlagParse::kError;
+}
+
+/// The verdict of whichever flag matched: flag names are distinct, so at
+/// most one entry of `parses` is not kNotMine.
+inline FlagParse FirstMatch(std::initializer_list<FlagParse> parses) {
+  for (const FlagParse parse : parses) {
+    if (parse != FlagParse::kNotMine) return parse;
+  }
+  return FlagParse::kNotMine;
+}
 
 /// Tries one argv entry against the shared experiment flags.
 inline FlagParse ParseExperimentFlag(const char* arg,
                                      ExperimentFlags* flags) {
+  const FlagParse interarrival =
+      ParseNumberFlag(arg, "--interarrival", &flags->interarrival);
+  if (interarrival == FlagParse::kConsumed) flags->interarrival_set = true;
+  const FlagParse numeric = FirstMatch({
+      interarrival,
+      ParseNumberFlag(arg, "--scale-tb", &flags->scale_tb),
+      ParseNumberFlag(arg, "--queries", &flags->queries),
+      ParseNumberFlag(arg, "--skew", &flags->skew),
+      ParseNumberFlag(arg, "--repeat", &flags->repeat),
+      ParseNumberFlag(arg, "--seed", &flags->seed),
+      ParseNumberFlag(arg, "--regret-a", &flags->regret_a),
+      ParseNumberFlag(arg, "--horizon", &flags->horizon),
+      ParseNumberFlag(arg, "--credit", &flags->initial_credit),
+      ParseNumberFlag(arg, "--tenants", &flags->tenants),
+      ParseNumberFlag(arg, "--tenant-skew", &flags->tenant_skew),
+      ParseNumberFlag(arg, "--admission-ratio", &flags->admission_ratio),
+      ParseNumberFlag(arg, "--nodes", &flags->nodes),
+      ParseNumberFlag(arg, "--node-rent-multiplier",
+                      &flags->node_rent_multiplier),
+      ParseNumberFlag(arg, "--max-nodes", &flags->max_nodes),
+  });
+  if (numeric != FlagParse::kNotMine) return numeric;
+
   std::string v;
   if (FlagValue(arg, "--scheme", &v)) {
     flags->scheme = v;
     flags->scheme_set = true;
   } else if (FlagValue(arg, "--catalog", &v)) {
     flags->catalog = v;
-  } else if (FlagValue(arg, "--scale-tb", &v)) {
-    flags->scale_tb = std::stod(v);
-  } else if (FlagValue(arg, "--queries", &v)) {
-    flags->queries = std::stoull(v);
-  } else if (FlagValue(arg, "--interarrival", &v)) {
-    flags->interarrival = std::stod(v);
-    flags->interarrival_set = true;
   } else if (FlagValue(arg, "--arrival", &v)) {
     flags->arrival = v;
-  } else if (FlagValue(arg, "--skew", &v)) {
-    flags->skew = std::stod(v);
-  } else if (FlagValue(arg, "--repeat", &v)) {
-    flags->repeat = std::stod(v);
-  } else if (FlagValue(arg, "--seed", &v)) {
-    flags->seed = std::stoull(v);
-  } else if (FlagValue(arg, "--regret-a", &v)) {
-    flags->regret_a = std::stod(v);
-  } else if (FlagValue(arg, "--horizon", &v)) {
-    flags->horizon = std::stoll(v);
-  } else if (FlagValue(arg, "--credit", &v)) {
-    flags->initial_credit = std::stod(v);
   } else if (std::strcmp(arg, "--build-latency") == 0) {
     flags->build_latency = true;
   } else if (std::strcmp(arg, "--no-plan-cache") == 0) {
     flags->plan_cache = false;
-  } else if (FlagValue(arg, "--tenants", &v)) {
-    flags->tenants =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  } else if (FlagValue(arg, "--tenant-skew", &v)) {
-    flags->tenant_skew = std::stod(v);
   } else if (std::strcmp(arg, "--fair-eviction") == 0) {
     flags->fair_eviction = true;
   } else if (std::strcmp(arg, "--admission") == 0) {
     flags->admission = true;
-  } else if (FlagValue(arg, "--admission-ratio", &v)) {
-    flags->admission_ratio = std::stod(v);
   } else if (FlagValue(arg, "--tenant-budget", &v)) {
     // T:P[:M] — tenant index, price-multiplier scale, optional tmax
     // scale. Every field is validated: a stray non-numeric tenant must
@@ -133,30 +200,21 @@ inline FlagParse ParseExperimentFlag(const char* arg,
     };
     TenantBudgetShape shape;
     const size_t first = v.find(':');
-    if (first == std::string::npos || first == 0) return reject();
-    const std::string tenant_field = v.substr(0, first);
-    char* end = nullptr;
-    const unsigned long tenant = std::strtoul(tenant_field.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return reject();
-    shape.tenant = static_cast<uint32_t>(tenant);
+    if (first == std::string::npos ||
+        !ParseNumber(v.substr(0, first), &shape.tenant)) {
+      return reject();
+    }
     const size_t second = v.find(':', first + 1);
     const std::string price_field =
         v.substr(first + 1, second == std::string::npos
                                 ? std::string::npos
                                 : second - first - 1);
-    if (price_field.empty()) return reject();
-    shape.price_scale = std::strtod(price_field.c_str(), &end);
-    if (end == nullptr || *end != '\0') return reject();
-    if (second != std::string::npos) {
-      const std::string tmax_field = v.substr(second + 1);
-      if (tmax_field.empty()) return reject();
-      shape.tmax_scale = std::strtod(tmax_field.c_str(), &end);
-      if (end == nullptr || *end != '\0') return reject();
+    if (!ParseNumber(price_field, &shape.price_scale)) return reject();
+    if (second != std::string::npos &&
+        !ParseNumber(v.substr(second + 1), &shape.tmax_scale)) {
+      return reject();
     }
     flags->tenant_budgets.push_back(shape);
-  } else if (FlagValue(arg, "--nodes", &v)) {
-    flags->nodes =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
   } else if (FlagValue(arg, "--elastic", &v)) {
     if (v == "on") {
       flags->elastic = true;
@@ -166,11 +224,6 @@ inline FlagParse ParseExperimentFlag(const char* arg,
       std::fprintf(stderr, "--elastic wants on|off\n");
       return FlagParse::kError;
     }
-  } else if (FlagValue(arg, "--node-rent-multiplier", &v)) {
-    flags->node_rent_multiplier = std::stod(v);
-  } else if (FlagValue(arg, "--max-nodes", &v)) {
-    flags->max_nodes =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
   } else {
     return FlagParse::kNotMine;
   }
@@ -234,6 +287,19 @@ inline const char* ExperimentFlagsUsage() {
 /// Cross-flag validation of the shared surface, as Status so every
 /// rejection carries an actionable message.
 inline Status ValidateExperimentFlags(const ExperimentFlags& flags) {
+  // The negated comparisons below reject NaN too (NaN > 0 is false).
+  if (!(flags.scale_tb * static_cast<double>(kTB) >= 1)) {
+    return Status::InvalidArgument("--scale-tb must be > 0");
+  }
+  if (!(flags.interarrival > 0)) {
+    return Status::InvalidArgument("--interarrival must be > 0");
+  }
+  if (!(flags.regret_a > 0 && flags.regret_a < 1)) {
+    return Status::InvalidArgument("--regret-a must be in (0, 1)");
+  }
+  if (flags.horizon < 1) {
+    return Status::InvalidArgument("--horizon must be >= 1");
+  }
   if (flags.tenants == 0) {
     return Status::InvalidArgument("--tenants must be >= 1");
   }
@@ -246,7 +312,6 @@ inline Status ValidateExperimentFlags(const ExperimentFlags& flags) {
           "--tenant-budget tenant " + std::to_string(shape.tenant) +
           " out of range (tenants=" + std::to_string(flags.tenants) + ")");
     }
-    // The negated comparison rejects NaN too (NaN > 0 is false).
     if (!(shape.price_scale > 0) || !std::isfinite(shape.price_scale) ||
         !(shape.tmax_scale > 0) || !std::isfinite(shape.tmax_scale)) {
       return Status::InvalidArgument(

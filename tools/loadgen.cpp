@@ -80,22 +80,24 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
-    std::string v;
-    if (FlagValue(argv[i], "--host", &v)) args.host = v;
-    else if (FlagValue(argv[i], "--port", &v))
-      args.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-    else if (FlagValue(argv[i], "--port-file", &v)) args.port_file = v;
-    else if (FlagValue(argv[i], "--count", &v)) args.count = std::stoull(v);
-    else if (std::strcmp(argv[i], "--shutdown") == 0) args.shutdown = true;
-    else if (std::strcmp(argv[i], "--stats") == 0) args.stats = true;
-    else if (std::strcmp(argv[i], "--watch") == 0) args.watch = 1000;
-    else if (FlagValue(argv[i], "--watch", &v)) {
-      args.watch = std::stoull(v);
-      if (args.watch == 0) {
+    const FlagParse numeric = tools::FirstMatch(
+        {tools::ParseNumberFlag(argv[i], "--port", &args.port),
+         tools::ParseNumberFlag(argv[i], "--count", &args.count),
+         tools::ParseNumberFlag(argv[i], "--watch", &args.watch)});
+    if (numeric == FlagParse::kError) return std::nullopt;
+    if (numeric == FlagParse::kConsumed) {
+      if (args.watch == 0 && std::strncmp(argv[i], "--watch=", 8) == 0) {
         std::fprintf(stderr, "--watch wants a cadence >= 1\n");
         return std::nullopt;
       }
+      continue;
     }
+    std::string v;
+    if (FlagValue(argv[i], "--host", &v)) args.host = v;
+    else if (FlagValue(argv[i], "--port-file", &v)) args.port_file = v;
+    else if (std::strcmp(argv[i], "--shutdown") == 0) args.shutdown = true;
+    else if (std::strcmp(argv[i], "--stats") == 0) args.stats = true;
+    else if (std::strcmp(argv[i], "--watch") == 0) args.watch = 1000;
     else if (std::strcmp(argv[i], "--no-config-check") == 0)
       args.config_check = false;
     else {
