@@ -30,11 +30,13 @@ struct Env {
         model(&catalog, &prices),
         registry(&catalog),
         cache(&registry),
-        enumerator(&model, &registry, UncachedOptions()) {
+        enumerator(&model, &registry, UncachedOptions()),
+        cached(&model, &registry, EnumeratorOptions()) {
     auto resolved = ResolveTemplates(catalog, MakeTpchTemplates());
     templates = *resolved;
     enumerator.SetIndexCandidates(
         RecommendIndexes(catalog, templates, 65));
+    cached.SetIndexCandidates(RecommendIndexes(catalog, templates, 65));
     Rng rng(2);
     for (int i = 0; i < 64; ++i) {
       queries.push_back(InstantiateQuery(
@@ -56,6 +58,9 @@ struct Env {
   StructureRegistry registry;
   CacheState cache;
   PlanEnumerator enumerator;
+  /// Plan cache on: after one miss per template, every call is a hit
+  /// that only writes the time/Ce columns (the simulator's steady state).
+  PlanEnumerator cached;
   std::vector<ResolvedTemplate> templates;
   std::vector<Query> queries;
 };
@@ -74,6 +79,16 @@ void BM_Enumerate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Enumerate);
+
+void BM_EnumerateCached(benchmark::State& state) {
+  Env& env = GetEnv();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.cached.EnumerateShared(
+        env.queries[i++ % env.queries.size()], env.cache));
+  }
+}
+BENCHMARK(BM_EnumerateCached);
 
 void BM_EnumerateAndSkyline(benchmark::State& state) {
   Env& env = GetEnv();

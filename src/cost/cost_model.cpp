@@ -115,6 +115,7 @@ CostModel::ExecutionBase CostModel::EstimateExecutionBase(
   const double ops_raw = bytes_read / p.io_bytes_per_op * p.fio;
   base.io_ops = static_cast<uint64_t>(std::ceil(ops_raw * io_multiplier));
   base.io_seconds = static_cast<double>(base.io_ops) * p.io_seconds_per_op;
+  base.io_cost = p.IoCost(base.io_ops);
   return base;
 }
 
@@ -140,7 +141,7 @@ ExecutionEstimate CostModel::FinalizeExecutionWithFactors(
   est.wan_bytes = 0;
 
   // Eq. 8: CeC = lcpu * fcpu * qtot * c + fio * io * iotot.
-  est.cost = p.CpuCost(est.cpu_seconds) + p.IoCost(est.io_ops);
+  est.cost = p.CpuCost(est.cpu_seconds) + base.io_cost;
 
   if (!in_cache) {
     // Eq. 9: CeN = CeC + fn * (l + S(Q)/t) * c + S(Q) * cb.
@@ -167,6 +168,16 @@ ExecutionEstimate CostModel::EstimateExecution(const Query& query,
                             clustered_fraction));
 }
 
+CostModel::BatchEstimator::BatchEstimator(
+    const CostModel* model, const std::vector<uint32_t>& node_counts)
+    : model_(model), node_counts_(node_counts) {
+  uint32_t max_nodes = 1;
+  for (uint32_t nodes : node_counts_) max_nodes = std::max(max_nodes, nodes);
+  // Index 1 (the back-end plan's count) is 1.0 even when not listed.
+  time_factors_.assign(max_nodes + 1, 1.0);
+  cpu_factors_.assign(max_nodes + 1, 1.0);
+}
+
 void CostModel::BatchEstimator::Reset(const Query& query) {
   query_ = &query;
   accessed_width_ = WidthOf(*model_->catalog_, query.AccessedColumns());
@@ -174,40 +185,38 @@ void CostModel::BatchEstimator::Reset(const Query& query) {
   for (const Predicate& pred : query.predicates) {
     if (pred.clustered) clustered_fraction_ *= pred.selectivity;
   }
-  has_family_ = false;
-  // Factors depend on query.parallel_fraction: forget the previous
-  // query's memo (capacity is kept).
-  time_factors_.clear();
-  cpu_factors_.clear();
+  for (uint32_t nodes : node_counts_) {
+    time_factors_[nodes] =
+        model_->ParallelTimeFactor(query.parallel_fraction, nodes);
+    cpu_factors_[nodes] =
+        model_->ParallelCpuFactor(query.parallel_fraction, nodes);
+  }
 }
 
-ExecutionEstimate CostModel::BatchEstimator::Estimate(const PlanSpec& spec) {
+void CostModel::BatchEstimator::EstimateFamily(const PlanSpec& shape,
+                                               const uint32_t* nodes,
+                                               size_t count, double* time,
+                                               int64_t* cost_micros) {
   CLOUDCACHE_CHECK(query_ != nullptr);
-  if (!has_family_ || spec.access != family_access_ ||
-      spec.covering != family_covering_ ||
-      spec.covered_predicates != family_covered_) {
-    base_ = model_->EstimateExecutionBase(*query_, spec, accessed_width_,
-                                          clustered_fraction_);
-    family_access_ = spec.access;
-    family_covering_ = spec.covering;
-    family_covered_ = spec.covered_predicates;
-    has_family_ = true;
+  const ExecutionBase base = model_->EstimateExecutionBase(
+      *query_, shape, accessed_width_, clustered_fraction_);
+  const bool in_cache = shape.access != PlanSpec::Access::kBackend;
+  for (size_t k = 0; k < count; ++k) {
+    const uint32_t n = in_cache ? nodes[k] : 1;
+    const ExecutionEstimate est = model_->FinalizeExecutionWithFactors(
+        *query_, shape, base, time_factors_[n], cpu_factors_[n]);
+    time[k] = est.time_seconds;
+    cost_micros[k] = est.cost.micros();
   }
-  const bool in_cache = spec.access != PlanSpec::Access::kBackend;
-  const uint32_t nodes = in_cache ? std::max(1u, spec.cpu_nodes) : 1;
-  if (nodes >= time_factors_.size()) {
-    time_factors_.resize(nodes + 1, -1.0);
-    cpu_factors_.resize(nodes + 1, -1.0);
-  }
-  if (time_factors_[nodes] < 0.0) {
-    time_factors_[nodes] =
-        model_->ParallelTimeFactor(query_->parallel_fraction, nodes);
-    cpu_factors_[nodes] =
-        model_->ParallelCpuFactor(query_->parallel_fraction, nodes);
-  }
-  return model_->FinalizeExecutionWithFactors(*query_, spec, base_,
-                                              time_factors_[nodes],
-                                              cpu_factors_[nodes]);
+}
+
+ExecutionEstimate CostModel::BatchEstimator::Estimate(
+    const PlanSpec& spec) const {
+  CLOUDCACHE_CHECK(query_ != nullptr);
+  return model_->FinalizeExecution(
+      *query_, spec,
+      model_->EstimateExecutionBase(*query_, spec, accessed_width_,
+                                    clustered_fraction_));
 }
 
 Money CostModel::CpuNodeBuildCost() const {

@@ -97,51 +97,54 @@ class CostModel {
     double cpu_serial = 0;
     uint64_t io_ops = 0;
     double io_seconds = 0;
+    /// IoCost(io_ops): the I/O share of Ce, identical for every variant.
+    Money io_cost;
   };
 
   /// Batched estimation over one query instance.
   ///
-  /// The enumerator prices every skeleton of a query with the same
-  /// instance selectivities, and skeletons arrive grouped by plan family
-  /// (EmitNodeVariants emits the node-count variants consecutively). The
-  /// estimator computes the per-query invariants (accessed width, the
-  /// clustered-scan fraction) once, re-derives the ExecutionBase only
-  /// when the family changes, and finalizes each variant from the shared
-  /// base — producing bit-identical results to calling EstimateExecution
-  /// per spec, because the identical floating-point expressions run on
-  /// identical inputs, just fewer times.
+  /// The enumerator prices every plan family of a query with the same
+  /// instance selectivities. The estimator computes the per-query
+  /// invariants (accessed width, the clustered-scan fraction, the
+  /// parallel factors of every node count) once per Reset, the
+  /// ExecutionBase once per family, and finalizes each variant from the
+  /// shared base — producing bit-identical results to calling
+  /// EstimateExecution per spec, because the identical floating-point
+  /// expressions run on identical inputs, just fewer times.
   class BatchEstimator {
    public:
-    explicit BatchEstimator(const CostModel* model) : model_(model) {}
+    /// `node_counts`: every CPU-node count EstimateFamily will be asked
+    /// for besides 1 (each >= 1).
+    BatchEstimator(const CostModel* model,
+                   const std::vector<uint32_t>& node_counts);
 
-    /// Starts a new query instance: recomputes the per-query invariants
-    /// and forgets the cached family. The query must outlive the batch.
+    /// Starts a new query instance: recomputes the per-query invariants.
+    /// The query must outlive the batch.
     void Reset(const Query& query);
 
+    /// Prices the family of `shape` for the query of the last Reset:
+    /// for k < count, writes the response time and Ce (micro-dollars) of
+    /// `shape` run on nodes[k] CPU nodes into time[k] and cost_micros[k]
+    /// — the same bits as EstimateExecution's time_seconds and cost.
+    void EstimateFamily(const PlanSpec& shape, const uint32_t* nodes,
+                        size_t count, double* time, int64_t* cost_micros);
+
     /// Same bits as model->EstimateExecution(query, spec) for the query
-    /// of the last Reset().
-    ExecutionEstimate Estimate(const PlanSpec& spec);
+    /// of the last Reset.
+    ExecutionEstimate Estimate(const PlanSpec& spec) const;
 
    private:
     const CostModel* model_;
     const Query* query_ = nullptr;
+    std::vector<uint32_t> node_counts_;
     /// Sum of the accessed columns' storage widths (bytes).
     uint64_t accessed_width_ = 0;
     /// Product of the clustered predicates' selectivities.
     double clustered_fraction_ = 1.0;
-    /// Family memo (valid while the spec shape matches).
-    bool has_family_ = false;
-    PlanSpec::Access family_access_ = PlanSpec::Access::kBackend;
-    std::vector<size_t> family_covered_;
-    bool family_covering_ = false;
-    ExecutionBase base_;
-    /// Per-query parallel-factor memo, indexed by effective node count:
-    /// ParallelTimeFactor/ParallelCpuFactor depend only on the query's
-    /// parallel fraction and the node count, and every plan family
-    /// re-finalizes the same handful of node counts. Sentinel < 0 means
-    /// "not computed for this query yet" (real factors are positive).
-    mutable std::vector<double> time_factors_;
-    mutable std::vector<double> cpu_factors_;
+    /// ParallelTimeFactor/ParallelCpuFactor of the query for each node
+    /// count, indexed by the count; sized once at construction.
+    std::vector<double> time_factors_;
+    std::vector<double> cpu_factors_;
   };
 
   /// Speedup-normalized elapsed-time factor of running on `nodes` CPU
@@ -213,7 +216,7 @@ class CostModel {
                                       const PlanSpec& spec,
                                       const ExecutionBase& base) const;
   /// FinalizeExecution with the parallel factors supplied by the caller
-  /// (the batch path memoizes them per (query, node count)); the factors
+  /// (the batch path computes them once per (query, node count)); the factors
   /// must be exactly Parallel{Time,Cpu}Factor(query.parallel_fraction, n)
   /// for the spec's effective node count, so the arithmetic below is
   /// bit-identical to the self-computing overload.

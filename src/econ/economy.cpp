@@ -151,160 +151,132 @@ Money EconomyEngine::MemoBuildCostNow(StructureId id) const {
   return build_cost_value_[id];
 }
 
+Money EconomyEngine::CarriedCharge(StructureId id, SimTime now) const {
+  if (cache_.IsResident(id)) {
+    // Eq. 5-7 share plus the rent owed since the last payer (footnote 3),
+    // capped per use.
+    return amortizer_.PendingShare(id) +
+           maintenance_.OwedCapped(id, now,
+                                   options_.maintenance_recovery_cap_seconds);
+  }
+  // Hypothetical structure: advertise the share its build cost would
+  // contribute to this plan's price if it existed.
+  return EvenShare(MemoBuildCostNow(id), options_.amortization_horizon, 0);
+}
+
 void EconomyEngine::PriceCarriedCharges(PlanSet* set, SimTime now) const {
   // Per-structure charges repeat heavily across the plan set: a column
   // appears in the scan plan, every non-covering index plan, and all of
-  // their node variants. Each is computed at most once per call:
-  //  * a resident structure's charge reads the amortizer and maintenance
-  //    ledgers, which move between queries — memoized under a per-call
-  //    tick;
-  //  * a hypothetical structure's advertised build share depends only on
-  //    column residency, which moves exactly with CacheState::epoch —
-  //    memoized under the epoch (+1 so 0 means "never computed") and
-  //    reused across queries, skipping the whole Eq. 10-14 build-cost
-  //    walk (including the synthetic sort query of Eq. 14).
-  // Money is exact int64, so summing memoized per-structure values in
-  // plan order is bit-identical to the original per-plan recomputation.
+  // their node variants. Each is computed at most once per call, under a
+  // per-call tick (a hypothetical structure's build cost is further
+  // memoized across queries under the residency epoch, see
+  // MemoBuildCostNow). Charges are summed per family instead of per plan:
+  // every variant carries the family's base structures plus a prefix of
+  // the set's CPU-node structures. Money is exact int64, so the regrouped
+  // sums are bit-identical to summing each plan's structure list.
   const uint64_t tick = ++charge_tick_;
-  const uint64_t epoch_stamp = cache_.epoch() + 1;
   const size_t universe = registry_->size();
   if (charge_stamp_.size() < universe) {
     charge_stamp_.resize(universe, 0);
     charge_value_.resize(universe, Money());
-    hypo_epoch_stamp_.resize(universe, 0);
-    hypo_share_.resize(universe, Money());
   }
-  // Node variants of one plan family carry the same structure list and
-  // arrive consecutively; their carried sum is identical (each structure's
-  // memoized value is stable within this call), so it is computed once per
-  // family and copied forward.
-  const std::vector<StructureId>* prev_structures = nullptr;
-  Money prev_carried;
-  for (QueryPlan& plan : set->plans) {
-    if (prev_structures != nullptr &&
-        plan.structures == *prev_structures) {
-      plan.carried_charges = prev_carried;
-      continue;
+  const auto charge = [&](StructureId id) {
+    if (charge_stamp_[id] != tick) {
+      charge_stamp_[id] = tick;
+      charge_value_[id] = CarriedCharge(id, now);
     }
-    Money carried;
-    for (StructureId id : plan.structures) {
-      if (charge_stamp_[id] != tick) {
-        charge_stamp_[id] = tick;
-        if (cache_.IsResident(id)) {
-          // Eq. 5-7 share plus the rent owed since the last payer
-          // (footnote 3), capped per use.
-          charge_value_[id] =
-              amortizer_.PendingShare(id) +
-              maintenance_.OwedCapped(
-                  id, now, options_.maintenance_recovery_cap_seconds);
-        } else {
-          // Hypothetical structure: advertise the share its build cost
-          // would contribute to this plan's price if it existed.
-          if (hypo_epoch_stamp_[id] != epoch_stamp) {
-            hypo_epoch_stamp_[id] = epoch_stamp;
-            hypo_share_[id] = EvenShare(MemoBuildCostNow(id),
-                                        options_.amortization_horizon, 0);
-          }
-          charge_value_[id] = hypo_share_[id];
-        }
-      }
-      carried += charge_value_[id];
+    return charge_value_[id];
+  };
+  // cpu_prefix_[k]: the charges of the set's first k CPU-node structures,
+  // which a plan on k + 1 nodes employs.
+  cpu_prefix_.resize(set->cpu_node_ids.size() + 1);
+  cpu_prefix_[0] = Money();
+  for (size_t k = 0; k < set->cpu_node_ids.size(); ++k) {
+    cpu_prefix_[k + 1] = cpu_prefix_[k] + charge(set->cpu_node_ids[k]);
+  }
+  for (const PlanFamily& family : set->families) {
+    const std::vector<StructureId>& structures =
+        set->records[family.first].structures;
+    Money base;
+    for (uint32_t k = 0; k < family.base_structures; ++k) {
+      base += charge(structures[k]);
     }
-    plan.carried_charges = carried;
-    prev_structures = &plan.structures;
-    prev_carried = carried;
+    const uint32_t end = family.first + family.count;
+    for (uint32_t i = family.first; i < end; ++i) {
+      set->price_micros[i] += (base + cpu_prefix_[set->nodes[i] - 1]).micros();
+    }
   }
 }
 
-bool EconomyEngine::Affordable(const QueryPlan& plan,
-                               const BudgetFunction& budget) const {
-  const double t = plan.TimeSeconds();
-  if (t > budget.t_max()) return false;
-  return budget.At(t) >= plan.Price();
-}
-
-size_t EconomyEngine::SelectPlan(const std::vector<QueryPlan>& plans,
-                                 const std::vector<size_t>& candidates,
-                                 const BudgetFunction& budget) const {
-  CLOUDCACHE_CHECK(!candidates.empty());
-  auto better = [&](size_t a, size_t b) {
-    const QueryPlan& pa = plans[a];
-    const QueryPlan& pb = plans[b];
+size_t EconomyEngine::SelectPlan() const {
+  auto better = [&](const Survivor& a, const Survivor& b) {
     switch (options_.selection) {
       case PlanSelection::kMinProfit: {
-        const Money gain_a = budget.At(pa.TimeSeconds()) - pa.Price();
-        const Money gain_b = budget.At(pb.TimeSeconds()) - pb.Price();
+        const Money gain_a = a.budget - a.price;
+        const Money gain_b = b.budget - b.price;
         if (gain_a != gain_b) return gain_a < gain_b;
         break;
       }
       case PlanSelection::kCheapest:
-        if (pa.Price() != pb.Price()) return pa.Price() < pb.Price();
+        if (a.price != b.price) return a.price < b.price;
         break;
       case PlanSelection::kFastest:
-        if (pa.TimeSeconds() != pb.TimeSeconds()) {
-          return pa.TimeSeconds() < pb.TimeSeconds();
-        }
+        if (a.time != b.time) return a.time < b.time;
         break;
     }
-    if (pa.TimeSeconds() != pb.TimeSeconds()) {
-      return pa.TimeSeconds() < pb.TimeSeconds();
-    }
-    if (pa.Price() != pb.Price()) return pa.Price() < pb.Price();
-    return a < b;
+    if (a.time != b.time) return a.time < b.time;
+    if (a.price != b.price) return a.price < b.price;
+    return a.index < b.index;
   };
-  size_t best = candidates.front();
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (better(candidates[i], best)) best = candidates[i];
+  size_t best = std::numeric_limits<size_t>::max();
+  for (size_t k = 0; k < survivors_.size(); ++k) {
+    const Survivor& s = survivors_[k];
+    if (!s.existing || !s.affordable) continue;
+    if (best == std::numeric_limits<size_t>::max() ||
+        better(s, survivors_[best])) {
+      best = k;
+    }
   }
+  CLOUDCACHE_CHECK(best != std::numeric_limits<size_t>::max());
   return best;
 }
 
-void EconomyEngine::AccumulateRegret(const std::vector<QueryPlan>& plans,
-                                     const std::vector<size_t>& skyline,
-                                     size_t chosen_index,
-                                     BudgetCase budget_case,
-                                     const BudgetFunction& budget,
-                                     SimTime /*now*/) {
+void EconomyEngine::AccumulateRegret(const PlanSet& set, size_t chosen_index,
+                                     BudgetCase budget_case) {
   // Reference price: the executed plan's, or — when nothing was served —
   // the cheapest executable plan the user was quoted.
   Money reference;
   bool have_reference = false;
   if (chosen_index != std::numeric_limits<size_t>::max()) {
-    reference = plans[chosen_index].Price();
+    reference = set.Price(chosen_index);
     have_reference = true;
   } else {
-    for (size_t j : skyline) {
-      const QueryPlan& plan = plans[j];
-      if (!plan.IsExisting()) continue;
-      if (!have_reference || plan.Price() < reference) {
-        reference = plan.Price();
+    for (const Survivor& s : survivors_) {
+      if (!s.existing) continue;
+      if (!have_reference || s.price < reference) {
+        reference = s.price;
         have_reference = true;
       }
     }
   }
   if (!have_reference) return;
 
-  for (size_t j : skyline) {
-    if (j == chosen_index) continue;
-    const QueryPlan& plan = plans[j];
-    if (plan.IsExisting()) continue;  // Regret targets PQpos only.
+  for (const Survivor& s : survivors_) {
+    if (s.index == chosen_index) continue;
+    if (s.existing) continue;  // Regret targets PQpos only.
     Money amount;
     switch (budget_case) {
       case BudgetCase::kCaseA:
         // Eq. 1: missed chance to serve more cheaply.
-        if (plan.Price() <= reference) amount = reference - plan.Price();
+        if (s.price <= reference) amount = reference - s.price;
         break;
       case BudgetCase::kCaseB:
       case BudgetCase::kCaseC:
         // Eq. 2: missed profit, for the plans at least as expensive as the
         // chosen one (case C restricts to the affordable subset).
-        if (budget_case == BudgetCase::kCaseC &&
-            !Affordable(plan, budget)) {
-          break;
-        }
-        if (plan.Price() >= reference) {
-          amount = Money::Max(Money(),
-                              budget.At(plan.TimeSeconds()) - plan.Price());
+        if (budget_case == BudgetCase::kCaseC && !s.affordable) break;
+        if (s.price >= reference) {
+          amount = Money::Max(Money(), s.budget - s.price);
         }
         break;
     }
@@ -315,21 +287,23 @@ void EconomyEngine::AccumulateRegret(const std::vector<QueryPlan>& plans,
       amount = amount * options_.admission.throttled_regret_scale;
     }
     if (!amount.IsZero()) {
-      regret_.Distribute(plan.structures, amount);
+      const std::vector<StructureId>& structures =
+          set.records[s.index].structures;
+      regret_.Distribute(structures, amount);
       // The same EvenShare split lands in the serving tenant's ledger, so
       // tenant ledgers always partition the global one exactly.
       if (active_tenant_regret_ != nullptr) {
-        active_tenant_regret_->Distribute(plan.structures, amount);
+        active_tenant_regret_->Distribute(structures, amount);
         admission_.RecordRegret(active_tenant_, amount);
       }
     }
   }
 }
 
-void EconomyEngine::SettleExecution(const Query&, const QueryPlan& plan,
+void EconomyEngine::SettleExecution(const PlanSet& set, size_t index,
                                     Money payment, SimTime now,
                                     QueryOutcome* outcome) {
-  for (StructureId id : plan.structures) {
+  for (StructureId id : set.records[index].structures) {
     CLOUDCACHE_CHECK(cache_.IsResident(id));
     cache_.Touch(id, now);
     outcome->maintenance_collected += maintenance_.Pay(
@@ -338,10 +312,10 @@ void EconomyEngine::SettleExecution(const Query&, const QueryPlan& plan,
   }
   account_.DepositRevenue(payment);
   outcome->payment = payment;
-  outcome->profit = payment - plan.Price();
+  outcome->profit = payment - set.Price(index);
   CLOUDCACHE_CHECK_GE(outcome->profit.micros(), 0);
   outcome->served = true;
-  outcome->chosen = plan;
+  outcome->chosen = enumerator_.Materialize(set, index);
 }
 
 void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
@@ -599,105 +573,107 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
   ActivatePending(now);
   EvictFailedStructures(now, &outcome);
 
-  // The whole decision pipeline below runs on reused buffers (the
-  // enumerator's shared per-template plan set plus the economy's index
-  // scratches) so the steady state allocates nothing per query. On a
-  // plan-cache hit EnumerateShared re-prices the cached plans in place,
-  // the skyline yields survivor INDICES into that shared set, and every
-  // downstream step reads plans through those indices — no plan is
-  // copied on the decision path (only the chosen one, into the outcome).
-  PlanSet* enumerated;
-  {
-    obs::ScopedStageTimer timer(obs::Stage::kEnumerate);
-    enumerated = enumerator_.EnumerateShared(query, cache_);
-  }
-  {
-    obs::ScopedStageTimer timer(obs::Stage::kPrice);
-    PriceCarriedCharges(enumerated, now);
-  }
+  // The whole decision pipeline below runs on reused buffers: the
+  // enumerator's shared per-template plan set, whose time/price columns
+  // Quote rewrites for this query, plus the economy's survivor scratch.
+  // The skyline yields survivor INDICES into that set, and every
+  // downstream step reads its columns; only the chosen plan is
+  // materialized, into the outcome.
+  const PlanSet& set = Quote(query, now);
   {
     obs::ScopedStageTimer timer(obs::Stage::kSkyline);
-    SkylineIndicesInto(*enumerated, &skyline_indices_, &skyline_scratch_);
+    SkylineIndicesInto(set, &skyline_indices_, &skyline_scratch_);
   }
   // Everything below — affordability, selection, settlement, regret, and
   // investment — is the settle stage; the timer runs to return.
   obs::ScopedStageTimer settle_timer(obs::Stage::kSettle);
-  const std::vector<QueryPlan>& plans = enumerated->plans;
-  const std::vector<size_t>& skyline = skyline_indices_;
-  outcome.num_plans = static_cast<uint32_t>(skyline.size());
+  outcome.num_plans = static_cast<uint32_t>(skyline_indices_.size());
 
-  // One pass over the survivors does three jobs (each preserving skyline
-  // order, so every downstream tie-break is unchanged):
-  //  * keep the candidate pool's LRU clock fresh for every hypothetical
-  //    structure that appeared in a plan — candidates that fall off the
-  //    cold end forfeit their regret (Section IV-B);
-  //  * partition into executable (PQexist) indices;
-  //  * classify affordability once per plan (budget.At is a virtual call
-  //    — evaluating it a second time for the executable subset would be
-  //    pure waste).
-  existing_scratch_.clear();
-  affordable_existing_scratch_.clear();
+  // One pass over the survivors (in skyline order, so every downstream
+  // tie-break is unchanged) keeps the candidate pool's LRU clock fresh for
+  // every hypothetical structure that appeared in a plan — candidates that
+  // fall off the cold end forfeit their regret (Section IV-B) — and
+  // gathers each survivor's columns, evaluating B_Q once per survivor
+  // (a virtual call) and classifying its affordability once.
+  survivors_.clear();
+  size_t existing_count = 0;
   size_t affordable_count = 0;
-  for (size_t idx : skyline) {
-    const QueryPlan& plan = plans[idx];
-    for (StructureId id : plan.missing) {
-      for (StructureId evicted : pool_.Touch(id, now)) {
-        ClearRegretEverywhere(evicted);
+  size_t affordable_existing = 0;
+  for (size_t idx : skyline_indices_) {
+    Survivor s;
+    s.index = idx;
+    s.existing = set.existing[idx] != 0;
+    if (!s.existing) {
+      for (StructureId id : set.records[idx].missing) {
+        for (StructureId evicted : pool_.Touch(id, now)) {
+          ClearRegretEverywhere(evicted);
+        }
       }
     }
-    const bool affordable = Affordable(plan, budget);
-    affordable_count += affordable;
-    if (plan.IsExisting()) {
-      existing_scratch_.push_back(idx);
-      if (affordable) affordable_existing_scratch_.push_back(idx);
-    }
+    s.time = set.time[idx];
+    s.price = set.Price(idx);
+    s.budget = budget.At(s.time);
+    s.affordable = !(s.time > budget.t_max()) && s.budget >= s.price;
+    existing_count += s.existing;
+    affordable_count += s.affordable;
+    affordable_existing += s.existing && s.affordable;
+    survivors_.push_back(s);
   }
-  const std::vector<size_t>& existing = existing_scratch_;
-  outcome.num_existing = static_cast<uint32_t>(existing.size());
-  CLOUDCACHE_CHECK(!existing.empty());  // The backend plan always exists.
+  outcome.num_existing = static_cast<uint32_t>(existing_count);
+  CLOUDCACHE_CHECK_GT(existing_count, 0u);  // The backend plan always exists.
 
   // Classify the relationship between B_Q and B_PQ (Fig. 2). Case A is
   // the paper's "Q cannot be served according to the user's defined
   // budget": no *executable* plan is affordable (a hypothetical plan that
   // would be affordable if built cannot serve the query today, and its
   // missed cheapness is exactly what Eq. 1's regret records).
-  const std::vector<size_t>& affordable_existing =
-      affordable_existing_scratch_;
-  if (affordable_existing.empty()) {
+  if (affordable_existing == 0) {
     outcome.budget_case = BudgetCase::kCaseA;
-  } else if (affordable_count == skyline.size()) {
+  } else if (affordable_count == survivors_.size()) {
     outcome.budget_case = BudgetCase::kCaseB;
   } else {
     outcome.budget_case = BudgetCase::kCaseC;
   }
 
   size_t chosen = std::numeric_limits<size_t>::max();
-  if (!affordable_existing.empty()) {
+  if (affordable_existing > 0) {
     // Cases B and C: pick per the policy and collect B_Q(t_i).
-    chosen = SelectPlan(plans, affordable_existing, budget);
-    const Money payment = budget.At(plans[chosen].TimeSeconds());
-    SettleExecution(query, plans[chosen], payment, now, &outcome);
+    const Survivor& pick = survivors_[SelectPlan()];
+    chosen = pick.index;
+    SettleExecution(set, chosen, pick.budget, now, &outcome);
   } else if (options_.user_accepts_above_budget) {
     // Case A (or C with no affordable executable plan): the user is shown
     // the menu and — per the paper's experimental setup — accepts the
     // cheapest executable offer at its quoted price. No profit.
-    size_t cheapest = existing.front();
-    for (size_t idx : existing) {
-      if (plans[idx].Price() < plans[cheapest].Price()) {
-        cheapest = idx;
+    const Survivor* cheapest = nullptr;
+    for (const Survivor& s : survivors_) {
+      if (s.existing && (cheapest == nullptr || s.price < cheapest->price)) {
+        cheapest = &s;
       }
     }
-    chosen = cheapest;
-    SettleExecution(query, plans[chosen], plans[chosen].Price(),
-                    now, &outcome);
+    chosen = cheapest->index;
+    SettleExecution(set, chosen, cheapest->price, now, &outcome);
   }
 
   if (outcome.served && active_tenant_regret_ != nullptr) {
     admission_.RecordRevenue(active_tenant_, outcome.payment);
   }
-  AccumulateRegret(plans, skyline, chosen, outcome.budget_case, budget, now);
+  AccumulateRegret(set, chosen, outcome.budget_case);
   MaybeInvest(now, &outcome);
   return outcome;
+}
+
+const PlanSet& EconomyEngine::Quote(const Query& query, SimTime now) const {
+  PlanSet* set;
+  {
+    obs::ScopedStageTimer timer(obs::Stage::kEnumerate);
+    set = enumerator_.EnumerateShared(query, cache_);
+  }
+  {
+    obs::ScopedStageTimer timer(obs::Stage::kPrice);
+    PriceCarriedCharges(set, now);
+  }
+  return *set;
 }
 
 void EconomyEngine::SaveState(persist::Encoder* enc) const {
@@ -789,8 +765,6 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
   charge_tick_ = 0;
   charge_stamp_.clear();
   charge_value_.clear();
-  hypo_epoch_stamp_.clear();
-  hypo_share_.clear();
   build_cost_stamp_.clear();
   build_cost_value_.clear();
   active_tenant_regret_ = nullptr;

@@ -121,7 +121,8 @@ struct EconomyOptions {
 struct QueryOutcome {
   bool served = false;
   BudgetCase budget_case = BudgetCase::kCaseB;
-  /// The executed plan (meaningful only if served).
+  /// The executed plan (meaningful only if served), materialized from the
+  /// plan set's columns.
   QueryPlan chosen;
   /// What the user paid: B_Q(t_i) in cases B/C, the plan price in case A.
   Money payment;
@@ -209,6 +210,20 @@ class EconomyEngine {
   QueryOutcome OnQuery(const Query& query, const BudgetFunction& budget,
                        SimTime now);
 
+  /// The priced plan menu of `query` at `now`: the enumerator's plan set
+  /// with its `price_micros` column holding C = Ce + Ca (Eq. 4). It reads
+  /// the state as is — call OnTick(now) first to activate finished
+  /// builds — and changes nothing but memos (pricing, the plan cache and
+  /// its hit/miss counters). The set is valid until the next Quote or
+  /// OnQuery.
+  const PlanSet& Quote(const Query& query, SimTime now) const;
+
+  /// Ca of one structure at `now`, as PriceCarriedCharges adds it to
+  /// every plan employing it: a resident structure's pending Eq. 5-7
+  /// share plus its capped owed rent (footnote 3), or a hypothetical
+  /// structure's share of its build cost.
+  Money CarriedCharge(StructureId id, SimTime now) const;
+
   /// Advances time-dependent state (build completions, maintenance
   /// failures) without serving a query.
   void OnTick(SimTime now);
@@ -248,22 +263,32 @@ class EconomyEngine {
     StructureId id;
   };
 
+  /// One skyline survivor as the settle stage reads it, gathered once
+  /// from the plan set's columns.
+  struct Survivor {
+    size_t index;  // Plan index into the set.
+    double time;
+    Money price;
+    /// B_Q(time), evaluated once per survivor.
+    Money budget;
+    bool existing;
+    /// time <= t_max and budget >= price.
+    bool affordable;
+  };
+
   /// Moves finished pending builds into the cache.
   void ActivatePending(SimTime now);
-  /// Computes carried charges (Ca + owed maintenance) for each plan.
+  /// Adds each plan's carried charges (Ca + owed maintenance) to its
+  /// price column.
   void PriceCarriedCharges(PlanSet* set, SimTime now) const;
-  /// True if the plan is affordable under `budget`.
-  bool Affordable(const QueryPlan& plan, const BudgetFunction& budget) const;
-  /// Selects among `candidates` (indices into plans) per the policy.
-  size_t SelectPlan(const std::vector<QueryPlan>& plans,
-                    const std::vector<size_t>& candidates,
-                    const BudgetFunction& budget) const;
-  /// Regret accounting for the rejected hypothetical plans (Eq. 1/2),
-  /// over the skyline survivors (`skyline` holds indices into `plans`).
-  void AccumulateRegret(const std::vector<QueryPlan>& plans,
-                        const std::vector<size_t>& skyline,
-                        size_t chosen_index, BudgetCase budget_case,
-                        const BudgetFunction& budget, SimTime now);
+  /// Position in survivors_ of the affordable executable survivor the
+  /// policy selects; requires at least one.
+  size_t SelectPlan() const;
+  /// Regret accounting for the rejected hypothetical survivors (Eq. 1/2).
+  /// `chosen_index` is the executed plan's index into `set`, or SIZE_MAX
+  /// when nothing was served.
+  void AccumulateRegret(const PlanSet& set, size_t chosen_index,
+                        BudgetCase budget_case);
   /// Checks Eq. 3 over all candidates and builds what qualifies.
   void MaybeInvest(SimTime now, QueryOutcome* outcome);
   /// Evicts structures whose unpaid maintenance exceeds the failure
@@ -288,9 +313,10 @@ class EconomyEngine {
   /// clears the tenant's ledger (admission throttling: the economy stops
   /// investing on the tenant's behalf).
   void ForfeitTenantRegret(uint32_t tenant);
-  /// Executes `plan` bookkeeping: payments, touches, maintenance shares.
-  void SettleExecution(const Query& query, const QueryPlan& plan,
-                       Money payment, SimTime now, QueryOutcome* outcome);
+  /// Executes plan `index` of `set`: payments, touches, maintenance
+  /// shares, and the materialized outcome plan.
+  void SettleExecution(const PlanSet& set, size_t index, Money payment,
+                       SimTime now, QueryOutcome* outcome);
 
   const Catalog* catalog_;
   StructureRegistry* registry_;
@@ -332,25 +358,19 @@ class EconomyEngine {
   /// through); drained into the next OnQuery's outcome so metrics see
   /// every eviction.
   std::vector<StructureId> tick_evictions_;
-  /// Per-query scratch, reused across OnQuery calls so the steady-state
-  /// decision loop allocates nothing: the skyline survivor indices, the
-  /// skyline's key buffers, and the executable / affordable-executable
-  /// index lists. All of them index into the enumerator's shared
-  /// per-template plan set — no plan is ever copied on the decision path
-  /// (only the chosen plan is copied once, into the outcome).
+  /// Per-query scratch, reused across OnQuery calls: the skyline survivor
+  /// indices, the skyline's frontier buffer, and the survivors' gathered
+  /// columns. The decision path reads the enumerator's shared plan set in
+  /// place; only the chosen plan is materialized, into the outcome.
   std::vector<size_t> skyline_indices_;
   SkylineScratch skyline_scratch_;
-  std::vector<size_t> existing_scratch_;
-  std::vector<size_t> affordable_existing_scratch_;
-  /// PriceCarriedCharges memos, indexed by StructureId (see the .cpp).
-  /// charge_* carries the per-call resident/hypothetical charge under a
-  /// per-call tick; hypo_* persists a hypothetical structure's advertised
-  /// build share across queries under the residency epoch.
+  std::vector<Survivor> survivors_;
+  /// PriceCarriedCharges memo: CarriedCharge per StructureId under a
+  /// per-call tick, and the per-call CPU-node prefix sums.
   mutable uint64_t charge_tick_ = 0;
   mutable std::vector<uint64_t> charge_stamp_;
   mutable std::vector<Money> charge_value_;
-  mutable std::vector<uint64_t> hypo_epoch_stamp_;
-  mutable std::vector<Money> hypo_share_;
+  mutable std::vector<Money> cpu_prefix_;
   /// MemoBuildCostNow's epoch-stamped cache, indexed by StructureId.
   mutable std::vector<uint64_t> build_cost_stamp_;
   mutable std::vector<Money> build_cost_value_;

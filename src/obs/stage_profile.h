@@ -8,14 +8,25 @@
 namespace cloudcache {
 namespace obs {
 
-/// Decision-loop stages of EconomyEngine::OnQuery, in pipeline order.
+/// Decision-loop stages of EconomyEngine::OnQuery. OnQuery runs them in
+/// the order enumerate, price, skyline, settle; the enumerator values are
+/// not that order, and they never change (see the asserts below).
 enum class Stage : int {
-  kEnumerate = 0,  // Plan enumeration over the structure pool.
-  kSkyline,        // Cost/price skyline filtering of candidate plans.
-  kPrice,          // Carried-charge pricing of the candidate set.
-  kSettle,         // Plan selection, settlement, regret, investment.
+  kEnumerate = 0,  // Plan enumeration plus the time/Ce columns.
+  kSkyline = 1,    // Time/price skyline filtering of the plan set.
+  kPrice = 2,      // Carried charges added to the price column.
+  kSettle = 3,     // Plan selection, settlement, regret, investment.
 };
 inline constexpr int kNumStages = 4;
+
+// The benchmark reads the profiler by integer stage index (index 1 is
+// plan.skyline_ns, index 2 econ.price_ns) and compares runs across
+// versions, so each value is pinned: reordering the enum would silently
+// swap metric names.
+static_assert(static_cast<int>(Stage::kEnumerate) == 0);
+static_assert(static_cast<int>(Stage::kSkyline) == 1);
+static_assert(static_cast<int>(Stage::kPrice) == 2);
+static_assert(static_cast<int>(Stage::kSettle) == 3);
 
 const char* StageName(Stage stage);
 
@@ -24,7 +35,8 @@ const char* StageName(Stage stage);
 /// Off by default and nearly free when off: the scoped timer reads one
 /// relaxed atomic bool and touches no clock. When enabled
 /// (`--profile-stages`) it accumulates per-stage call counts and
-/// nanoseconds into relaxed atomics, safe under the parallel node driver.
+/// nanoseconds into relaxed atomics, so engines running on several sweep
+/// worker threads may record into it at once.
 ///
 /// Wall-clock time is observability-only by design: it never enters
 /// SimMetrics, snapshots, or anything else the bit-identity pins compare

@@ -25,14 +25,14 @@ PlanEnumerator::PlanEnumerator(const CostModel* model,
     : model_(model),
       registry_(registry),
       options_(std::move(options)),
-      batch_(model) {
-  CLOUDCACHE_CHECK(std::find(options_.node_options.begin(),
-                             options_.node_options.end(),
-                             1u) != options_.node_options.end());
+      batch_(model, options_.node_options) {
   std::sort(options_.node_options.begin(), options_.node_options.end());
   options_.node_options.erase(std::unique(options_.node_options.begin(),
                                           options_.node_options.end()),
                               options_.node_options.end());
+  // Node counts start at 1, and 1 must be among them.
+  CLOUDCACHE_CHECK(!options_.node_options.empty() &&
+                   options_.node_options.front() == 1u);
 }
 
 void PlanEnumerator::SetIndexCandidates(
@@ -64,20 +64,26 @@ bool PlanEnumerator::SignatureMatches(const TemplateCacheEntry& entry,
 void PlanEnumerator::EmitNodeVariants(const CacheState& cache,
                                       const PlanSpec& spec,
                                       const std::vector<StructureId>& structures,
-                                      std::vector<QueryPlan>* out,
-                                      size_t* used) const {
+                                      PlanSet* out, size_t* used) const {
   // `structures` must arrive sorted and deduplicated (the callers own the
   // scratch buffer and normalize it once per plan family).
+  PlanFamily family;
+  family.first = static_cast<uint32_t>(*used);
+  family.base_structures = static_cast<uint32_t>(structures.size());
   for (uint32_t nodes : options_.node_options) {
     if (nodes > 1 && !options_.allow_parallel) break;
-    QueryPlan& plan = AcquireSlot(out, used, &build_spares_);
+    PlanRecord& plan = AcquireSlot(&out->records, used, &build_spares_);
     plan.spec = spec;
     plan.spec.cpu_nodes = nodes;
     plan.structures.assign(structures.begin(), structures.end());
     // Extra nodes beyond the always-on one are structures in their own
     // right (BuildN/MaintN apply to them).
     for (uint32_t extra = 0; extra + 1 < nodes; ++extra) {
-      plan.structures.push_back(registry_->Intern(CpuNodeKey(extra)));
+      const StructureId id = registry_->Intern(CpuNodeKey(extra));
+      plan.structures.push_back(id);
+      if (extra == out->cpu_node_ids.size()) {
+        out->cpu_node_ids.push_back(id);
+      }
     }
     plan.missing.clear();
     for (StructureId id : plan.structures) {
@@ -85,23 +91,35 @@ void PlanEnumerator::EmitNodeVariants(const CacheState& cache,
     }
     if (!plan.missing.empty() && !options_.include_hypothetical) {
       --*used;  // Drop the variant; the slot is recycled by the next one.
+      continue;
     }
+    out->nodes.push_back(nodes);
+    out->existing.push_back(plan.missing.empty() ? 1 : 0);
+    ++family.count;
   }
+  if (family.count > 0) out->families.push_back(family);
 }
 
 void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
-                                std::vector<QueryPlan>* out) const {
+                                PlanSet* out) const {
   size_t used = 0;
+  out->families.clear();
+  out->nodes.clear();
+  out->existing.clear();
+  out->cpu_node_ids.clear();
 
   // 1. The back-end plan: always available, employs no cache structures.
   {
-    QueryPlan& plan = AcquireSlot(out, &used, &build_spares_);
+    PlanRecord& plan = AcquireSlot(&out->records, &used, &build_spares_);
     plan.spec.access = PlanSpec::Access::kBackend;
     plan.spec.covered_predicates.clear();
     plan.spec.covering = false;
     plan.spec.cpu_nodes = 1;
     plan.structures.clear();
     plan.missing.clear();
+    out->families.push_back(PlanFamily{0, 1, 0});
+    out->nodes.push_back(1);
+    out->existing.push_back(1);
   }
 
   const std::vector<ColumnId>& accessed = query.AccessedColumns();
@@ -166,14 +184,16 @@ void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
       EmitNodeVariants(cache, spec, structures_scratch_, out, &used);
     }
   }
-  ReleaseSurplus(out, used, &build_spares_);
+  ReleaseSurplus(&out->records, used, &build_spares_);
+  out->time.resize(used);
+  out->price_micros.resize(used);
 }
 
 PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
                                          const CacheState& cache) const {
   PlanSet* set;
   if (!options_.enable_plan_cache || query.template_id < 0) {
-    BuildPlans(query, cache, &adhoc_plans_.plans);
+    BuildPlans(query, cache, &adhoc_plans_);
     set = &adhoc_plans_;
   } else {
     TemplateCacheEntry& entry = template_cache_[query.template_id];
@@ -183,7 +203,7 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
       ++cache_hits_;
     } else {
       ++cache_misses_;
-      BuildPlans(query, cache, &entry.plans.plans);
+      BuildPlans(query, cache, &entry.plans);
       entry.cache = &cache;
       entry.epoch = cache.epoch();
       entry.generation = generation_;
@@ -198,18 +218,27 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
     set = &entry.plans;
   }
 
-  // Price the cached plans for this query instance, in place. Estimates
-  // depend on the instance's selectivities and result shape, so they are
-  // never cached — but plans arrive grouped by family, so the batch
-  // estimator shares the access-path computation across each family's
-  // node variants. The structure-dependent fields are untouched: on a
+  // Price the plans for this query instance. Estimates depend on the
+  // instance's selectivities and result shape, so they are never cached;
+  // but the batch estimator derives each family's ExecutionBase once and
+  // finalizes its node variants from it, straight into the columns. On a
   // cache hit this loop is the ONLY per-query work.
   batch_.Reset(query);
-  for (QueryPlan& plan : set->plans) {
-    plan.carried_charges = Money();
-    plan.execution = batch_.Estimate(plan.spec);
+  for (const PlanFamily& family : set->families) {
+    batch_.EstimateFamily(set->records[family.first].spec,
+                          &set->nodes[family.first], family.count,
+                          &set->time[family.first],
+                          &set->price_micros[family.first]);
   }
   return set;
+}
+
+QueryPlan PlanEnumerator::Materialize(const PlanSet& set, size_t i) const {
+  QueryPlan plan;
+  static_cast<PlanRecord&>(plan) = set.records[i];
+  plan.execution = batch_.Estimate(plan.spec);
+  plan.carried_charges = set.Price(i) - plan.execution.cost;
+  return plan;
 }
 
 }  // namespace cloudcache

@@ -48,14 +48,14 @@ struct EnumeratorOptions {
 /// the economy first adds carried charges (Ca, owed maintenance), then
 /// applies SkylineIndicesInto.
 ///
-/// Hot path: queries of the same template share the structure-dependent
-/// part of their plans (spec shape, employed structures, which are
-/// absent), so those are materialized once per template and cached; a
-/// cache hit only re-runs CostModel::EstimateExecution (per-instance
-/// selectivities) over the cached plans in place. An entry is keyed by
-/// Query::template_id and revalidated against (CacheState::epoch,
-/// candidate generation, the query's column signature); ad hoc queries
-/// (template_id < 0) always take the derive-from-scratch path.
+/// Hot path: queries of the same template share the cold part of their
+/// plan set (records, families, node counts, is-existing bits), so it is
+/// derived once per template and cached; a cache hit only writes the
+/// time and Ce columns, one ExecutionBase per plan family. An entry is
+/// keyed by Query::template_id and revalidated against
+/// (CacheState::epoch, candidate generation, the query's column
+/// signature); ad hoc queries (template_id < 0) always take the
+/// derive-from-scratch path.
 class PlanEnumerator {
  public:
   PlanEnumerator(const CostModel* model, StructureRegistry* registry,
@@ -71,15 +71,20 @@ class PlanEnumerator {
   }
 
   /// Enumerates plans for `query` against the current cache contents and
-  /// returns the enumerator-OWNED plan set, freshly priced for this query
-  /// instance (zero-copy: the per-query decision loop reads it in place).
-  /// On a template-cache hit no plan vectors are touched at all — only
-  /// `execution` and `carried_charges` are rewritten in place. The
-  /// pointee is valid until the next call on this enumerator; callers may
-  /// mutate the per-query scalar fields (`execution`, `carried_charges`)
-  /// but must NOT touch `spec`/`structures`/`missing`, which are the
+  /// returns the enumerator-OWNED plan set with its `time` and
+  /// `price_micros` (= Ce) columns written for this query instance
+  /// (zero-copy: the per-query decision loop reads it in place). On a
+  /// template-cache hit the cold part is not touched at all. The pointee
+  /// is valid until the next call on this enumerator; callers may rewrite
+  /// the hot columns but must NOT touch the cold part, which is the
   /// cached template state.
   PlanSet* EnumerateShared(const Query& query, const CacheState& cache) const;
+
+  /// Plan `i` of `set` (the set the last EnumerateShared returned) as a
+  /// QueryPlan: its record, one re-estimate for the query of that call
+  /// (the same bits as the columns, because estimation is pure), and the
+  /// carried charges the price column holds beyond Ce.
+  QueryPlan Materialize(const PlanSet& set, size_t i) const;
 
   const EnumeratorOptions& options() const { return options_; }
 
@@ -108,22 +113,21 @@ class PlanEnumerator {
     TableId table = 0;
     std::vector<ColumnId> output_columns;
     std::vector<ColumnId> predicate_columns;
-    /// The materialized plan set. `spec`/`structures`/`missing` are
-    /// template state filled on (re)build; `execution`/`carried_charges`
-    /// are per-query and rewritten by every EnumerateShared call.
+    /// The plan set: its cold part is filled on (re)build, its hot
+    /// columns are rewritten by every EnumerateShared call.
     PlanSet plans;
   };
 
-  /// Derives the full plan list for `query` into `out` (slot-reusing).
-  /// Fills only the structure-dependent fields; `execution` and
-  /// `carried_charges` are left stale for the per-query pricing pass.
+  /// Derives the cold part of `query`'s plan set into `out`
+  /// (slot-reusing) and sizes its hot columns, leaving them stale for the
+  /// per-query pricing pass.
   void BuildPlans(const Query& query, const CacheState& cache,
-                  std::vector<QueryPlan>* out) const;
+                  PlanSet* out) const;
 
-  /// Adds per-node-count variants of a cache plan to `out`.
+  /// Adds the per-node-count variants of one plan family to `out`.
   void EmitNodeVariants(const CacheState& cache, const PlanSpec& spec,
                         const std::vector<StructureId>& structures,
-                        std::vector<QueryPlan>* out, size_t* used) const;
+                        PlanSet* out, size_t* used) const;
 
   bool SignatureMatches(const TemplateCacheEntry& entry,
                         const Query& query) const;
@@ -143,8 +147,8 @@ class PlanEnumerator {
   mutable PlanSet adhoc_plans_;
   mutable std::vector<StructureId> structures_scratch_;
   /// Spare slots for BuildPlans targets (cache entries, adhoc set).
-  mutable std::vector<QueryPlan> build_spares_;
-  /// Shares the per-family ExecutionBase across a query's node variants.
+  mutable std::vector<PlanRecord> build_spares_;
+  /// Writes the time/Ce columns, one ExecutionBase per plan family.
   mutable CostModel::BatchEstimator batch_;
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;

@@ -30,25 +30,4 @@ std::string QueryPlan::ToString() const {
   return buf;
 }
 
-std::vector<size_t> PlanSet::ExistingIndices() const {
-  std::vector<size_t> out;
-  ExistingIndicesInto(&out);
-  return out;
-}
-
-void PlanSet::ExistingIndicesInto(std::vector<size_t>* out) const {
-  out->clear();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (plans[i].IsExisting()) out->push_back(i);
-  }
-}
-
-std::vector<size_t> PlanSet::PossibleIndices() const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (!plans[i].IsExisting()) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace cloudcache

@@ -7,23 +7,28 @@ namespace cloudcache {
 namespace {
 
 /// The one definition of skyline dominance, run once per partition:
-/// streams the packed keys through a Pareto frontier kept sorted by
-/// ascending time / strictly descending price, then invokes `keep(idx)`
-/// for the final frontier in ascending-time order. A key survives iff its
-/// price is strictly below every strictly-faster plan's minimum price and
-/// it is the (price, index)-minimum of its equal-time group; keys arrive
-/// in ascending plan index, so price ties within a time group keep the
-/// earliest plan (stable). Money comparison is int64 comparison, so the
-/// surviving set matches comparing TimeSeconds() and Price() on the
-/// plans. This emits exactly the set a (time, price, index) sort-and-scan
-/// would, in the same order, but the frontier stays a handful of entries
-/// while the input is tens of plans — linear insertion over it beats
-/// sorting the whole key array every query.
+/// streams the partition's plans (those whose is-existing bit equals
+/// `existing`), in ascending plan index, through a Pareto frontier kept
+/// sorted by ascending time / strictly descending price, then invokes
+/// `keep(idx)` for the final frontier in ascending-time order. A plan
+/// survives iff its price is strictly below every strictly-faster plan's
+/// minimum price and it is the (price, index)-minimum of its equal-time
+/// group; plans arrive in ascending index, so price ties within a time
+/// group keep the earliest plan (stable). Prices are int64 micro-dollars,
+/// so the surviving set matches comparing times and Money prices. This
+/// emits exactly the set a (time, price, index) sort-and-scan would, in
+/// the same order, but the frontier stays a handful of entries while the
+/// input is tens of plans — linear insertion over it beats sorting the
+/// plans every query, and reading the columns in place beats gathering
+/// them into per-partition key arrays first.
 template <typename KeepFn>
-void ScanSkyline(const std::vector<SkylineScratch::Key>& keys,
+void ScanSkyline(const PlanSet& in, uint8_t existing,
                  std::vector<SkylineScratch::Key>* frontier, KeepFn&& keep) {
   frontier->clear();
-  for (const SkylineScratch::Key& key : keys) {
+  const size_t n = in.time.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (in.existing[i] != existing) continue;
+    const SkylineScratch::Key key{in.time[i], in.price_micros[i], i};
     // First frontier slot at or past this key's time. Everything before
     // `pos` is strictly faster; prices strictly fall with time, so the
     // entry at pos-1 carries the minimum price among faster survivors.
@@ -53,33 +58,16 @@ void ScanSkyline(const std::vector<SkylineScratch::Key>& keys,
   for (const SkylineScratch::Key& key : *frontier) keep(key.index);
 }
 
-/// Partitions `in` into packed sort keys in one pass: existing plans'
-/// keys into `existing`, hypothetical plans' into `possible`, each in
-/// ascending plan index (as stability requires).
-void FillPartitions(const PlanSet& in, std::vector<SkylineScratch::Key>* existing,
-                    std::vector<SkylineScratch::Key>* possible) {
-  existing->clear();
-  possible->clear();
-  for (size_t i = 0; i < in.plans.size(); ++i) {
-    const QueryPlan& plan = in.plans[i];
-    (plan.IsExisting() ? existing : possible)
-        ->push_back(SkylineScratch::Key{plan.TimeSeconds(),
-                                        plan.Price().micros(), i});
-  }
-}
-
 }  // namespace
 
 void SkylineIndicesInto(const PlanSet& in, std::vector<size_t>* out,
                         SkylineScratch* scratch) {
   out->clear();
   const auto keep = [&](size_t idx) { out->push_back(idx); };
-  // Existing plans first, then possible — each partition keeps its
-  // original relative order going into the scan, so ties resolve to the
-  // earliest plan of each partition.
-  FillPartitions(in, &scratch->existing_keys, &scratch->possible_keys);
-  ScanSkyline(scratch->existing_keys, &scratch->frontier, keep);
-  ScanSkyline(scratch->possible_keys, &scratch->frontier, keep);
+  // Existing plans first, then possible — each partition is scanned in
+  // plan order, so ties resolve to the earliest plan of each partition.
+  ScanSkyline(in, 1, &scratch->frontier, keep);
+  ScanSkyline(in, 0, &scratch->frontier, keep);
 }
 
 }  // namespace cloudcache

@@ -1,25 +1,23 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/plan/plan.h"
 
 namespace cloudcache {
 
-/// Reusable buffers for SkylineIndicesInto; hold one per engine so the
+/// Reusable buffer for SkylineIndicesInto; hold one per engine so the
 /// per-query filter allocates nothing in steady state.
 struct SkylineScratch {
-  /// Packed sort key of one plan: the dominance sort runs over one dense
-  /// array of these instead of chasing QueryPlan objects per compare.
+  /// Packed sort key of one plan, read from the plan set's columns.
   struct Key {
     double time;
     int64_t price;
     size_t index;
   };
 
-  std::vector<Key> existing_keys;
-  std::vector<Key> possible_keys;
   std::vector<Key> frontier;
 };
 
@@ -36,9 +34,9 @@ struct SkylineScratch {
 /// partition of `in` separately — existing and possible plans are
 /// skylined independently, because PQexist must retain an executable
 /// frontier even when hypothetical plans dominate it — and fills `out`
-/// with the survivors' indices into `in.plans` (existing partition first,
-/// each in ascending-time order) without touching any plan. The caller
-/// keeps reading plans through `in`, so no plan is copied at all.
+/// with the survivors' plan indices (existing partition first, each in
+/// ascending-time order). It reads only the `time`, `price_micros` and
+/// `existing` columns, never a plan record.
 void SkylineIndicesInto(const PlanSet& in, std::vector<size_t>* out,
                         SkylineScratch* scratch);
 

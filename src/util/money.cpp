@@ -6,10 +6,6 @@
 
 namespace cloudcache {
 
-Money Money::FromDollars(double dollars) {
-  return Money(static_cast<int64_t>(std::llround(dollars * 1e6)));
-}
-
 Money Money::operator*(double factor) const {
   return Money(static_cast<int64_t>(
       std::llround(static_cast<double>(micros_) * factor)));

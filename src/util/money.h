@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -26,8 +27,19 @@ class Money {
   static constexpr Money FromMicros(int64_t micros) { return Money(micros); }
 
   /// Construction from dollars, rounded half-away-from-zero to the nearest
-  /// micro-dollar.
-  static Money FromDollars(double dollars);
+  /// micro-dollar: std::llround's rounding, inlined because every Ce the
+  /// plan pricing loop writes ends here. Within int64 range the fraction
+  /// micros - trunc(micros) is exact, so comparing it with +-0.5 rounds
+  /// exactly as llround does; out-of-range values and NaN defer to it.
+  static Money FromDollars(double dollars) {
+    const double micros = dollars * 1e6;
+    if (!(std::fabs(micros) < 9.0e18)) {
+      return Money(static_cast<int64_t>(std::llround(micros)));
+    }
+    const auto whole = static_cast<int64_t>(micros);
+    const double frac = micros - static_cast<double>(whole);
+    return Money(whole + (frac >= 0.5) - (frac <= -0.5));
+  }
 
   /// Exact construction from whole cents.
   static constexpr Money FromCents(int64_t cents) {

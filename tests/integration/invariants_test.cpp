@@ -17,6 +17,7 @@
 #include "src/structure/index_advisor.h"
 #include "src/workload/trace.h"
 #include "tests/testing/fixtures.h"
+#include "tests/testing/plan_sets.h"
 
 namespace cloudcache {
 namespace {
@@ -43,10 +44,10 @@ class SkylineProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
   Rng rng(GetParam());
-  PlanSet set;
+  std::vector<QueryPlan> plans;
   const int n = static_cast<int>(rng.NextInt(1, 60));
-  for (int i = 0; i < n; ++i) set.plans.push_back(RandomPlan(rng));
-  const std::vector<QueryPlan>& plans = set.plans;
+  for (int i = 0; i < n; ++i) plans.push_back(RandomPlan(rng));
+  const PlanSet set = testing::PlanSetOf(plans);
 
   std::vector<size_t> kept;
   SkylineScratch scratch;

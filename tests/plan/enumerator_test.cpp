@@ -52,7 +52,7 @@ TEST_F(EnumeratorTest, BackendPlanAlwaysPresent) {
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   size_t backend_plans = 0;
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kBackend) {
       ++backend_plans;
       EXPECT_TRUE(plan.IsExisting());
@@ -66,12 +66,12 @@ TEST_F(EnumeratorTest, ColdCacheMakesCachePlansHypothetical) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access != PlanSpec::Access::kBackend) {
       EXPECT_FALSE(plan.IsExisting());
     }
   }
-  EXPECT_EQ(set.ExistingIndices().size(), 1u);
+  EXPECT_EQ(std::count(set.existing.begin(), set.existing.end(), 1), 1);
 }
 
 TEST_F(EnumeratorTest, WarmCacheMakesScanExecutable) {
@@ -80,7 +80,7 @@ TEST_F(EnumeratorTest, WarmCacheMakesScanExecutable) {
   CacheQueryColumns(q);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   bool found = false;
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan &&
         plan.spec.cpu_nodes == 1) {
       EXPECT_TRUE(plan.IsExisting());
@@ -94,7 +94,7 @@ TEST_F(EnumeratorTest, ScanUsesOneStructurePerAccessedColumn) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan &&
         plan.spec.cpu_nodes == 1) {
       EXPECT_EQ(plan.structures.size(), q.AccessedColumns().size());
@@ -106,7 +106,7 @@ TEST_F(EnumeratorTest, IndexAppliesOnlyWithLeadingPredicate) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex) {
       EXPECT_FALSE(plan.spec.covered_predicates.empty());
       // The f_key-leading index must never appear: f_key carries no
@@ -127,7 +127,7 @@ TEST_F(EnumeratorTest, CoveringIndexDetected) {
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   bool saw_covering = false;
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex &&
         plan.spec.covering) {
       saw_covering = true;
@@ -144,7 +144,7 @@ TEST_F(EnumeratorTest, NonCoveringIndexPullsBaseColumns) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheIndex &&
         !plan.spec.covering && plan.spec.cpu_nodes == 1) {
       size_t columns = 0;
@@ -163,7 +163,7 @@ TEST_F(EnumeratorTest, NodeVariantsEmitted) {
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
   std::vector<uint32_t> scan_nodes;
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.access == PlanSpec::Access::kCacheScan) {
       scan_nodes.push_back(plan.spec.cpu_nodes);
     }
@@ -176,7 +176,7 @@ TEST_F(EnumeratorTest, MultiNodePlansRequireCpuStructures) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     if (plan.spec.cpu_nodes > 1) {
       size_t cpu_structures = 0;
       for (StructureId id : plan.structures) {
@@ -192,7 +192,8 @@ TEST_F(EnumeratorTest, NoIndexesWhenDisabled) {
   options.allow_indexes = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
+  for (const PlanRecord& plan :
+       enumerator.EnumerateShared(q, cache_)->records) {
     EXPECT_NE(plan.spec.access, PlanSpec::Access::kCacheIndex);
   }
 }
@@ -202,7 +203,8 @@ TEST_F(EnumeratorTest, NoParallelWhenDisabled) {
   options.allow_parallel = false;
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
+  for (const PlanRecord& plan :
+       enumerator.EnumerateShared(q, cache_)->records) {
     EXPECT_EQ(plan.spec.cpu_nodes, 1u);
   }
 }
@@ -213,10 +215,10 @@ TEST_F(EnumeratorTest, NoHypotheticalsWhenDisabled) {
   PlanEnumerator enumerator = MakeEnumerator(options);
   const Query q = testing::MakeTinyQuery(catalog_);
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (const PlanRecord& plan : set.records) {
     EXPECT_TRUE(plan.IsExisting());
   }
-  EXPECT_EQ(set.plans.size(), 1u);  // Only the backend plan on cold cache.
+  EXPECT_EQ(set.size(), 1u);  // Only the backend plan on cold cache.
 }
 
 TEST_F(EnumeratorTest, MissingListsExactlyNonResidentStructures) {
@@ -227,7 +229,9 @@ TEST_F(EnumeratorTest, MissingListsExactlyNonResidentStructures) {
   CLOUDCACHE_CHECK(
       cache_.Add(registry_.Intern(ColumnKey(catalog_, date)), 0).ok());
   const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const QueryPlan& plan : set.plans) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    const PlanRecord& plan = set.records[i];
+    EXPECT_EQ(set.existing[i] != 0, plan.IsExisting()) << "plan " << i;
     for (StructureId id : plan.missing) {
       EXPECT_FALSE(cache_.IsResident(id));
     }
@@ -245,7 +249,8 @@ TEST_F(EnumeratorTest, IndexesOnOtherTablesIgnored) {
   const ColumnId d_attr = *catalog_.FindColumn("dim.d_attr");
   enumerator.SetIndexCandidates({IndexKey(catalog_, {d_attr})});
   const Query q = testing::MakeTinyQuery(catalog_);  // On fact.
-  for (const QueryPlan& plan : enumerator.EnumerateShared(q, cache_)->plans) {
+  for (const PlanRecord& plan :
+       enumerator.EnumerateShared(q, cache_)->records) {
     EXPECT_NE(plan.spec.access, PlanSpec::Access::kCacheIndex);
   }
 }
@@ -254,19 +259,28 @@ TEST_F(EnumeratorTest, IndexesOnOtherTablesIgnored) {
 
 /// Full structural + priced equality of two plan sets, element by element.
 void ExpectSamePlanSet(const PlanSet& a, const PlanSet& b) {
-  ASSERT_EQ(a.plans.size(), b.plans.size());
-  for (size_t i = 0; i < a.plans.size(); ++i) {
-    const QueryPlan& pa = a.plans[i];
-    const QueryPlan& pb = b.plans[i];
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const PlanRecord& pa = a.records[i];
+    const PlanRecord& pb = b.records[i];
     EXPECT_EQ(pa.spec.access, pb.spec.access) << "plan " << i;
     EXPECT_EQ(pa.spec.covered_predicates, pb.spec.covered_predicates);
     EXPECT_EQ(pa.spec.covering, pb.spec.covering);
     EXPECT_EQ(pa.spec.cpu_nodes, pb.spec.cpu_nodes);
     EXPECT_EQ(pa.structures, pb.structures) << "plan " << i;
     EXPECT_EQ(pa.missing, pb.missing) << "plan " << i;
-    EXPECT_EQ(pa.execution.cost.micros(), pb.execution.cost.micros());
-    EXPECT_EQ(pa.execution.time_seconds, pb.execution.time_seconds);
-    EXPECT_EQ(pa.carried_charges.micros(), pb.carried_charges.micros());
+    EXPECT_EQ(a.nodes[i], b.nodes[i]) << "plan " << i;
+    EXPECT_EQ(a.existing[i], b.existing[i]) << "plan " << i;
+    EXPECT_EQ(a.time[i], b.time[i]) << "plan " << i;
+    EXPECT_EQ(a.price_micros[i], b.price_micros[i]) << "plan " << i;
+  }
+  EXPECT_EQ(a.cpu_node_ids, b.cpu_node_ids);
+  ASSERT_EQ(a.families.size(), b.families.size());
+  for (size_t f = 0; f < a.families.size(); ++f) {
+    EXPECT_EQ(a.families[f].first, b.families[f].first) << "family " << f;
+    EXPECT_EQ(a.families[f].count, b.families[f].count) << "family " << f;
+    EXPECT_EQ(a.families[f].base_structures, b.families[f].base_structures)
+        << "family " << f;
   }
 }
 
@@ -331,7 +345,7 @@ TEST_F(EnumeratorTest, PlanCacheInvalidatedByCandidateGeneration) {
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
 
   size_t index_plans = 0;
-  for (const QueryPlan& plan : after.plans) {
+  for (const PlanRecord& plan : after.records) {
     index_plans += plan.spec.access == PlanSpec::Access::kCacheIndex;
   }
   // Only the one remaining applicable candidate, at each node count.

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
+
+#include "tests/testing/plan_sets.h"
 
 namespace cloudcache {
 namespace {
+
+using cloudcache::testing::PlanSetOf;
 
 QueryPlan MakePlan(double time_s, double cost_dollars, bool existing = true) {
   QueryPlan plan;
@@ -18,9 +21,8 @@ QueryPlan MakePlan(double time_s, double cost_dollars, bool existing = true) {
 
 /// Skylines `plans` as one set; they are all existing plans unless a test
 /// says otherwise, so they form one partition.
-std::vector<size_t> SurvivorIndices(std::vector<QueryPlan> plans) {
-  PlanSet set;
-  set.plans = std::move(plans);
+std::vector<size_t> SurvivorIndices(const std::vector<QueryPlan>& plans) {
+  const PlanSet set = PlanSetOf(plans);
   std::vector<size_t> out;
   SkylineScratch scratch;
   SkylineIndicesInto(set, &out, &scratch);
@@ -91,32 +93,30 @@ TEST(SkylineTest, StrictDominanceChain) {
 }
 
 TEST(SkylineFilterTest, PartitionsExistingAndPossible) {
-  PlanSet set;
-  set.plans.push_back(MakePlan(5, 5, /*existing=*/true));
+  std::vector<QueryPlan> plans;
+  plans.push_back(MakePlan(5, 5, /*existing=*/true));
   // A hypothetical plan that dominates the existing one must NOT evict it:
   // the executable frontier is skylined separately.
-  set.plans.push_back(MakePlan(1, 1, /*existing=*/false));
-  EXPECT_EQ(SurvivorIndices(set.plans), (std::vector<size_t>{0, 1}));
+  plans.push_back(MakePlan(1, 1, /*existing=*/false));
+  EXPECT_EQ(SurvivorIndices(plans), (std::vector<size_t>{0, 1}));
 }
 
 TEST(SkylineFilterTest, FiltersWithinEachPartition) {
-  PlanSet set;
-  set.plans.push_back(MakePlan(1, 1, true));
-  set.plans.push_back(MakePlan(2, 2, true));   // Dominated.
-  set.plans.push_back(MakePlan(1, 1, false));
-  set.plans.push_back(MakePlan(3, 3, false));  // Dominated.
-  EXPECT_EQ(SurvivorIndices(set.plans), (std::vector<size_t>{0, 2}));
+  std::vector<QueryPlan> plans;
+  plans.push_back(MakePlan(1, 1, true));
+  plans.push_back(MakePlan(2, 2, true));   // Dominated.
+  plans.push_back(MakePlan(1, 1, false));
+  plans.push_back(MakePlan(3, 3, false));  // Dominated.
+  EXPECT_EQ(SurvivorIndices(plans), (std::vector<size_t>{0, 2}));
 }
 
 TEST(SkylineFilterTest, ExistingPartitionComesFirstAndScratchIsReused) {
   // Survivors list the existing partition first, each partition in
   // ascending-time order, whatever the plans' positions; a reused
   // scratch carries nothing over between calls.
-  PlanSet set;
-  set.plans.push_back(MakePlan(1, 9, false));
-  set.plans.push_back(MakePlan(4, 2, true));
-  set.plans.push_back(MakePlan(2, 5, true));
-  set.plans.push_back(MakePlan(6, 1, false));
+  const PlanSet set =
+      PlanSetOf({MakePlan(1, 9, false), MakePlan(4, 2, true),
+                 MakePlan(2, 5, true), MakePlan(6, 1, false)});
   std::vector<size_t> out;
   SkylineScratch scratch;
   SkylineIndicesInto(set, &out, &scratch);
@@ -126,12 +126,18 @@ TEST(SkylineFilterTest, ExistingPartitionComesFirstAndScratchIsReused) {
 }
 
 TEST(PlanSetTest, IndexPartition) {
-  PlanSet set;
-  set.plans.push_back(MakePlan(1, 1, true));
-  set.plans.push_back(MakePlan(2, 2, false));
-  set.plans.push_back(MakePlan(3, 3, true));
-  EXPECT_EQ(set.ExistingIndices(), (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(set.PossibleIndices(), (std::vector<size_t>{1}));
+  // The skyline partitions on the is-existing column alone: flipping a
+  // plan's bit moves it across partitions whatever its record says.
+  PlanSet set = PlanSetOf(
+      {MakePlan(1, 3, true), MakePlan(2, 2, false), MakePlan(3, 1, true)});
+  EXPECT_EQ(set.existing, (std::vector<uint8_t>{1, 0, 1}));
+  std::vector<size_t> out;
+  SkylineScratch scratch;
+  SkylineIndicesInto(set, &out, &scratch);
+  EXPECT_EQ(out, (std::vector<size_t>{0, 2, 1}));
+  set.existing = {0, 1, 0};
+  SkylineIndicesInto(set, &out, &scratch);
+  EXPECT_EQ(out, (std::vector<size_t>{1, 0, 2}));
 }
 
 TEST(PlanTest, PriceIsExecutionPlusCarried) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace cloudcache {
 namespace {
@@ -26,6 +31,41 @@ TEST(MoneyTest, FromDollarsRoundsHalfAwayFromZero) {
   EXPECT_EQ(Money::FromDollars(0.0000005).micros(), 1);
   EXPECT_EQ(Money::FromDollars(-0.0000005).micros(), -1);
   EXPECT_EQ(Money::FromDollars(0.00000049).micros(), 0);
+}
+
+TEST(MoneyTest, FromDollarsMatchesLlroundBitForBit) {
+  // FromDollars rounds inline; it must agree with std::llround on every
+  // input in int64 range: random bit patterns, exact halves and their
+  // neighbours, and values next to the fallback bound. (Beyond the range
+  // llround's result is unspecified; FromDollars defers to it there.)
+  const auto expect_llround = [](double dollars) {
+    const double micros = dollars * 1e6;
+    if (std::isnan(micros) || !(std::fabs(micros) < 9.2e18)) return;
+    EXPECT_EQ(Money::FromDollars(dollars).micros(), std::llround(micros))
+        << "dollars=" << dollars;
+  };
+  Rng rng(7);
+  for (int i = 0; i < 200'000; ++i) {
+    const uint64_t bits = rng.Next();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    expect_llround(value);
+    const int64_t micros = rng.NextInt(-1'000'000'000, 1'000'000'000);
+    expect_llround(static_cast<double>(micros) / 1e6 + 0.0000005);
+  }
+  for (double whole : {0.0, 1.0, 2.0, 12345.0, 4503599627370495.0}) {
+    for (double half : {whole + 0.5, -(whole + 0.5)}) {
+      for (double micros :
+           {half, std::nextafter(half, 0.0), std::nextafter(half, 1e300),
+            std::nextafter(half, -1e300)}) {
+        expect_llround(micros / 1e6);
+      }
+    }
+  }
+  for (double micros : {4503599627370496.0, 9007199254740993.0, 8.9e18,
+                        -8.9e18}) {
+    expect_llround(micros / 1e6);
+  }
 }
 
 TEST(MoneyTest, FromCentsExact) {
