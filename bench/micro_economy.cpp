@@ -54,6 +54,51 @@ void BM_EconomyOnQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_EconomyOnQuery);
 
+// The eviction-heavy economy: elastic-churn's settings on one node (1 s
+// arrivals, a = 0.001, $20 credit), so structures keep being built and
+// failing maintenance. Each query also ticks the economy twice at its own
+// time, as the simulator's rent meter and metered bill do, so the failure
+// scan runs three times per query. A fixed iteration count makes every
+// run serve the same queries, so timings compare like for like.
+void BM_EconomyOnQueryChurn(benchmark::State& state) {
+  Env& env = GetEnv();
+  PriceList prices = PriceList::AmazonEc2_2009();
+  EconScheme::Config config = EconScheme::EconCheapConfig();
+  config.economy.initial_credit = Money::FromDollars(20);
+  config.economy.regret_fraction_a = 0.001;
+  config.economy.model_build_latency = false;
+  EconScheme scheme(&env.catalog, &prices, env.indexes,
+                    std::move(config));
+  size_t i = 0;
+  double now = 0;
+  uint64_t evictions = 0;
+  for (auto _ : state) {
+    const ServedQuery served =
+        scheme.OnQuery(env.queries[i++ % env.queries.size()], now);
+    evictions += served.evictions;
+    scheme.ChargeExpenditure(Money(), now);
+    scheme.ChargeExpenditure(Money(), now);
+    now += 1.0;
+  }
+  state.counters["evictions_per_kquery"] = benchmark::Counter(
+      1000.0 * static_cast<double>(evictions) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_EconomyOnQueryChurn)->Iterations(50'000);
+
+// Cancelling a freshly built structure's schedule at the paper's default
+// horizon (n = 50,000), as every maintenance-failure eviction does.
+void BM_AmortizerCancel(benchmark::State& state) {
+  Amortizer amortizer(EconomyOptions().amortization_horizon);
+  const Money build = Money::FromMicros(123'456'789);
+  for (auto _ : state) {
+    amortizer.RegisterBuild(7, build);
+    amortizer.ChargeShare(7);
+    benchmark::DoNotOptimize(amortizer.Cancel(7));
+  }
+}
+BENCHMARK(BM_AmortizerCancel);
+
 void BM_EconColOnQuery(benchmark::State& state) {
   Env& env = GetEnv();
   PriceList prices = PriceList::AmazonEc2_2009();

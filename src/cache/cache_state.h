@@ -60,8 +60,7 @@ class CacheState {
   std::vector<StructureId> Residents() const;
 
   /// Visits every resident id in ascending order without materializing
-  /// the list — the per-query maintenance scan uses this to avoid the
-  /// vector Residents() allocates.
+  /// the list Residents() allocates.
   template <typename Fn>
   void ForEachResident(Fn&& fn) const {
     for (StructureId id = 0; id < resident_.size(); ++id) {

@@ -193,6 +193,12 @@ class CostModel {
   Money MaintenanceCostSized(const StructureKey& key, uint64_t bytes,
                              double seconds) const;
 
+  /// Dollars of rent per second that MaintenanceCostSized charges before
+  /// rounding: its result is Money::FromDollars(seconds x this), up to
+  /// the order of the float products. The maintenance ledger estimates
+  /// failure deadlines from it (and verifies them by pricing).
+  double MaintenanceRate(const StructureKey& key, uint64_t bytes) const;
+
   /// The synthetic sort query whose execution cost approximates index
   /// construction ("select <keys> from T order by <keys>", Section V-C).
   Query MakeIndexBuildQuery(const StructureKey& index) const;

@@ -35,20 +35,13 @@ Money Amortizer::ChargeShare(StructureId id) {
   return share;
 }
 
-Money Amortizer::Unamortized(StructureId id) const {
+Money Amortizer::Cancel(StructureId id) {
   auto it = schedules_.find(id);
   if (it == schedules_.end()) return Money();
   const Schedule& s = it->second;
-  Money remaining;
-  for (int64_t i = s.shares_charged; i < horizon_; ++i) {
-    remaining += EvenShare(s.build_cost, horizon_, i);
-  }
-  return remaining;
-}
-
-Money Amortizer::Cancel(StructureId id) {
-  const Money remaining = Unamortized(id);
-  schedules_.erase(id);
+  const Money remaining =
+      EvenShareTail(s.build_cost, horizon_, s.shares_charged);
+  schedules_.erase(it);
   return remaining;
 }
 

@@ -37,11 +37,10 @@ class Amortizer {
   Money ChargeShare(StructureId id);
 
   /// Stops amortizing (structure evicted). Returns the unrecovered
-  /// remainder — the sunk cost the cloud failed to repay itself.
+  /// remainder — the sunk cost the cloud failed to repay itself — as
+  /// EvenShareTail's closed form, O(1) at any horizon; zero for unknown
+  /// structures.
   Money Cancel(StructureId id);
-
-  /// Outstanding unamortized remainder of `id`.
-  Money Unamortized(StructureId id) const;
 
   int64_t horizon() const { return horizon_; }
 

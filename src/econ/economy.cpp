@@ -48,7 +48,8 @@ EconomyEngine::EconomyEngine(const Catalog* catalog,
       enumerator_(decision_model, registry, std::move(enumerator_options)),
       cache_(registry),
       pool_(options.candidate_pool_capacity),
-      maintenance_(decision_model),
+      maintenance_(decision_model, options.maintenance_failure_fraction,
+                   options.tenant_weighted_eviction),
       account_(options.initial_credit),
       admission_(options.admission),
       amortizer_(options.amortization_horizon) {
@@ -448,53 +449,55 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
 
 void EconomyEngine::EvictFailedStructures(SimTime now,
                                           QueryOutcome* outcome) {
-  // This runs before every query; skip it outright when no tracked clock
-  // has fallen behind, and visit residents in place (ascending id, as
-  // Residents() returned them) instead of copying the list. Removing the
-  // visited id inside the loop is safe: Remove only flips its bit.
-  if (maintenance_.NothingOwedBy(now)) return;
-  cache_.ForEachResident([&](StructureId id) {
-    if (maintenance_.PaidThrough(id, now)) return;
-    const Money owed = maintenance_.Owed(id, now);
-    if (owed.IsZero()) return;
+  // This runs up to three times per query. The ledger's deadline heap
+  // names the clocks whose failure is possible at `now` (a superset of the
+  // ones that fail); they are judged by the exact test in ascending id
+  // order, as a walk over every resident would judge them. Most calls find
+  // nothing due and stop at a peek.
+  const auto build_cost_now = [this](StructureId id) {
+    return MemoBuildCostNow(id);
+  };
+  maintenance_.CollectDue(now, cache_.epoch(), build_cost_now, &due_);
+  for (size_t i = 0; i < due_.size(); ++i) {
+    const StructureId id = due_[i];
+    if (!cache_.IsResident(id)) continue;
     Money build_cost = maintenance_.BuildCostOf(id);
     if (build_cost.IsZero()) {
       // Column shipped as part of an index build: judge it by what it
       // would cost to rebuild on its own.
       build_cost = MemoBuildCostNow(id);
     }
-    Money threshold = build_cost * options_.maintenance_failure_fraction;
-    // Tenant-aware slack stamped at build time; scales other than 1.0
-    // exist only when the policy is on, so the classic path skips the
-    // lookup and keeps the pre-policy threshold bit-identical.
-    if (options_.tenant_weighted_eviction) {
-      const double scale = maintenance_.FailureScale(id);
-      if (scale != 1.0) threshold = threshold * scale;
+    Money owed;
+    Money threshold;
+    if (!maintenance_.Fails(id, now, build_cost, &owed, &threshold)) continue;
+    CLOUDCACHE_CHECK(cache_.Remove(id).ok());
+    maintenance_.Unregister(id, now);
+    amortizer_.Cancel(id);
+    // A failed build wasted the regret that backed it: admission hands
+    // the backers' monetized shares back to unmonetized.
+    admission_.OnStructureFailed(id);
+    if (options_.clear_regret_on_failure) ClearRegretEverywhere(id);
+    if (outcome != nullptr) {
+      outcome->evictions.push_back(id);
+    } else {
+      tick_evictions_.push_back(id);
     }
-    if (owed > threshold) {
-      CLOUDCACHE_CHECK(cache_.Remove(id).ok());
-      maintenance_.Unregister(id, now);
-      amortizer_.Cancel(id);
-      // A failed build wasted the regret that backed it: admission hands
-      // the backers' monetized shares back to unmonetized.
-      admission_.OnStructureFailed(id);
-      if (options_.clear_regret_on_failure) ClearRegretEverywhere(id);
-      if (outcome != nullptr) {
-        outcome->evictions.push_back(id);
-      } else {
-        tick_evictions_.push_back(id);
-      }
-      if (tracer_ != nullptr) {
-        tracer_
-            ->Event("evict", trace_query_, now, trace_tenant_, trace_node_)
-            .U64("structure", id)
-            .Str("key", registry_->key(id).ToString(*catalog_))
-            .Str("reason", "maintenance")
-            .F64("owed_dollars", owed.ToDollars())
-            .F64("threshold_dollars", threshold.ToDollars());
-      }
+    if (tracer_ != nullptr) {
+      tracer_->Event("evict", trace_query_, now, trace_tenant_, trace_node_)
+          .U64("structure", id)
+          .Str("key", registry_->key(id).ToString(*catalog_))
+          .Str("reason", "maintenance")
+          .F64("owed_dollars", owed.ToDollars())
+          .F64("threshold_dollars", threshold.ToDollars());
     }
-  });
+    // The Remove moved the residency epoch, and with it the thresholds of
+    // zero-cost clocks: the ids still to come are re-collected at the new
+    // epoch.
+    maintenance_.CollectDue(now, cache_.epoch(), build_cost_now, &due_tail_,
+                            id);
+    due_.resize(i + 1);
+    due_.insert(due_.end(), due_tail_.begin(), due_tail_.end());
+  }
 }
 
 void EconomyEngine::OnTick(SimTime now) {
@@ -504,7 +507,12 @@ void EconomyEngine::OnTick(SimTime now) {
 
 Status EconomyEngine::ForceBuild(const StructureKey& key, SimTime now) {
   const StructureId id = registry_->Intern(key);
-  if (cache_.IsResident(id)) {
+  const auto pending = [this](StructureId sid) {
+    return sid < pending_flag_.size() && pending_flag_[sid];
+  };
+  // A structure under construction already has its clock and will join
+  // the cache when its build completes.
+  if (cache_.IsResident(id) || pending(id)) {
     return Status::AlreadyExists(key.ToString(*catalog_));
   }
   const Money build_cost = BuildCostNow(id);
@@ -518,7 +526,7 @@ Status EconomyEngine::ForceBuild(const StructureKey& key, SimTime now) {
     }
   }
   for (StructureId built_id : built) {
-    if (cache_.IsResident(built_id)) continue;
+    if (cache_.IsResident(built_id) || pending(built_id)) continue;
     CLOUDCACHE_RETURN_IF_ERROR(cache_.Add(built_id, now));
     maintenance_.Register(built_id, registry_->key(built_id), now,
                           built_id == id ? build_cost : Money());

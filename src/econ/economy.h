@@ -243,6 +243,9 @@ class EconomyEngine {
 
   /// Directly builds a structure, bypassing the investment policy (used
   /// by tests and by warm-start experiment setups). Charges the account.
+  /// AlreadyExists if the structure is resident or under construction;
+  /// companion columns already resident or under construction are left
+  /// as they are.
   Status ForceBuild(const StructureKey& key, SimTime now);
 
   /// Checkpoint support. Serializes every piece of run state the engine
@@ -358,6 +361,10 @@ class EconomyEngine {
   /// through); drained into the next OnQuery's outcome so metrics see
   /// every eviction.
   std::vector<StructureId> tick_evictions_;
+  /// EvictFailedStructures' due list and its re-collected tail after an
+  /// eviction, reused across scans.
+  std::vector<StructureId> due_;
+  std::vector<StructureId> due_tail_;
   /// Per-query scratch, reused across OnQuery calls: the skyline survivor
   /// indices, the skyline's frontier buffer, and the survivors' gathered
   /// columns. The decision path reads the enumerator's shared plan set in

@@ -1,8 +1,11 @@
 #include "src/util/money.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+
+#include "src/util/logging.h"
 
 namespace cloudcache {
 
@@ -42,6 +45,17 @@ Money EvenShare(Money total, int64_t count, int64_t share_index) {
   int64_t extra_unit = remainder >= 0 ? 1 : -1;
   int64_t extras = remainder >= 0 ? remainder : -remainder;
   return Money::FromMicros(base + (share_index < extras ? extra_unit : 0));
+}
+
+Money EvenShareTail(Money total, int64_t count, int64_t first_share) {
+  CLOUDCACHE_CHECK_GE(first_share, 0);
+  const int64_t k = std::min(first_share, count);
+  const int64_t base = total.micros() / count;
+  const int64_t remainder = total.micros() % count;
+  const int64_t extra_unit = remainder >= 0 ? 1 : -1;
+  const int64_t extras = remainder >= 0 ? remainder : -remainder;
+  return Money::FromMicros((count - k) * base +
+                           extra_unit * std::max<int64_t>(0, extras - k));
 }
 
 }  // namespace cloudcache

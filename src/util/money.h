@@ -143,4 +143,12 @@ std::ostream& operator<<(std::ostream& os, Money money);
 /// build cost is repaid to the account without residue.
 Money EvenShare(Money total, int64_t count, int64_t share_index);
 
+/// Sum of EvenShare(total, count, i) over i in [first_share, count): what
+/// is left of `total` once the first `first_share` shares are repaid. In
+/// closed form, (count - k) * base + extra_unit * max(0, extras - k) with
+/// EvenShare's own base/extras/extra_unit, so it costs O(1) at any count
+/// and is exact in int64 (|(count - k) * base| <= |total|). `first_share`
+/// >= count sums no share and yields zero.
+Money EvenShareTail(Money total, int64_t count, int64_t first_share);
+
 }  // namespace cloudcache

@@ -9,7 +9,7 @@ TEST(AmortizerTest, UnknownStructureChargesNothing) {
   Amortizer amortizer(10);
   EXPECT_TRUE(amortizer.PendingShare(5).IsZero());
   EXPECT_TRUE(amortizer.ChargeShare(5).IsZero());
-  EXPECT_TRUE(amortizer.Unamortized(5).IsZero());
+  EXPECT_TRUE(amortizer.Cancel(5).IsZero());
 }
 
 TEST(AmortizerTest, SharesAreEqualSplit) {
@@ -38,10 +38,13 @@ TEST(AmortizerTest, FreeAfterHorizon) {
 }
 
 TEST(AmortizerTest, UnamortizedTracksRemainder) {
+  // The unrecovered remainder is what Cancel returns: build cost minus
+  // every share charged so far, remainder micro-dollars included.
   Amortizer amortizer(4);
-  amortizer.RegisterBuild(1, Money::FromDollars(8));
-  amortizer.ChargeShare(1);
-  EXPECT_EQ(amortizer.Unamortized(1), Money::FromDollars(6));
+  const Money build = Money::FromMicros(8'000'003);
+  amortizer.RegisterBuild(1, build);
+  const Money charged = amortizer.ChargeShare(1) + amortizer.ChargeShare(1);
+  EXPECT_EQ(amortizer.Cancel(1), build - charged);
 }
 
 TEST(AmortizerTest, CancelReturnsSunkRemainder) {
@@ -49,6 +52,21 @@ TEST(AmortizerTest, CancelReturnsSunkRemainder) {
   amortizer.RegisterBuild(1, Money::FromDollars(8));
   amortizer.ChargeShare(1);
   EXPECT_EQ(amortizer.Cancel(1), Money::FromDollars(6));
+  EXPECT_TRUE(amortizer.PendingShare(1).IsZero());
+}
+
+TEST(AmortizerTest, CancelIsClosedFormAtAnyHorizon) {
+  // A summing loop over the outstanding shares would take 10^15 steps
+  // here; the closed form answers at once and exactly.
+  const int64_t horizon = 1'000'000'000'000'000;
+  Amortizer amortizer(horizon);
+  const Money build = Money::FromMicros(3'000'000'000'000'007);
+  amortizer.RegisterBuild(1, build);
+  Money charged;
+  for (int i = 0; i < 9; ++i) charged += amortizer.ChargeShare(1);
+  // base = 3, extras = 7: the first 7 shares carry one micro-dollar more.
+  EXPECT_EQ(charged, Money::FromMicros(7 * 4 + 2 * 3));
+  EXPECT_EQ(amortizer.Cancel(1), build - charged);
   EXPECT_TRUE(amortizer.PendingShare(1).IsZero());
 }
 

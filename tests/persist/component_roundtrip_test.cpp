@@ -103,7 +103,7 @@ TEST(MaintenanceLedgerPersistTest, RoundTripKeepsClocksAndFailureScales) {
   const StructureId b = registry.Intern(ColumnKey(catalog, 1));
   const StructureId c = registry.Intern(CpuNodeKey(0));
 
-  MaintenanceLedger ledger(&model);
+  MaintenanceLedger ledger(&model, 0.25, true);
   ledger.Register(a, registry.key(a), 10.0, Money::FromDollars(2.0), 1.0);
   ledger.Register(b, registry.key(b), 20.0, Money::FromDollars(5.0), 1.75);
   ledger.Register(c, registry.key(c), 30.0, Money::FromDollars(0.5), 1.0);
@@ -111,7 +111,7 @@ TEST(MaintenanceLedgerPersistTest, RoundTripKeepsClocksAndFailureScales) {
 
   Encoder enc;
   ledger.SaveState(&enc);
-  MaintenanceLedger twin(&model);
+  MaintenanceLedger twin(&model, 0.25, true);
   Decoder dec(enc.buffer().data(), enc.size());
   ASSERT_TRUE(twin.RestoreState(&dec, registry).ok());
   EXPECT_TRUE(dec.AtEnd());
@@ -123,6 +123,16 @@ TEST(MaintenanceLedgerPersistTest, RoundTripKeepsClocksAndFailureScales) {
     EXPECT_EQ(twin.Owed(id, 1000.0).micros(), ledger.Owed(id, 1000.0).micros())
         << id;
   }
+  // The deadline index is not in the snapshot: restore rebuilds it, so
+  // both ledgers name the same due clocks at every time.
+  const auto rebuild = [](StructureId) { return Money(); };
+  std::vector<StructureId> due;
+  std::vector<StructureId> twin_due;
+  for (SimTime now : {100.0, 1e5, 1e6, 1e7, 1e8}) {
+    ledger.CollectDue(now, 0, rebuild, &due);
+    twin.CollectDue(now, 0, rebuild, &twin_due);
+    EXPECT_EQ(twin_due, due) << now;
+  }
   // Forward behavior: the next payment collects the same amount.
   EXPECT_EQ(twin.Pay(b, 1000.0).micros(), ledger.Pay(b, 1000.0).micros());
 }
@@ -133,7 +143,7 @@ TEST(MaintenanceLedgerPersistTest, UnknownStructureIdIsRejected) {
   const CostModel model(&catalog, &prices);
   StructureRegistry full(&catalog);
   const StructureId id = full.Intern(ColumnKey(catalog, 3));
-  MaintenanceLedger ledger(&model);
+  MaintenanceLedger ledger(&model, 0.25, true);
   ledger.Register(id, full.key(id), 1.0, Money::FromDollars(1.0));
 
   Encoder enc;
@@ -141,7 +151,7 @@ TEST(MaintenanceLedgerPersistTest, UnknownStructureIdIsRejected) {
   // Restoring against a registry that never interned the structure must
   // fail with a Status: a clock for an unknown id has no footprint.
   StructureRegistry empty(&catalog);
-  MaintenanceLedger twin(&model);
+  MaintenanceLedger twin(&model, 0.25, true);
   Decoder dec(enc.buffer().data(), enc.size());
   EXPECT_FALSE(twin.RestoreState(&dec, empty).ok());
 }

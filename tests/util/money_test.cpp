@@ -164,6 +164,49 @@ TEST(EvenShareTest, SharesNeverDifferByMoreThanOneMicro) {
   EXPECT_LE(hi - lo, 1);
 }
 
+// EvenShareTail against the share-by-share loop it replaces: negative,
+// zero, exactly divisible and remainder-carrying totals, at every
+// share index where the closed form changes regime.
+struct TailCase {
+  int64_t total_micros;
+  int64_t count;
+};
+
+// Names each case in test listings, e.g. "-1003_over_10".
+void PrintTo(const TailCase& c, std::ostream* os) {
+  *os << c.total_micros << "_over_" << c.count;
+}
+
+class EvenShareTailSweep : public ::testing::TestWithParam<TailCase> {};
+
+TEST_P(EvenShareTailSweep, MatchesTheShareLoop) {
+  const Money total = Money::FromMicros(GetParam().total_micros);
+  const int64_t count = GetParam().count;
+  const int64_t remainder = GetParam().total_micros % count;
+  const int64_t extras = remainder >= 0 ? remainder : -remainder;
+  for (int64_t k : {int64_t{0}, int64_t{1}, extras - 1, extras, extras + 1,
+                    count - 1, count}) {
+    if (k < 0 || k > count) continue;
+    Money loop;
+    for (int64_t i = k; i < count; ++i) loop += EvenShare(total, count, i);
+    EXPECT_EQ(EvenShareTail(total, count, k), loop)
+        << "total=" << total.micros() << " count=" << count << " k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Totals, EvenShareTailSweep,
+    ::testing::Values(TailCase{-1003, 10}, TailCase{-999'999'937, 7},
+                      TailCase{0, 10}, TailCase{1000, 10},
+                      TailCase{1003, 10}, TailCase{999'999'937, 7},
+                      TailCase{5, 50'000}, TailCase{123'456'789, 50'000},
+                      TailCase{42, 1}));
+
+TEST(EvenShareTailTest, PastTheLastShareIsZero) {
+  EXPECT_TRUE(EvenShareTail(Money::FromMicros(1003), 10, 10).IsZero());
+  EXPECT_TRUE(EvenShareTail(Money::FromMicros(1003), 10, 11).IsZero());
+}
+
 class EvenShareSweep : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(EvenShareSweep, ConservationHoldsForAnyCount) {
