@@ -90,6 +90,30 @@ void BM_EnumerateCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateCached);
 
+/// The plan cache on, but every call follows a residency move: one column
+/// the query reads is toggled (built or evicted), then the query is
+/// enumerated, so each call pays for revalidating its cached plan set.
+void BM_EnumerateAfterResidencyMove(benchmark::State& state) {
+  Env& env = GetEnv();
+  CacheState cache = env.cache;  // Toggled privately.
+  std::vector<StructureId> toggled;
+  for (const Query& query : env.queries) {
+    toggled.push_back(env.registry.Intern(
+        ColumnKey(env.catalog, query.AccessedColumns().front())));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t q = i++ % env.queries.size();
+    const Status moved = cache.IsResident(toggled[q])
+                             ? cache.Remove(toggled[q])
+                             : cache.Add(toggled[q], 0);
+    benchmark::DoNotOptimize(moved.ok());
+    benchmark::DoNotOptimize(
+        env.cached.EnumerateShared(env.queries[q], cache));
+  }
+}
+BENCHMARK(BM_EnumerateAfterResidencyMove);
+
 void BM_EnumerateAndSkyline(benchmark::State& state) {
   Env& env = GetEnv();
   size_t i = 0;

@@ -166,7 +166,7 @@ void ClusterScheme::ReleaseNode(size_t index, SimTime now) {
   // the node. CPU-node structures are node-local compute and never move.
   // AdoptStructure pays from the heir's account through the engine's
   // normal build path (residency Add bumps the heir's epoch, so its
-  // plan-skeleton cache invalidates like for any other build); a refusal
+  // plan-skeleton cache refreshes like for any other build); a refusal
   // (already resident, not enough credit) just means that structure dies
   // with the node.
   if (options_.migration_recency_seconds > 0) {

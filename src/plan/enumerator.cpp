@@ -9,12 +9,24 @@ namespace cloudcache {
 
 namespace {
 
-/// EmitNodeVariants requires its structure list sorted and deduplicated;
-/// every plan family routes through this one normalization.
+/// Sorts and deduplicates a structure list. EmitNodeVariants requires its
+/// list normalized; every plan family routes through this one function.
 void NormalizeStructures(std::vector<StructureId>* structures) {
   std::sort(structures->begin(), structures->end());
   structures->erase(std::unique(structures->begin(), structures->end()),
                     structures->end());
+}
+
+/// Rewrites each plan's `missing` list and `existing` bit for `cache`.
+void RefreshResidency(const CacheState& cache, PlanSet* set) {
+  for (size_t i = 0; i < set->size(); ++i) {
+    PlanRecord& plan = set->records[i];
+    plan.missing.clear();
+    for (StructureId id : plan.structures) {
+      if (!cache.IsResident(id)) plan.missing.push_back(id);
+    }
+    set->existing[i] = plan.missing.empty() ? 1 : 0;
+  }
 }
 
 }  // namespace
@@ -61,8 +73,7 @@ bool PlanEnumerator::SignatureMatches(const TemplateCacheEntry& entry,
   return true;
 }
 
-void PlanEnumerator::EmitNodeVariants(const CacheState& cache,
-                                      const PlanSpec& spec,
+void PlanEnumerator::EmitNodeVariants(const PlanSpec& spec,
                                       const std::vector<StructureId>& structures,
                                       PlanSet* out, size_t* used) const {
   // `structures` must arrive sorted and deduplicated (the callers own the
@@ -85,27 +96,16 @@ void PlanEnumerator::EmitNodeVariants(const CacheState& cache,
         out->cpu_node_ids.push_back(id);
       }
     }
-    plan.missing.clear();
-    for (StructureId id : plan.structures) {
-      if (!cache.IsResident(id)) plan.missing.push_back(id);
-    }
-    if (!plan.missing.empty() && !options_.include_hypothetical) {
-      --*used;  // Drop the variant; the slot is recycled by the next one.
-      continue;
-    }
     out->nodes.push_back(nodes);
-    out->existing.push_back(plan.missing.empty() ? 1 : 0);
     ++family.count;
   }
-  if (family.count > 0) out->families.push_back(family);
+  out->families.push_back(family);
 }
 
-void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
-                                PlanSet* out) const {
+void PlanEnumerator::BuildPlans(const Query& query, PlanSet* out) const {
   size_t used = 0;
   out->families.clear();
   out->nodes.clear();
-  out->existing.clear();
   out->cpu_node_ids.clear();
 
   // 1. The back-end plan: always available, employs no cache structures.
@@ -116,10 +116,8 @@ void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
     plan.spec.covering = false;
     plan.spec.cpu_nodes = 1;
     plan.structures.clear();
-    plan.missing.clear();
     out->families.push_back(PlanFamily{0, 1, 0});
     out->nodes.push_back(1);
-    out->existing.push_back(1);
   }
 
   const std::vector<ColumnId>& accessed = query.AccessedColumns();
@@ -134,7 +132,7 @@ void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
       structures_scratch_.push_back(registry_->Intern(ColumnKey(catalog, col)));
     }
     NormalizeStructures(&structures_scratch_);
-    EmitNodeVariants(cache, spec, structures_scratch_, out, &used);
+    EmitNodeVariants(spec, structures_scratch_, out, &used);
   }
 
   // 3. Index plans from the candidate pool.
@@ -181,10 +179,11 @@ void PlanEnumerator::BuildPlans(const Query& query, const CacheState& cache,
         }
       }
       NormalizeStructures(&structures_scratch_);
-      EmitNodeVariants(cache, spec, structures_scratch_, out, &used);
+      EmitNodeVariants(spec, structures_scratch_, out, &used);
     }
   }
   ReleaseSurplus(&out->records, used, &build_spares_);
+  out->existing.resize(used);
   out->time.resize(used);
   out->price_micros.resize(used);
 }
@@ -193,19 +192,25 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
                                          const CacheState& cache) const {
   PlanSet* set;
   if (!options_.enable_plan_cache || query.template_id < 0) {
-    BuildPlans(query, cache, &adhoc_plans_);
+    BuildPlans(query, &adhoc_plans_);
+    RefreshResidency(cache, &adhoc_plans_);
     set = &adhoc_plans_;
   } else {
     TemplateCacheEntry& entry = template_cache_[query.template_id];
-    if (entry.valid && entry.cache == &cache &&
-        entry.epoch == cache.epoch() && entry.generation == generation_ &&
+    if (entry.valid && entry.generation == generation_ &&
         SignatureMatches(entry, query)) {
       ++cache_hits_;
     } else {
       ++cache_misses_;
-      BuildPlans(query, cache, &entry.plans);
-      entry.cache = &cache;
-      entry.epoch = cache.epoch();
+      BuildPlans(query, &entry.plans);
+      entry.employed.clear();
+      for (const PlanRecord& plan : entry.plans.records) {
+        entry.employed.insert(entry.employed.end(), plan.structures.begin(),
+                              plan.structures.end());
+      }
+      NormalizeStructures(&entry.employed);
+      entry.employed_resident.resize(entry.employed.size());
+      entry.cache = nullptr;  // Force the residency refresh below.
       entry.generation = generation_;
       entry.valid = true;
       entry.table = query.table;
@@ -214,6 +219,17 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
       for (const Predicate& p : query.predicates) {
         entry.predicate_columns.push_back(p.column);
       }
+    }
+    if (entry.cache != &cache || entry.epoch != cache.epoch()) {
+      bool flipped = entry.cache == nullptr;
+      for (size_t k = 0; k < entry.employed.size(); ++k) {
+        const uint8_t resident = cache.IsResident(entry.employed[k]) ? 1 : 0;
+        flipped |= entry.employed_resident[k] != resident;
+        entry.employed_resident[k] = resident;
+      }
+      if (flipped) RefreshResidency(cache, &entry.plans);
+      entry.cache = &cache;
+      entry.epoch = cache.epoch();
     }
     set = &entry.plans;
   }

@@ -19,15 +19,12 @@ struct EnumeratorOptions {
   bool allow_parallel = true;
   /// Node counts tried for cache plans; must contain 1.
   std::vector<uint32_t> node_options = {1, 2, 3, 4};
-  /// Whether to emit hypothetical (PQpos) plans at all; the bypass-yield
-  /// baseline has no regret machinery and turns this off.
-  bool include_hypothetical = true;
   /// Kill switch for the per-template plan cache. The cache is
-  /// semantically invisible (cached plans are invalidated on every
-  /// residency epoch or candidate-generation change, and execution
-  /// estimates are always recomputed per query); disabling it exists for
-  /// A/B perf measurement and for the bit-identical-metrics regression
-  /// test.
+  /// semantically invisible (a cached skeleton is re-derived on every
+  /// candidate-generation change, its missing-sets are refreshed on every
+  /// residency epoch, and execution estimates are always recomputed per
+  /// query); disabling it exists for A/B perf measurement and for the
+  /// bit-identical-metrics regression test.
   bool enable_plan_cache = true;
 };
 
@@ -43,19 +40,23 @@ struct EnumeratorOptions {
 ///  * each of the above at every allowed CPU-node count.
 ///
 /// Structures already resident make a plan executable (PQexist); plans
-/// referencing unbuilt structures are emitted as hypothetical (PQpos) when
-/// include_hypothetical is set. The returned set is NOT skyline-filtered:
+/// referencing unbuilt structures are emitted as hypothetical (PQpos). The
+/// returned set is NOT skyline-filtered:
 /// the economy first adds carried charges (Ca, owed maintenance), then
 /// applies SkylineIndicesInto.
 ///
-/// Hot path: queries of the same template share the cold part of their
-/// plan set (records, families, node counts, is-existing bits), so it is
-/// derived once per template and cached; a cache hit only writes the
-/// time and Ce columns, one ExecutionBase per plan family. An entry is
-/// keyed by Query::template_id and revalidated against
-/// (CacheState::epoch, candidate generation, the query's column
-/// signature); ad hoc queries (template_id < 0) always take the
-/// derive-from-scratch path.
+/// Hot path: which plans exist depends on residency, but the plans do
+/// not. Queries of the same template share the skeleton of their plan set
+/// (records, families, node counts, CPU-node ids), derived once per
+/// template and cached; a cache hit only writes the time and Ce columns,
+/// one ExecutionBase per plan family. An entry is keyed by
+/// Query::template_id and revalidated against (candidate generation, the
+/// query's column signature). When the residency stamp (CacheState
+/// identity, CacheState::epoch) has moved since the entry was last
+/// served and a structure the skeleton employs changed residency, its
+/// `missing` lists and `existing` bits are refreshed in place — still a
+/// hit. Ad hoc queries
+/// (template_id < 0) always take the derive-from-scratch path.
 class PlanEnumerator {
  public:
   PlanEnumerator(const CostModel* model, StructureRegistry* registry,
@@ -74,10 +75,11 @@ class PlanEnumerator {
   /// returns the enumerator-OWNED plan set with its `time` and
   /// `price_micros` (= Ce) columns written for this query instance
   /// (zero-copy: the per-query decision loop reads it in place). On a
-  /// template-cache hit the cold part is not touched at all. The pointee
-  /// is valid until the next call on this enumerator; callers may rewrite
-  /// the hot columns but must NOT touch the cold part, which is the
-  /// cached template state.
+  /// template-cache hit the cold part is touched only to refresh its
+  /// missing-sets after a residency move. The pointee is valid until the
+  /// next call on this enumerator; callers may rewrite the hot columns
+  /// but must NOT touch the cold part, which is the cached template
+  /// state.
   PlanSet* EnumerateShared(const Query& query, const CacheState& cache) const;
 
   /// Plan `i` of `set` (the set the last EnumerateShared returned) as a
@@ -99,9 +101,9 @@ class PlanEnumerator {
 
  private:
   struct TemplateCacheEntry {
-    /// Identity of the CacheState the plans were derived against —
+    /// Residency stamp the missing-sets were last refreshed against —
     /// epochs of two different caches are not comparable, so a caller
-    /// alternating caches (A/B harnesses) must miss, not collide.
+    /// alternating caches (A/B harnesses) refreshes on every switch.
     const CacheState* cache = nullptr;
     uint64_t epoch = 0;
     uint64_t generation = 0;
@@ -113,19 +115,24 @@ class PlanEnumerator {
     TableId table = 0;
     std::vector<ColumnId> output_columns;
     std::vector<ColumnId> predicate_columns;
-    /// The plan set: its cold part is filled on (re)build, its hot
-    /// columns are rewritten by every EnumerateShared call.
+    /// Every structure the skeleton employs (ascending, distinct) and
+    /// whether each was resident at the last refresh: a residency move
+    /// that flips none of them changes no missing-set.
+    std::vector<StructureId> employed;
+    std::vector<uint8_t> employed_resident;
+    /// The plan set: its skeleton is filled on (re)build, its
+    /// missing-sets on a residency move, its hot columns by every
+    /// EnumerateShared call.
     PlanSet plans;
   };
 
-  /// Derives the cold part of `query`'s plan set into `out`
-  /// (slot-reusing) and sizes its hot columns, leaving them stale for the
-  /// per-query pricing pass.
-  void BuildPlans(const Query& query, const CacheState& cache,
-                  PlanSet* out) const;
+  /// Derives the residency-free skeleton of `query`'s plan set into
+  /// `out` (slot-reusing), leaving `missing`, `existing` and the hot
+  /// columns stale for RefreshResidency and the pricing pass.
+  void BuildPlans(const Query& query, PlanSet* out) const;
 
   /// Adds the per-node-count variants of one plan family to `out`.
-  void EmitNodeVariants(const CacheState& cache, const PlanSpec& spec,
+  void EmitNodeVariants(const PlanSpec& spec,
                         const std::vector<StructureId>& structures,
                         PlanSet* out, size_t* used) const;
 

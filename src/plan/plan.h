@@ -11,9 +11,10 @@
 namespace cloudcache {
 
 /// The structure-dependent part of a candidate plan: its physical shape,
-/// the structures it employs, and which of them do not exist yet. It
-/// depends only on the query's template and the cache residency, so the
-/// enumerator derives it once per template and residency epoch.
+/// the structures it employs, and which of them do not exist yet. The
+/// shape and structures depend only on the query's template, so the
+/// enumerator derives them once per template; `missing` follows the cache
+/// residency and is refreshed in place when it moves.
 ///
 /// Plans with an empty `missing` set form PQexist (executable right now);
 /// plans employing at least one unbuilt structure form PQpos, considered
@@ -67,7 +68,9 @@ struct PlanFamily {
 /// The plan set PQ of one query, split in a cold part and hot columns.
 ///
 /// The cold part is rebuilt only when the enumerator re-derives the
-/// template's plans (a plan-cache miss) and is immutable in between. The
+/// template's plans (a plan-cache miss); in between, only the `missing`
+/// lists and the `existing` column change, refreshed when the cache
+/// residency moves. The
 /// hot columns are rewritten for every query instance, and the decision
 /// loop — skyline, affordability, selection, regret — reads them instead
 /// of the records.

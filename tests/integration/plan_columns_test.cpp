@@ -15,6 +15,7 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/catalog/tpch.h"
 #include "src/econ/economy.h"
@@ -26,7 +27,7 @@
 namespace cloudcache {
 namespace {
 
-enum class Shape { kEconCheap, kEconCol, kBypass };
+enum class Shape { kEconCheap, kEconCol };
 
 std::string ShapeName(Shape shape) {
   switch (shape) {
@@ -34,8 +35,6 @@ std::string ShapeName(Shape shape) {
       return "econ_cheap";
     case Shape::kEconCol:
       return "econ_col";
-    case Shape::kBypass:
-      return "bypass";
   }
   return "?";
 }
@@ -48,9 +47,6 @@ EnumeratorOptions OptionsFor(Shape shape, bool plan_cache) {
     options.allow_parallel = false;
     options.node_options = {1};
   }
-  // Without hypothetical plans, variants whose structures are absent are
-  // dropped, so families have gaps.
-  if (shape == Shape::kBypass) options.include_hypothetical = false;
   return options;
 }
 
@@ -139,6 +135,11 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
       ASSERT_EQ(set.price_micros[i], (single.cost + carried).micros())
           << "plan " << i << " of query " << query.id;
       ASSERT_EQ(set.existing[i] != 0, record.IsExisting()) << "plan " << i;
+      std::vector<StructureId> missing;
+      for (StructureId id : record.structures) {
+        if (!engine_->cache().IsResident(id)) missing.push_back(id);
+      }
+      ASSERT_EQ(record.missing, missing) << "plan " << i;
       ASSERT_EQ(set.nodes[i], record.spec.cpu_nodes) << "plan " << i;
       ++plans_checked_;
       multi_node_plans_ += record.spec.cpu_nodes > 1;
@@ -234,8 +235,7 @@ TEST_P(PlanColumnsTest, ColumnsMatchSingleShotThroughResidencyChurn) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PlanColumnsTest,
-    ::testing::Combine(::testing::Values(Shape::kEconCheap, Shape::kEconCol,
-                                         Shape::kBypass),
+    ::testing::Combine(::testing::Values(Shape::kEconCheap, Shape::kEconCol),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<Param>& info) {
       return ShapeName(std::get<0>(info.param)) +

@@ -209,18 +209,6 @@ TEST_F(EnumeratorTest, NoParallelWhenDisabled) {
   }
 }
 
-TEST_F(EnumeratorTest, NoHypotheticalsWhenDisabled) {
-  EnumeratorOptions options;
-  options.include_hypothetical = false;
-  PlanEnumerator enumerator = MakeEnumerator(options);
-  const Query q = testing::MakeTinyQuery(catalog_);
-  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
-  for (const PlanRecord& plan : set.records) {
-    EXPECT_TRUE(plan.IsExisting());
-  }
-  EXPECT_EQ(set.size(), 1u);  // Only the backend plan on cold cache.
-}
-
 TEST_F(EnumeratorTest, MissingListsExactlyNonResidentStructures) {
   PlanEnumerator enumerator = MakeEnumerator();
   const Query q = testing::MakeTinyQuery(catalog_);
@@ -305,7 +293,7 @@ TEST_F(EnumeratorTest, PlanCacheHitServesIdenticalPlans) {
   EXPECT_EQ(reference.plan_cache_size(), 0u);
 }
 
-TEST_F(EnumeratorTest, PlanCacheInvalidatedByResidencyEpoch) {
+TEST_F(EnumeratorTest, PlanCacheRefreshedOnResidencyEpoch) {
   PlanEnumerator cached = MakeEnumerator();
   EnumeratorOptions off;
   off.enable_plan_cache = false;
@@ -313,22 +301,71 @@ TEST_F(EnumeratorTest, PlanCacheInvalidatedByResidencyEpoch) {
 
   const Query q = testing::MakeTinyQuery(catalog_);
   (void)cached.EnumerateShared(q, cache_);
-  // Residency moves: cached skeletons must be re-derived, and the fresh
-  // missing-sets must reflect the new epoch.
+  // Residency moves: the cached skeleton is reused (a hit), and its
+  // refreshed missing-sets must reflect the new epoch.
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   CLOUDCACHE_CHECK(
       cache_.Add(registry_.Intern(ColumnKey(catalog_, date)), 0).ok());
   const PlanSet after = *cached.EnumerateShared(q, cache_);
-  EXPECT_EQ(cached.plan_cache_misses(), 2u);
-  EXPECT_EQ(cached.plan_cache_hits(), 0u);
+  EXPECT_EQ(cached.plan_cache_misses(), 1u);
+  EXPECT_EQ(cached.plan_cache_hits(), 1u);
   ExpectSamePlanSet(after, *reference.EnumerateShared(q, cache_));
 
-  // And removal invalidates again.
+  // And removal refreshes again.
   CLOUDCACHE_CHECK(
       cache_.Remove(registry_.Intern(ColumnKey(catalog_, date))).ok());
   ExpectSamePlanSet(*cached.EnumerateShared(q, cache_),
                     *reference.EnumerateShared(q, cache_));
-  EXPECT_EQ(cached.plan_cache_misses(), 3u);
+
+  // A move of a structure no plan of the template employs leaves every
+  // missing-set as it was.
+  const ColumnId d_attr = *catalog_.FindColumn("dim.d_attr");
+  CLOUDCACHE_CHECK(
+      cache_.Add(registry_.Intern(ColumnKey(catalog_, d_attr)), 0).ok());
+  ExpectSamePlanSet(*cached.EnumerateShared(q, cache_),
+                    *reference.EnumerateShared(q, cache_));
+  EXPECT_EQ(cached.plan_cache_misses(), 1u);
+  EXPECT_EQ(cached.plan_cache_hits(), 3u);
+}
+
+TEST_F(EnumeratorTest, PlanCacheRefreshedAfterMultiStructureMove) {
+  PlanEnumerator cached = MakeEnumerator();
+  EnumeratorOptions off;
+  off.enable_plan_cache = false;
+  PlanEnumerator reference = MakeEnumerator(off);
+  const Query q = testing::MakeTinyQuery(catalog_);
+  (void)cached.EnumerateShared(q, cache_);
+
+  // One epoch-spanning move: a non-covering index, the base columns its
+  // row fetches read, and an extra CPU node all become resident at once.
+  const ColumnId date = *catalog_.FindColumn("fact.f_date");
+  const StructureId index = registry_.Intern(IndexKey(catalog_, {date}));
+  CLOUDCACHE_CHECK(cache_.Add(index, 0).ok());
+  for (ColumnId col : q.AccessedColumns()) {
+    if (col == date) continue;
+    CLOUDCACHE_CHECK(
+        cache_.Add(registry_.Intern(ColumnKey(catalog_, col)), 0).ok());
+  }
+  const StructureId cpu = registry_.Intern(CpuNodeKey(0));
+  CLOUDCACHE_CHECK(cache_.Add(cpu, 0).ok());
+  const PlanSet warm = *cached.EnumerateShared(q, cache_);
+  ExpectSamePlanSet(warm, *reference.EnumerateShared(q, cache_));
+  // The index plan now executes on one and on two nodes.
+  size_t executable_index_plans = 0;
+  for (size_t i = 0; i < warm.size(); ++i) {
+    executable_index_plans +=
+        warm.existing[i] != 0 &&
+        warm.records[i].spec.access == PlanSpec::Access::kCacheIndex;
+  }
+  EXPECT_EQ(executable_index_plans, 2u);
+
+  // Partly back: the index and the CPU node go, the columns stay.
+  CLOUDCACHE_CHECK(cache_.Remove(index).ok());
+  CLOUDCACHE_CHECK(cache_.Remove(cpu).ok());
+  ExpectSamePlanSet(*cached.EnumerateShared(q, cache_),
+                    *reference.EnumerateShared(q, cache_));
+  EXPECT_EQ(cached.plan_cache_misses(), 1u);
+  EXPECT_EQ(cached.plan_cache_hits(), 2u);
 }
 
 TEST_F(EnumeratorTest, PlanCacheInvalidatedByCandidateGeneration) {
@@ -337,12 +374,22 @@ TEST_F(EnumeratorTest, PlanCacheInvalidatedByCandidateGeneration) {
   (void)cached.EnumerateShared(q, cache_);
   const uint64_t generation = cached.candidate_generation();
 
-  // Re-registering candidates bumps the generation and re-derives.
+  // Re-registering candidates bumps the generation and re-derives, also
+  // when residency moved in the same step (no refresh of the stale
+  // skeleton).
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   cached.SetIndexCandidates({IndexKey(catalog_, {date})});
   EXPECT_EQ(cached.candidate_generation(), generation + 1);
+  CLOUDCACHE_CHECK(
+      cache_.Add(registry_.Intern(ColumnKey(catalog_, date)), 0).ok());
   const PlanSet after = *cached.EnumerateShared(q, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
+  EXPECT_EQ(cached.plan_cache_hits(), 0u);
+  EnumeratorOptions off;
+  off.enable_plan_cache = false;
+  PlanEnumerator reference(&model_, &registry_, off);
+  reference.SetIndexCandidates({IndexKey(catalog_, {date})});
+  ExpectSamePlanSet(after, *reference.EnumerateShared(q, cache_));
 
   size_t index_plans = 0;
   for (const PlanRecord& plan : after.records) {
@@ -359,9 +406,9 @@ TEST_F(EnumeratorTest, DistinctCacheStatesWithEqualEpochsDoNotCollide) {
   PlanEnumerator reference = MakeEnumerator(off);
   const Query q = testing::MakeTinyQuery(catalog_);
 
-  // Two caches at the same epoch with different residents: alternating
-  // them must miss (entries are keyed on cache identity), never serve the
-  // other cache's missing-sets.
+  // Two caches at the same epoch with different residents: the residency
+  // stamp includes the cache's identity, so alternating them must never
+  // serve the other cache's missing-sets.
   CacheState other(&registry_);
   const ColumnId date = *catalog_.FindColumn("fact.f_date");
   const ColumnId value = *catalog_.FindColumn("fact.f_value");
@@ -371,11 +418,16 @@ TEST_F(EnumeratorTest, DistinctCacheStatesWithEqualEpochsDoNotCollide) {
       other.Add(registry_.Intern(ColumnKey(catalog_, value)), 0).ok());
   ASSERT_EQ(cache_.epoch(), other.epoch());
 
-  (void)cached.EnumerateShared(q, cache_);
-  const PlanSet from_other = *cached.EnumerateShared(q, other);
-  EXPECT_EQ(cached.plan_cache_misses(), 2u);
-  EXPECT_EQ(cached.plan_cache_hits(), 0u);
-  ExpectSamePlanSet(from_other, *reference.EnumerateShared(q, other));
+  // Alternating the caches reuses the one skeleton but refreshes its
+  // missing-sets against whichever cache the call names.
+  for (int round = 0; round < 2; ++round) {
+    ExpectSamePlanSet(*cached.EnumerateShared(q, cache_),
+                      *reference.EnumerateShared(q, cache_));
+    ExpectSamePlanSet(*cached.EnumerateShared(q, other),
+                      *reference.EnumerateShared(q, other));
+  }
+  EXPECT_EQ(cached.plan_cache_misses(), 1u);
+  EXPECT_EQ(cached.plan_cache_hits(), 3u);
 }
 
 TEST_F(EnumeratorTest, AdHocQueriesBypassPlanCache) {
@@ -410,12 +462,17 @@ TEST_F(EnumeratorTest, SignatureMismatchFallsBackToRederivation) {
   (void)cached.EnumerateShared(q1, cache_);
 
   // Same template id, different shape (trace replay could do this): the
-  // signature check must reject the cached skeletons.
+  // signature check must reject the cached skeletons, also after a
+  // residency move.
   Query q2 = testing::MakeTinyQuery(catalog_);
   q2.output_columns = {*catalog_.FindColumn("fact.f_key")};
   DeriveResultShape(catalog_, 1.0, &q2);
+  const ColumnId key = *catalog_.FindColumn("fact.f_key");
+  CLOUDCACHE_CHECK(
+      cache_.Add(registry_.Intern(ColumnKey(catalog_, key)), 0).ok());
   const PlanSet got = *cached.EnumerateShared(q2, cache_);
   EXPECT_EQ(cached.plan_cache_misses(), 2u);
+  EXPECT_EQ(cached.plan_cache_hits(), 0u);
   ExpectSamePlanSet(got, *reference.EnumerateShared(q2, cache_));
 }
 
