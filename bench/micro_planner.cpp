@@ -129,6 +129,43 @@ void BM_EnumerateAndSkyline(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateAndSkyline);
 
+/// The decision loop's steady state: plan-cache hits, so each call only
+/// estimates once per shape class and skylines the cheapest family of
+/// each (shape class, base residency) group.
+void BM_EnumerateCachedAndSkyline(benchmark::State& state) {
+  Env& env = GetEnv();
+  size_t i = 0;
+  std::vector<size_t> survivors;
+  SkylineScratch scratch;
+  for (auto _ : state) {
+    const PlanSet* set = env.cached.EnumerateShared(
+        env.queries[i++ % env.queries.size()], env.cache);
+    SkylineIndicesInto(*set, &survivors, &scratch);
+    benchmark::DoNotOptimize(survivors.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EnumerateCachedAndSkyline);
+
+/// The skyline alone over each query's cached plan set, its columns
+/// written once up front.
+void BM_SkylineCached(benchmark::State& state) {
+  Env& env = GetEnv();
+  std::vector<PlanSet> sets;
+  for (const Query& query : env.queries) {
+    sets.push_back(*env.cached.EnumerateShared(query, env.cache));
+  }
+  size_t i = 0;
+  std::vector<size_t> survivors;
+  SkylineScratch scratch;
+  for (auto _ : state) {
+    SkylineIndicesInto(sets[i++ % sets.size()], &survivors, &scratch);
+    benchmark::DoNotOptimize(survivors.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SkylineCached);
+
 void BM_RecommendIndexes(benchmark::State& state) {
   Env& env = GetEnv();
   for (auto _ : state) {

@@ -336,6 +336,12 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
   // high-regret-but-unaffordable candidate would force the full sorted
   // pass on every query.
   const Money scaled_credit = credit * options_.regret_fraction_a;
+  // Before that scan, an O(1) exit: Ratio and llround are monotone in the
+  // numerator, so if the largest entry misses Eq. 3, every entry does.
+  if (scaled_credit.IsPositive() &&
+      std::llround(regret_.MaxAmount().Ratio(scaled_credit)) < 1) {
+    return;
+  }
   const bool any_candidate =
       regret_.AnyNonZero([&](StructureId id, Money regret_value) {
         if (cache_.IsResident(id)) return false;
@@ -588,6 +594,7 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
   // downstream step reads its columns; only the chosen plan is
   // materialized, into the outcome.
   const PlanSet& set = Quote(query, now);
+  last_quote_ = &set;
   {
     obs::ScopedStageTimer timer(obs::Stage::kSkyline);
     SkylineIndicesInto(set, &skyline_indices_, &skyline_scratch_);

@@ -218,6 +218,11 @@ class EconomyEngine {
   /// OnQuery.
   const PlanSet& Quote(const Query& query, SimTime now) const;
 
+  /// The set the last OnQuery quoted (null before one) and its skyline's
+  /// survivor indices; valid until the next Quote or OnQuery.
+  const PlanSet* last_quote() const { return last_quote_; }
+  const std::vector<size_t>& last_survivors() const { return skyline_indices_; }
+
   /// Ca of one structure at `now`, as PriceCarriedCharges adds it to
   /// every plan employing it: a resident structure's pending Eq. 5-7
   /// share plus its capped owed rent (footnote 3), or a hypothetical
@@ -370,6 +375,7 @@ class EconomyEngine {
   /// columns. The decision path reads the enumerator's shared plan set in
   /// place; only the chosen plan is materialized, into the outcome.
   std::vector<size_t> skyline_indices_;
+  const PlanSet* last_quote_ = nullptr;
   SkylineScratch skyline_scratch_;
   std::vector<Survivor> survivors_;
   /// PriceCarriedCharges memo: CarriedCharge per StructureId under a

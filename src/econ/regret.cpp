@@ -14,6 +14,7 @@ void RegretLedger::Add(StructureId id, Money amount) {
   amounts_[id] += amount;
   total_ += amount;
   sorted_stale_ = true;
+  if (!max_stale_) max_ = Money::Max(max_, amounts_[id]);
 }
 
 void RegretLedger::Distribute(const std::vector<StructureId>& structures,
@@ -36,6 +37,7 @@ Money RegretLedger::Clear(StructureId id) {
   --nonzero_;
   total_ -= forfeited;
   sorted_stale_ = true;
+  max_stale_ |= forfeited == max_;
   return forfeited;
 }
 
@@ -44,6 +46,7 @@ void RegretLedger::Subtract(StructureId id, Money amount) {
   if (amount.IsZero()) return;
   CLOUDCACHE_CHECK_LT(id, amounts_.size());
   CLOUDCACHE_CHECK_GE(amounts_[id].micros(), amount.micros());
+  max_stale_ |= amounts_[id] == max_;
   amounts_[id] -= amount;
   if (amounts_[id].IsZero()) --nonzero_;
   total_ -= amount;
@@ -59,11 +62,7 @@ void RegretLedger::SaveState(persist::Encoder* enc) const {
 }
 
 Status RegretLedger::RestoreState(persist::Decoder* dec) {
-  amounts_.clear();
-  total_ = Money();
-  nonzero_ = 0;
-  sorted_.clear();
-  sorted_stale_ = true;
+  *this = RegretLedger();
   uint64_t count = 0;
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
   StructureId previous = 0;
@@ -84,6 +83,15 @@ Status RegretLedger::RestoreState(persist::Decoder* dec) {
     Add(id, amount);
   }
   return Status::OK();
+}
+
+Money RegretLedger::MaxAmount() const {
+  if (max_stale_) {
+    max_ = Money();
+    for (Money amount : amounts_) max_ = Money::Max(max_, amount);
+    max_stale_ = false;
+  }
+  return max_;
 }
 
 const std::vector<std::pair<StructureId, Money>>&

@@ -75,6 +75,10 @@ class RegretLedger {
   /// Sum over all structures (maintained incrementally; O(1)).
   Money Total() const { return total_; }
 
+  /// The largest entry (zero when empty): Add raises it, a Clear or
+  /// Subtract of it marks it stale for one rescan on the next call.
+  Money MaxAmount() const;
+
   /// All entries with non-zero regret, descending by amount (ties by id).
   ///
   /// Maintained incrementally: the sorted view is rebuilt (into a reused
@@ -89,8 +93,8 @@ class RegretLedger {
   size_t size() const { return nonzero_; }
 
   /// Checkpoint support: saves the sparse non-zero entries in ascending id
-  /// order; restore replays them through Add, rebuilding the total and the
-  /// non-zero count and leaving the sorted view stale (it is a cache).
+  /// order; restore replays them through Add into an empty ledger,
+  /// leaving the sorted view stale (it is a cache).
   void SaveState(persist::Encoder* enc) const;
   Status RestoreState(persist::Decoder* dec);
 
@@ -102,6 +106,8 @@ class RegretLedger {
   /// Cached NonZeroDescending view (lazily rebuilt; see above).
   mutable std::vector<std::pair<StructureId, Money>> sorted_;
   mutable bool sorted_stale_ = true;
+  mutable Money max_;
+  mutable bool max_stale_ = false;
 };
 
 }  // namespace cloudcache

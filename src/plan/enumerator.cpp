@@ -183,6 +183,27 @@ void PlanEnumerator::BuildPlans(const Query& query, PlanSet* out) const {
     }
   }
   ReleaseSurplus(&out->records, used, &build_spares_);
+
+  // 4. Shape classes: a family joins the first earlier class whose first
+  // family has the same estimation inputs, or starts its own.
+  for (uint32_t f = 0; f < out->families.size(); ++f) {
+    PlanFamily& family = out->families[f];
+    const PlanSpec& spec = out->records[family.first].spec;
+    const uint32_t* nodes = &out->nodes[family.first];
+    family.shape_class = f;
+    for (uint32_t c = 0; c < f; ++c) {
+      const PlanFamily& lead = out->families[c];
+      const PlanSpec& other = out->records[lead.first].spec;
+      if (lead.shape_class == c && other.access == spec.access &&
+          other.covering == spec.covering &&
+          other.covered_predicates == spec.covered_predicates &&
+          std::equal(nodes, nodes + family.count, &out->nodes[lead.first],
+                     &out->nodes[lead.first] + lead.count)) {
+        family.shape_class = c;
+        break;
+      }
+    }
+  }
   out->existing.resize(used);
   out->time.resize(used);
   out->price_micros.resize(used);
@@ -236,11 +257,19 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
 
   // Price the plans for this query instance. Estimates depend on the
   // instance's selectivities and result shape, so they are never cached;
-  // but the batch estimator derives each family's ExecutionBase once and
-  // finalizes its node variants from it, straight into the columns. On a
-  // cache hit this loop is the ONLY per-query work.
+  // but the batch estimator derives one ExecutionBase per shape class and
+  // finalizes its node variants from it, straight into the columns; the
+  // class's other members copy those bits. On a cache hit this loop is
+  // the ONLY per-query work.
   batch_.Reset(query);
   for (const PlanFamily& family : set->families) {
+    const uint32_t lead = set->families[family.shape_class].first;
+    if (lead != family.first) {
+      std::copy_n(&set->time[lead], family.count, &set->time[family.first]);
+      std::copy_n(&set->price_micros[lead], family.count,
+                  &set->price_micros[family.first]);
+      continue;
+    }
     batch_.EstimateFamily(set->records[family.first].spec,
                           &set->nodes[family.first], family.count,
                           &set->time[family.first],

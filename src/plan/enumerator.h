@@ -47,16 +47,16 @@ struct EnumeratorOptions {
 ///
 /// Hot path: which plans exist depends on residency, but the plans do
 /// not. Queries of the same template share the skeleton of their plan set
-/// (records, families, node counts, CPU-node ids), derived once per
-/// template and cached; a cache hit only writes the time and Ce columns,
-/// one ExecutionBase per plan family. An entry is keyed by
-/// Query::template_id and revalidated against (candidate generation, the
-/// query's column signature). When the residency stamp (CacheState
-/// identity, CacheState::epoch) has moved since the entry was last
-/// served and a structure the skeleton employs changed residency, its
-/// `missing` lists and `existing` bits are refreshed in place — still a
-/// hit. Ad hoc queries
-/// (template_id < 0) always take the derive-from-scratch path.
+/// (records, families and their shape classes, node counts, CPU-node
+/// ids), derived once per template and cached; a cache hit only writes
+/// the time and Ce columns, one ExecutionBase per shape class. An entry
+/// is keyed by Query::template_id and revalidated against (candidate
+/// generation, the query's column signature). When the residency stamp
+/// (CacheState identity, CacheState::epoch) has moved since the entry was
+/// last served and a structure the skeleton employs changed residency,
+/// its `missing` lists and `existing` bits are refreshed in place — still
+/// a hit. Ad hoc queries (template_id < 0) always take the
+/// derive-from-scratch path.
 class PlanEnumerator {
  public:
   PlanEnumerator(const CostModel* model, StructureRegistry* registry,
@@ -126,9 +126,10 @@ class PlanEnumerator {
     PlanSet plans;
   };
 
-  /// Derives the residency-free skeleton of `query`'s plan set into
-  /// `out` (slot-reusing), leaving `missing`, `existing` and the hot
-  /// columns stale for RefreshResidency and the pricing pass.
+  /// Derives the residency-free skeleton of `query`'s plan set, its
+  /// families grouped into shape classes, into `out` (slot-reusing),
+  /// leaving `missing`, `existing` and the hot columns stale for
+  /// RefreshResidency and the pricing pass.
   void BuildPlans(const Query& query, PlanSet* out) const;
 
   /// Adds the per-node-count variants of one plan family to `out`.
@@ -155,7 +156,7 @@ class PlanEnumerator {
   mutable std::vector<StructureId> structures_scratch_;
   /// Spare slots for BuildPlans targets (cache entries, adhoc set).
   mutable std::vector<PlanRecord> build_spares_;
-  /// Writes the time/Ce columns, one ExecutionBase per plan family.
+  /// Writes the time/Ce columns, one ExecutionBase per shape class.
   mutable CostModel::BatchEstimator batch_;
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;

@@ -63,6 +63,10 @@ struct PlanFamily {
   /// How many leading entries of each variant's `structures` are the
   /// family's base structures (the rest are CPU-node extras).
   uint32_t base_structures = 0;
+  /// The shape class, named by its first family's index. Families with
+  /// equal access, covering, covered_predicates and node counts share
+  /// one: estimation reads only those, the query and the node count.
+  uint32_t shape_class = 0;
 };
 
 /// The plan set PQ of one query, split in a cold part and hot columns.
@@ -70,10 +74,15 @@ struct PlanFamily {
 /// The cold part is rebuilt only when the enumerator re-derives the
 /// template's plans (a plan-cache miss); in between, only the `missing`
 /// lists and the `existing` column change, refreshed when the cache
-/// residency moves. The
-/// hot columns are rewritten for every query instance, and the decision
-/// loop — skyline, affordability, selection, regret — reads them instead
-/// of the records.
+/// residency moves. The hot columns are rewritten for every query
+/// instance, and the decision loop — skyline, affordability, selection,
+/// regret — reads them instead of the records.
+///
+/// Price invariant: members of one shape class have the same time and Ce
+/// bits at each variant k, and the price column adds a per-family
+/// constant plus a per-node-count term shared by the set (base structures'
+/// charges plus a CPU-node prefix). So two members' prices differ by one
+/// constant across k — SkylineIndicesInto relies on it.
 struct PlanSet {
   // --- Cold part.
   std::vector<PlanRecord> records;

@@ -19,6 +19,10 @@ struct SkylineScratch {
   };
 
   std::vector<Key> frontier;
+  /// Per (shape class, base residency) group: its cheapest family.
+  std::vector<uint32_t> group_best;
+  /// Those families, ascending: the only ones the scans visit.
+  std::vector<uint32_t> scanned;
 };
 
 /// Pareto skyline over (execution time, price), per footnote 2 of the
@@ -36,7 +40,13 @@ struct SkylineScratch {
 /// frontier even when hypothetical plans dominate it — and fills `out`
 /// with the survivors' plan indices (existing partition first, each in
 /// ascending-time order). It reads only the `time`, `price_micros` and
-/// `existing` columns, never a plan record.
+/// `existing` columns and the family table, never a plan record.
+///
+/// Per (shape class, base residency `existing[first]`) group it scans
+/// only the family with the lowest first-variant price (ties to the
+/// lowest index). By PlanSet's price invariant every other member's
+/// variant is dominated by, or ties later than, one it keeps, so the
+/// survivors and their order equal a scan over every plan.
 void SkylineIndicesInto(const PlanSet& in, std::vector<size_t>* out,
                         SkylineScratch* scratch);
 

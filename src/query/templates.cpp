@@ -220,6 +220,7 @@ Query InstantiateQuery(const ResolvedTemplate& tmpl, const Catalog& catalog,
   query.output_columns = tmpl.output_columns;
   query.cpu_multiplier = tmpl.cpu_multiplier;
   query.parallel_fraction = tmpl.parallel_fraction;
+  query.predicates.reserve(tmpl.predicates.size());
   for (const auto& spec : tmpl.predicates) {
     Predicate pred;
     pred.column = spec.column;

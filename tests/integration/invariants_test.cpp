@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "src/catalog/tpch.h"
 #include "src/plan/skyline.h"
@@ -99,6 +102,88 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkylineProperty,
                          ::testing::Range<uint64_t>(1, 26));
+
+/// A random plan set shaped like the enumerator's and keeping PlanSet's
+/// price invariant: a few shapes of 1-4 node variants, each duplicated
+/// into 1-4 member families in shuffled order. Variant k of a member is
+/// its shape's (time, Ce) at k plus the member's base charge (often tied
+/// with another member's) plus a CPU-node prefix shared by the set, and
+/// exists iff the member's base and the first k CPU nodes are resident.
+/// Times come from a coarse grid, so equal-time groups span shapes.
+PlanSet RandomClassedSet(Rng& rng) {
+  const auto max_nodes = static_cast<size_t>(rng.NextInt(1, 4));
+  std::vector<int64_t> cpu_prefix = {0};
+  std::vector<uint8_t> cpu_resident = {1};
+  while (cpu_prefix.size() < max_nodes) {
+    cpu_prefix.push_back(cpu_prefix.back() + rng.NextInt(0, 40));
+    cpu_resident.push_back(cpu_resident.back() && rng.NextBernoulli(0.6));
+  }
+  struct Shape {
+    std::vector<double> time;
+    std::vector<int64_t> ce;
+  };
+  std::vector<Shape> shapes(static_cast<size_t>(rng.NextInt(1, 7)));
+  std::vector<size_t> order;  // Shape of each family, shuffled below.
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const auto variants = static_cast<size_t>(rng.NextInt(1, max_nodes));
+    for (size_t k = 0; k < variants; ++k) {
+      shapes[s].time.push_back(0.5 * static_cast<double>(rng.NextInt(1, 12)));
+      shapes[s].ce.push_back(rng.NextInt(1, 200));
+    }
+    order.insert(order.end(), static_cast<size_t>(rng.NextInt(1, 4)), s);
+  }
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+
+  PlanSet set;
+  std::vector<uint32_t> class_of(shapes.size(), UINT32_MAX);
+  std::vector<int64_t> bases;
+  for (size_t s : order) {
+    if (class_of[s] == UINT32_MAX) {
+      class_of[s] = static_cast<uint32_t>(set.families.size());
+    }
+    PlanFamily family;
+    family.first = static_cast<uint32_t>(set.time.size());
+    family.count = static_cast<uint32_t>(shapes[s].time.size());
+    family.shape_class = class_of[s];
+    set.families.push_back(family);
+    const int64_t base =
+        !bases.empty() && rng.NextBernoulli(0.3)
+            ? bases[rng.NextBounded(bases.size())]
+            : rng.NextInt(0, 150);
+    bases.push_back(base);
+    const bool base_resident = rng.NextBernoulli(0.5);
+    for (size_t k = 0; k < family.count; ++k) {
+      set.records.emplace_back();
+      set.nodes.push_back(static_cast<uint32_t>(k + 1));
+      set.existing.push_back(base_resident && cpu_resident[k] ? 1 : 0);
+      set.time.push_back(shapes[s].time[k]);
+      set.price_micros.push_back(shapes[s].ce[k] + base + cpu_prefix[k]);
+    }
+  }
+  return set;
+}
+
+class ShapeClassSkylineProperty : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ShapeClassSkylineProperty, PrunedScanEqualsFullScan) {
+  Rng rng(GetParam());
+  size_t pruned_sets = 0;
+  for (int round = 0; round < 50; ++round) {
+    const PlanSet set = RandomClassedSet(rng);
+    std::vector<size_t> kept;
+    SkylineScratch scratch;
+    SkylineIndicesInto(set, &kept, &scratch);
+    ASSERT_EQ(kept, testing::FullScanSkyline(set)) << "round " << round;
+    pruned_sets += testing::HasSharedShapeClass(set);
+  }
+  EXPECT_GT(pruned_sets, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShapeClassSkylineProperty,
+                         ::testing::Range<uint64_t>(1, 21));
 
 // ------------------------------------------------------------ cost model
 

@@ -1,16 +1,15 @@
 // The plan set's hot columns are a regrouping of the single-shot cost
-// model: per family ExecutionBase, per family carried sums, a CPU-node
-// prefix. This pin recomputes every plan's time and price the naive way
-// — CostModel::EstimateExecution per spec plus a per-structure carried
-// sum — and the skyline by a (time, price, index) sort-and-scan, and
-// demands the same bits, across scheme shapes, with the plan cache on and
-// off, for ad hoc queries, and while residency churns (forced builds,
-// then maintenance-failure evictions).
+// model: one ExecutionBase per shape class, per family carried sums, a
+// CPU-node prefix. This pin recomputes every plan's time and price the
+// naive way — CostModel::EstimateExecution per spec plus a per-structure
+// carried sum — and the skyline by a (time, price, index) sort-and-scan
+// over every plan (no shape-class pruning), and demands the same bits,
+// across scheme shapes, with the plan cache on and off, for ad hoc
+// queries, and while residency churns (forced builds, then
+// maintenance-failure evictions).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -23,6 +22,7 @@
 #include "src/query/templates.h"
 #include "src/structure/index_advisor.h"
 #include "src/util/rng.h"
+#include "tests/testing/plan_sets.h"
 
 namespace cloudcache {
 namespace {
@@ -48,30 +48,6 @@ EnumeratorOptions OptionsFor(Shape shape, bool plan_cache) {
     options.node_options = {1};
   }
   return options;
-}
-
-/// Reference skyline: each partition (existing first) sorted by
-/// (time, price, index), keeping every plan strictly cheaper than all
-/// plans before it.
-std::vector<size_t> ReferenceSkyline(const PlanSet& set) {
-  std::vector<size_t> out;
-  for (const uint8_t existing : {uint8_t{1}, uint8_t{0}}) {
-    std::vector<std::tuple<double, int64_t, size_t>> keys;
-    for (size_t i = 0; i < set.size(); ++i) {
-      if (set.existing[i] == existing) {
-        keys.emplace_back(set.time[i], set.price_micros[i], i);
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    int64_t cheapest = std::numeric_limits<int64_t>::max();
-    for (const auto& [time, price, index] : keys) {
-      if (price < cheapest) {
-        cheapest = price;
-        out.push_back(index);
-      }
-    }
-  }
-  return out;
 }
 
 using Param = std::tuple<Shape, bool>;
@@ -146,7 +122,8 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
     }
     std::vector<size_t> survivors;
     SkylineIndicesInto(set, &survivors, &scratch_);
-    ASSERT_EQ(survivors, ReferenceSkyline(set)) << "query " << query.id;
+    ASSERT_EQ(survivors, testing::FullScanSkyline(set))
+        << "query " << query.id;
   }
 
   /// Serves `query` and checks the materialized plan against the

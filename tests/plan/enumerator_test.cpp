@@ -243,6 +243,52 @@ TEST_F(EnumeratorTest, IndexesOnOtherTablesIgnored) {
   }
 }
 
+TEST_F(EnumeratorTest, ShapeClassesShareOneEstimate) {
+  PlanEnumerator enumerator = MakeEnumerator();
+  // Only f_date is predicated, so the (date) and (date, value) indexes
+  // probe the same predicate and both fetch rows from f_key: one shape.
+  // (date, value, key) covers the query: a shape of its own.
+  Query q;
+  q.template_id = 0;
+  q.table = *catalog_.FindTable("fact");
+  q.output_columns = {*catalog_.FindColumn("fact.f_key"),
+                      *catalog_.FindColumn("fact.f_value")};
+  Predicate date;
+  date.column = *catalog_.FindColumn("fact.f_date");
+  date.selectivity = 0.01;
+  date.clustered = true;
+  q.predicates.push_back(date);
+  DeriveResultShape(catalog_, 1.0, &q);
+  const PlanSet set = *enumerator.EnumerateShared(q, cache_);
+
+  // Families: backend, scan, (date), (date, value), (date, value, key).
+  ASSERT_EQ(set.families.size(), 5u);
+  std::vector<uint32_t> classes;
+  for (const PlanFamily& family : set.families) {
+    classes.push_back(family.shape_class);
+  }
+  EXPECT_EQ(classes, (std::vector<uint32_t>{0, 1, 2, 2, 4}));
+  EXPECT_FALSE(set.records[set.families[3].first].spec.covering);
+  EXPECT_TRUE(set.records[set.families[4].first].spec.covering);
+
+  // The member copies the leader's columns, and both match the
+  // single-shot estimate of each plan's own spec.
+  const PlanFamily& leader = set.families[2];
+  const PlanFamily& member = set.families[3];
+  ASSERT_EQ(member.count, leader.count);
+  for (uint32_t k = 0; k < member.count; ++k) {
+    EXPECT_EQ(set.time[member.first + k], set.time[leader.first + k]);
+    EXPECT_EQ(set.price_micros[member.first + k],
+              set.price_micros[leader.first + k]);
+    const ExecutionEstimate single =
+        model_.EstimateExecution(q, set.records[member.first + k].spec);
+    EXPECT_EQ(set.time[member.first + k], single.time_seconds);
+    EXPECT_EQ(set.price_micros[member.first + k], single.cost.micros());
+  }
+  // Different shapes, different estimates.
+  EXPECT_NE(set.time[set.families[4].first], set.time[leader.first]);
+}
+
 // --- Plan-skeleton cache -------------------------------------------------
 
 /// Full structural + priced equality of two plan sets, element by element.
@@ -268,6 +314,8 @@ void ExpectSamePlanSet(const PlanSet& a, const PlanSet& b) {
     EXPECT_EQ(a.families[f].first, b.families[f].first) << "family " << f;
     EXPECT_EQ(a.families[f].count, b.families[f].count) << "family " << f;
     EXPECT_EQ(a.families[f].base_structures, b.families[f].base_structures)
+        << "family " << f;
+    EXPECT_EQ(a.families[f].shape_class, b.families[f].shape_class)
         << "family " << f;
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "tests/testing/plan_sets.h"
@@ -138,6 +139,90 @@ TEST(PlanSetTest, IndexPartition) {
   set.existing = {0, 1, 0};
   SkylineIndicesInto(set, &out, &scratch);
   EXPECT_EQ(out, (std::vector<size_t>{1, 0, 2}));
+}
+
+// --- Shape classes --------------------------------------------------------
+
+/// One family of a hand-built set: its shape class (the index of the
+/// class's first family), whether its base structures are resident, and
+/// its variants' (time, price).
+struct FamilySpec {
+  uint32_t shape_class;
+  bool base_resident;
+  std::vector<std::pair<double, int64_t>> variants;
+};
+
+PlanSet ClassedSet(const std::vector<FamilySpec>& specs) {
+  PlanSet set;
+  for (const FamilySpec& spec : specs) {
+    PlanFamily family;
+    family.first = static_cast<uint32_t>(set.time.size());
+    family.count = static_cast<uint32_t>(spec.variants.size());
+    family.shape_class = spec.shape_class;
+    set.families.push_back(family);
+    for (size_t k = 0; k < spec.variants.size(); ++k) {
+      set.records.emplace_back();
+      set.nodes.push_back(static_cast<uint32_t>(k + 1));
+      set.existing.push_back(spec.base_resident ? 1 : 0);
+      set.time.push_back(spec.variants[k].first);
+      set.price_micros.push_back(spec.variants[k].second);
+    }
+  }
+  return set;
+}
+
+std::vector<size_t> Survivors(const PlanSet& set) {
+  std::vector<size_t> out;
+  SkylineScratch scratch;
+  SkylineIndicesInto(set, &out, &scratch);
+  return out;
+}
+
+// The sets below break PlanSet's price invariant on purpose (a class
+// member cheaper at one variant but pricier at another), so the
+// survivors show which family the skyline scanned.
+
+TEST(ShapeClassSkylineTest, ScansOnlyTheCheapestFamilyOfAGroup) {
+  const PlanSet set = ClassedSet({{0, true, {{10, 100}, {6, 300}}},
+                                  {0, true, {{10, 90}, {6, 400}}}});
+  EXPECT_EQ(Survivors(set), (std::vector<size_t>{3, 2}));
+  EXPECT_EQ(testing::FullScanSkyline(set), (std::vector<size_t>{1, 2}));
+}
+
+TEST(ShapeClassSkylineTest, PriceTieGoesToTheLowestFamilyIndex) {
+  const PlanSet set = ClassedSet({{0, true, {{10, 100}, {6, 300}}},
+                                  {0, true, {{10, 100}, {6, 200}}}});
+  EXPECT_EQ(Survivors(set), (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(testing::FullScanSkyline(set), (std::vector<size_t>{3, 0}));
+}
+
+TEST(ShapeClassSkylineTest, BaseResidencySplitsAGroup) {
+  // Same class, different base residency: each family is the cheapest
+  // of its own group, so both are scanned, each in its partition.
+  const PlanSet set = ClassedSet({{0, true, {{10, 100}, {6, 300}}},
+                                  {0, false, {{10, 90}, {6, 400}}}});
+  EXPECT_EQ(Survivors(set), (std::vector<size_t>{1, 0, 3, 2}));
+}
+
+TEST(ShapeClassSkylineTest, FamiliesOfDistinctClassesAreAllScanned) {
+  const PlanSet set = ClassedSet({{0, true, {{10, 100}, {6, 300}}},
+                                  {1, true, {{10, 90}, {6, 400}}}});
+  EXPECT_EQ(Survivors(set), (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(Survivors(set), testing::FullScanSkyline(set));
+}
+
+TEST(ShapeClassSkylineTest, GroupsAreChosenAnewEveryCall) {
+  // A reused scratch carries no group choice over: repricing flips which
+  // member is the cheapest.
+  PlanSet set = ClassedSet({{0, true, {{10, 100}, {6, 300}}},
+                            {0, true, {{10, 90}, {6, 290}}}});
+  std::vector<size_t> out;
+  SkylineScratch scratch;
+  SkylineIndicesInto(set, &out, &scratch);
+  EXPECT_EQ(out, (std::vector<size_t>{3, 2}));
+  set.price_micros = {80, 280, 90, 290};
+  SkylineIndicesInto(set, &out, &scratch);
+  EXPECT_EQ(out, (std::vector<size_t>{1, 0}));
 }
 
 TEST(PlanTest, PriceIsExecutionPlusCarried) {
