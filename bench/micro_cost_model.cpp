@@ -92,7 +92,7 @@ void BM_IndexBuildCost(benchmark::State& state) {
   const StructureKey key = IndexKey(env.catalog, {date, disc});
   const std::vector<bool> none(env.catalog.num_columns(), false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env.model.IndexBuildCost(key, none));
+    benchmark::DoNotOptimize(env.model.BuildCost(key, none));
   }
 }
 BENCHMARK(BM_IndexBuildCost);

@@ -3,6 +3,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/baseline/scheme.h"
 #include "src/catalog/tpch.h"
 #include "src/econ/economy.h"
@@ -98,6 +101,55 @@ void BM_AmortizerCancel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AmortizerCancel);
+
+// Pricing right after a residency move: each iteration adds or removes
+// one index key column that the query does not read, then quotes one
+// TPC-H query (enumerate + price). The move changes no plan's residency,
+// only the build cost of the hypothetical indexes keyed on that column.
+void BM_PriceAfterResidencyMove(benchmark::State& state) {
+  Env& env = GetEnv();
+  PriceList prices = PriceList::AmazonEc2_2009();
+  const CostModel model(&env.catalog, &prices);
+  StructureRegistry registry(&env.catalog);
+  EconomyEngine engine(&env.catalog, &registry, &model, EnumeratorOptions{},
+                       EconomyOptions{});
+  engine.SetIndexCandidates(env.indexes);
+  // The first query with a probe-able index (leading key column read by
+  // the query) that has a key column the query does not read.
+  const Query* query = nullptr;
+  StructureId toggled = 0;
+  for (const Query& candidate : env.queries) {
+    const std::vector<ColumnId>& accessed = candidate.AccessedColumns();
+    const auto reads = [&](ColumnId col) {
+      return std::find(accessed.begin(), accessed.end(), col) !=
+             accessed.end();
+    };
+    for (const StructureKey& key : env.indexes) {
+      if (key.table != candidate.table || !reads(key.columns.front())) {
+        continue;
+      }
+      const auto other =
+          std::find_if_not(key.columns.begin(), key.columns.end(), reads);
+      if (other == key.columns.end()) continue;
+      query = &candidate;
+      toggled = registry.Intern(ColumnKey(env.catalog, *other));
+      break;
+    }
+    if (query != nullptr) break;
+  }
+  if (query == nullptr) {
+    state.SkipWithError("no query has an unread index key column");
+    return;
+  }
+  CacheState& cache = engine.cache();
+  for (auto _ : state) {
+    const Status moved = cache.IsResident(toggled) ? cache.Remove(toggled)
+                                                   : cache.Add(toggled, 0);
+    benchmark::DoNotOptimize(moved.ok());
+    benchmark::DoNotOptimize(&engine.Quote(*query, 0));
+  }
+}
+BENCHMARK(BM_PriceAfterResidencyMove);
 
 void BM_EconColOnQuery(benchmark::State& state) {
   Env& env = GetEnv();

@@ -28,7 +28,15 @@ void ShowOutcome(const Catalog& catalog, const EconomyEngine& engine,
               BudgetCaseToString(outcome.budget_case),
               outcome.served ? "served" : "declined by user");
   if (outcome.served) {
-    std::printf("     executed %s\n", outcome.chosen.ToString().c_str());
+    const PlanSpec& spec = outcome.chosen.spec;
+    const char* access = spec.access == PlanSpec::Access::kBackend
+                             ? "backend"
+                         : spec.access == PlanSpec::Access::kCacheScan
+                             ? "cache-scan"
+                             : "cache-index";
+    std::printf("     executed %s[%un] t=%.3fs price=%s\n", access,
+                spec.cpu_nodes, outcome.chosen.time_seconds,
+                outcome.chosen.price.ToString().c_str());
     std::printf("     payment %s, cloud profit %s\n",
                 outcome.payment.ToString().c_str(),
                 outcome.profit.ToString().c_str());

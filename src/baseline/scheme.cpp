@@ -1,6 +1,7 @@
 #include "src/baseline/scheme.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/baseline/bypass_yield.h"
 #include "src/persist/util_io.h"
@@ -156,13 +157,13 @@ ServedQuery EconScheme::OnQuery(const Query& query, SimTime now) {
   // buffer is reused across queries (assignment recycles its storage).
   residency_scratch_ = engine_->cache().column_residency();
 
-  const QueryOutcome outcome = engine_->OnQuery(query, budget, now);
+  QueryOutcome outcome = engine_->OnQuery(query, budget, now);
 
   ServedQuery out;
   out.served = outcome.served;
   if (outcome.served) {
-    out.spec = outcome.chosen.spec;
-    out.execution = outcome.chosen.execution;
+    out.spec = std::move(outcome.chosen.spec);
+    out.execution.time_seconds = outcome.chosen.time_seconds;
     out.payment = outcome.payment;
     out.profit = outcome.profit;
   }

@@ -90,6 +90,8 @@ struct ServedQuery {
   /// Physical shape of the executed plan.
   PlanSpec spec;
   /// Execution estimate of the executed plan (times are price-independent).
+  /// The economy schemes fill only `time_seconds`: the simulator meters
+  /// the executed plan from `spec`.
   ExecutionEstimate execution;
   /// Raw resources consumed by structures built while handling this query.
   BuildUsage build_usage;

@@ -210,15 +210,6 @@ void CostModel::BatchEstimator::EstimateFamily(const PlanSpec& shape,
   }
 }
 
-ExecutionEstimate CostModel::BatchEstimator::Estimate(
-    const PlanSpec& spec) const {
-  CLOUDCACHE_CHECK(query_ != nullptr);
-  return model_->FinalizeExecution(
-      *query_, spec,
-      model_->EstimateExecutionBase(*query_, spec, accessed_width_,
-                                    clustered_fraction_));
-}
-
 Money CostModel::CpuNodeBuildCost() const {
   // Eq. 10: BuildN = b * u.
   return prices_->CpuCost(prices_->boot_seconds);
@@ -252,23 +243,6 @@ Query CostModel::MakeIndexBuildQuery(const StructureKey& index) const {
   return query;
 }
 
-Money CostModel::IndexBuildCost(
-    const StructureKey& index,
-    const std::vector<bool>& column_cached) const {
-  CLOUDCACHE_CHECK(index.type == StructureType::kIndex);
-  // Eq. 14: BuildI = Ce(P_sort) + sum of BuildT over key columns absent
-  // from the cache.
-  Query sort_query = MakeIndexBuildQuery(index);
-  PlanSpec spec;
-  spec.access = PlanSpec::Access::kCacheScan;
-  Money total = EstimateExecution(sort_query, spec).cost;
-  for (ColumnId col : index.columns) {
-    CLOUDCACHE_CHECK_LT(col, column_cached.size());
-    if (!column_cached[col]) total += ColumnBuildCost(col);
-  }
-  return total;
-}
-
 double CostModel::IndexBuildSeconds(
     const StructureKey& index,
     const std::vector<bool>& column_cached) const {
@@ -284,15 +258,35 @@ double CostModel::IndexBuildSeconds(
 
 Money CostModel::BuildCost(const StructureKey& key,
                            const std::vector<bool>& column_cached) const {
+  return FixedBuildCost(key) + AbsentKeyColumnsCost(key, column_cached);
+}
+
+Money CostModel::FixedBuildCost(const StructureKey& key) const {
   switch (key.type) {
     case StructureType::kCpuNode:
       return CpuNodeBuildCost();
     case StructureType::kColumn:
       return ColumnBuildCost(key.columns.front());
-    case StructureType::kIndex:
-      return IndexBuildCost(key, column_cached);
+    case StructureType::kIndex: {
+      // Eq. 14's first term: Ce of the sort query.
+      PlanSpec spec;
+      spec.access = PlanSpec::Access::kCacheScan;
+      return EstimateExecution(MakeIndexBuildQuery(key), spec).cost;
+    }
   }
   return Money();
+}
+
+Money CostModel::AbsentKeyColumnsCost(
+    const StructureKey& key, const std::vector<bool>& column_cached) const {
+  Money total;
+  if (key.type != StructureType::kIndex) return total;
+  // Eq. 14's second term: BuildT of every key column absent from the cache.
+  for (ColumnId col : key.columns) {
+    CLOUDCACHE_CHECK_LT(col, column_cached.size());
+    if (!column_cached[col]) total += ColumnBuildCost(col);
+  }
+  return total;
 }
 
 double CostModel::BuildSeconds(const StructureKey& key,

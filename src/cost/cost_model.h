@@ -129,10 +129,6 @@ class CostModel {
     void EstimateFamily(const PlanSpec& shape, const uint32_t* nodes,
                         size_t count, double* time, int64_t* cost_micros);
 
-    /// Same bits as model->EstimateExecution(query, spec) for the query
-    /// of the last Reset.
-    ExecutionEstimate Estimate(const PlanSpec& spec) const;
-
    private:
     const CostModel* model_;
     const Query* query_ = nullptr;
@@ -161,18 +157,25 @@ class CostModel {
   Money ColumnBuildCost(ColumnId column) const;
   /// Seconds the WAN transfer of a column takes (build latency).
   double ColumnBuildSeconds(ColumnId column) const;
-  /// BuildI (Eq. 14): the sort-query plan cost plus BuildT of every key
-  /// column not already cached. `column_cached(c)` reports residency.
-  Money IndexBuildCost(const StructureKey& index,
-                       const std::vector<bool>& column_cached) const;
   /// Seconds to build an index: transfer of missing columns plus the sort
   /// query's execution time.
   double IndexBuildSeconds(const StructureKey& index,
                            const std::vector<bool>& column_cached) const;
 
-  /// Build cost of any structure (dispatches on key.type).
+  /// Build cost of any structure: BuildN (Eq. 10), BuildT (Eq. 12), or
+  /// BuildI (Eq. 14) — the sort-query plan cost plus BuildT of every key
+  /// column not already cached (`column_cached[c]` reports residency).
+  /// Always FixedBuildCost + AbsentKeyColumnsCost.
   Money BuildCost(const StructureKey& key,
                   const std::vector<bool>& column_cached) const;
+  /// The residency-free part of BuildCost: all of BuildN or BuildT, or
+  /// Ce of an index's sort query.
+  Money FixedBuildCost(const StructureKey& key) const;
+  /// The residency-dependent part of BuildCost: BuildT summed over an
+  /// index's key columns absent from the cache; zero for columns and CPU
+  /// nodes.
+  Money AbsentKeyColumnsCost(const StructureKey& key,
+                             const std::vector<bool>& column_cached) const;
   /// Build latency of any structure (boot_seconds for CPU nodes).
   double BuildSeconds(const StructureKey& key,
                       const std::vector<bool>& column_cached) const;

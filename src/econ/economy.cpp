@@ -133,23 +133,23 @@ void EconomyEngine::ActivatePending(SimTime now) {
   }
 }
 
-Money EconomyEngine::BuildCostNow(StructureId id) const {
-  return model_->BuildCost(registry_->key(id), cache_.column_residency());
-}
-
-Money EconomyEngine::MemoBuildCostNow(StructureId id) const {
-  // Stamp = epoch + 1 so 0 means "never computed"; any residency mutation
-  // bumps the epoch and invalidates every entry at once.
+const EconomyEngine::BuildCostMemo& EconomyEngine::MemoBuildCost(
+    StructureId id) const {
+  if (id >= build_costs_.size()) build_costs_.resize(registry_->size());
+  BuildCostMemo& memo = build_costs_[id];
   const uint64_t stamp = cache_.epoch() + 1;
-  if (id >= build_cost_stamp_.size()) {
-    build_cost_stamp_.resize(registry_->size(), 0);
-    build_cost_value_.resize(registry_->size(), Money());
+  if (memo.stamp == stamp) return memo;
+  const StructureKey& key = registry_->key(id);
+  if (memo.stamp == 0) memo.fixed = model_->FixedBuildCost(key);
+  const Money cost =
+      memo.fixed +
+      model_->AbsentKeyColumnsCost(key, cache_.column_residency());
+  if (memo.stamp == 0 || cost != memo.cost) {
+    memo.cost = cost;
+    memo.share = EvenShare(cost, options_.amortization_horizon, 0);
   }
-  if (build_cost_stamp_[id] != stamp) {
-    build_cost_stamp_[id] = stamp;
-    build_cost_value_[id] = BuildCostNow(id);
-  }
-  return build_cost_value_[id];
+  memo.stamp = stamp;
+  return memo;
 }
 
 Money EconomyEngine::CarriedCharge(StructureId id, SimTime now) const {
@@ -162,19 +162,20 @@ Money EconomyEngine::CarriedCharge(StructureId id, SimTime now) const {
   }
   // Hypothetical structure: advertise the share its build cost would
   // contribute to this plan's price if it existed.
-  return EvenShare(MemoBuildCostNow(id), options_.amortization_horizon, 0);
+  return MemoBuildCost(id).share;
 }
 
 void EconomyEngine::PriceCarriedCharges(PlanSet* set, SimTime now) const {
   // Per-structure charges repeat heavily across the plan set: a column
   // appears in the scan plan, every non-covering index plan, and all of
   // their node variants. Each is computed at most once per call, under a
-  // per-call tick (a hypothetical structure's build cost is further
-  // memoized across queries under the residency epoch, see
-  // MemoBuildCostNow). Charges are summed per family instead of per plan:
-  // every variant carries the family's base structures plus a prefix of
-  // the set's CPU-node structures. Money is exact int64, so the regrouped
-  // sums are bit-identical to summing each plan's structure list.
+  // per-call tick (a hypothetical structure's share of its build cost is
+  // further memoized across queries, see MemoBuildCost). Charges are
+  // summed per family, not per plan: every variant carries the family's
+  // base structures plus a prefix of the set's CPU-node structures, and
+  // PlanSet::Price adds the two where a price is read. Money is exact
+  // int64, so the regrouped sums are bit-identical to summing each plan's
+  // structure list.
   const uint64_t tick = ++charge_tick_;
   const size_t universe = registry_->size();
   if (charge_stamp_.size() < universe) {
@@ -186,26 +187,21 @@ void EconomyEngine::PriceCarriedCharges(PlanSet* set, SimTime now) const {
       charge_stamp_[id] = tick;
       charge_value_[id] = CarriedCharge(id, now);
     }
-    return charge_value_[id];
+    return charge_value_[id].micros();
   };
-  // cpu_prefix_[k]: the charges of the set's first k CPU-node structures,
-  // which a plan on k + 1 nodes employs.
-  cpu_prefix_.resize(set->cpu_node_ids.size() + 1);
-  cpu_prefix_[0] = Money();
   for (size_t k = 0; k < set->cpu_node_ids.size(); ++k) {
-    cpu_prefix_[k + 1] = cpu_prefix_[k] + charge(set->cpu_node_ids[k]);
+    set->cpu_prefix_micros[k + 1] =
+        set->cpu_prefix_micros[k] + charge(set->cpu_node_ids[k]);
   }
-  for (const PlanFamily& family : set->families) {
-    const std::vector<StructureId>& structures =
-        set->records[family.first].structures;
-    Money base;
+  for (size_t f = 0; f < set->families.size(); ++f) {
+    const PlanFamily& family = set->families[f];
+    const StructureId* structures =
+        set->records[family.first].structures.data();
+    int64_t base = 0;
     for (uint32_t k = 0; k < family.base_structures; ++k) {
       base += charge(structures[k]);
     }
-    const uint32_t end = family.first + family.count;
-    for (uint32_t i = family.first; i < end; ++i) {
-      set->price_micros[i] += (base + cpu_prefix_[set->nodes[i] - 1]).micros();
-    }
+    set->base_micros[f] = base;
   }
 }
 
@@ -312,11 +308,13 @@ void EconomyEngine::SettleExecution(const PlanSet& set, size_t index,
     outcome->amortization_collected += amortizer_.ChargeShare(id);
   }
   account_.DepositRevenue(payment);
+  outcome->chosen.spec = set.records[index].spec;
+  outcome->chosen.time_seconds = set.Time(index);
+  outcome->chosen.price = set.Price(index);
   outcome->payment = payment;
-  outcome->profit = payment - set.Price(index);
+  outcome->profit = payment - outcome->chosen.price;
   CLOUDCACHE_CHECK_GE(outcome->profit.micros(), 0);
   outcome->served = true;
-  outcome->chosen = enumerator_.Materialize(set, index);
 }
 
 void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
@@ -355,7 +353,7 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
           return false;
         }
         if (options_.conservative_provider &&
-            credit < MemoBuildCostNow(id)) {
+            credit < MemoBuildCost(id).cost) {
           return false;
         }
         return true;
@@ -380,7 +378,7 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
         regret_value.Ratio(current_credit * options_.regret_fraction_a);
     if (std::llround(invest_in) < 1) continue;
 
-    const Money build_cost = MemoBuildCostNow(id);
+    const Money build_cost = MemoBuildCost(id).cost;
     if (options_.conservative_provider && current_credit < build_cost) {
       continue;  // Never gamble credit the cloud does not have.
     }
@@ -461,7 +459,7 @@ void EconomyEngine::EvictFailedStructures(SimTime now,
   // order, as a walk over every resident would judge them. Most calls find
   // nothing due and stop at a peek.
   const auto build_cost_now = [this](StructureId id) {
-    return MemoBuildCostNow(id);
+    return MemoBuildCost(id).cost;
   };
   maintenance_.CollectDue(now, cache_.epoch(), build_cost_now, &due_);
   for (size_t i = 0; i < due_.size(); ++i) {
@@ -471,7 +469,7 @@ void EconomyEngine::EvictFailedStructures(SimTime now,
     if (build_cost.IsZero()) {
       // Column shipped as part of an index build: judge it by what it
       // would cost to rebuild on its own.
-      build_cost = MemoBuildCostNow(id);
+      build_cost = MemoBuildCost(id).cost;
     }
     Money owed;
     Money threshold;
@@ -521,7 +519,7 @@ Status EconomyEngine::ForceBuild(const StructureKey& key, SimTime now) {
   if (cache_.IsResident(id) || pending(id)) {
     return Status::AlreadyExists(key.ToString(*catalog_));
   }
-  const Money build_cost = BuildCostNow(id);
+  const Money build_cost = model_->BuildCost(key, cache_.column_residency());
   CLOUDCACHE_RETURN_IF_ERROR(account_.WithdrawInvestment(build_cost));
   std::vector<StructureId> built = {id};
   if (key.type == StructureType::kIndex) {
@@ -588,13 +586,12 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
   EvictFailedStructures(now, &outcome);
 
   // The whole decision pipeline below runs on reused buffers: the
-  // enumerator's shared per-template plan set, whose time/price columns
-  // Quote rewrites for this query, plus the economy's survivor scratch.
-  // The skyline yields survivor INDICES into that set, and every
-  // downstream step reads its columns; only the chosen plan is
-  // materialized, into the outcome.
+  // enumerator's shared per-template plan set, whose hot columns Quote
+  // rewrites for this query, plus the economy's survivor scratch. The
+  // skyline yields survivor INDICES into that set, and every downstream
+  // step reads its columns; the outcome gets the chosen plan's spec, time
+  // and price.
   const PlanSet& set = Quote(query, now);
-  last_quote_ = &set;
   {
     obs::ScopedStageTimer timer(obs::Stage::kSkyline);
     SkylineIndicesInto(set, &skyline_indices_, &skyline_scratch_);
@@ -625,7 +622,7 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
         }
       }
     }
-    s.time = set.time[idx];
+    s.time = set.Time(idx);
     s.price = set.Price(idx);
     s.budget = budget.At(s.time);
     s.affordable = !(s.time > budget.t_max()) && s.budget >= s.price;
@@ -780,8 +777,7 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
   charge_tick_ = 0;
   charge_stamp_.clear();
   charge_value_.clear();
-  build_cost_stamp_.clear();
-  build_cost_value_.clear();
+  build_costs_.clear();
   active_tenant_regret_ = nullptr;
   active_tenant_ = 0;
   suppress_regret_ = false;

@@ -24,6 +24,8 @@ namespace obs {
 class EventTracer;
 }  // namespace obs
 
+class EconomyEnginePeer;
+
 /// How the cloud picks among the affordable executable plans.
 enum class PlanSelection {
   /// Section IV-C, cases B/C: minimize the cloud's gain
@@ -117,13 +119,22 @@ struct EconomyOptions {
   AdmissionOptions admission;
 };
 
+/// The executed plan as the outcome reports it, read from the plan set's
+/// columns.
+struct ChosenPlan {
+  PlanSpec spec;
+  /// Response time the plan guarantees.
+  double time_seconds = 0;
+  /// C = Ce + Ca (Eq. 4): the plan's advertised price.
+  Money price;
+};
+
 /// Everything that happened while serving (or declining) one query.
 struct QueryOutcome {
   bool served = false;
   BudgetCase budget_case = BudgetCase::kCaseB;
-  /// The executed plan (meaningful only if served), materialized from the
-  /// plan set's columns.
-  QueryPlan chosen;
+  /// The executed plan (meaningful only if served).
+  ChosenPlan chosen;
   /// What the user paid: B_Q(t_i) in cases B/C, the plan price in case A.
   Money payment;
   /// payment - price of the chosen plan (non-negative).
@@ -210,18 +221,12 @@ class EconomyEngine {
   QueryOutcome OnQuery(const Query& query, const BudgetFunction& budget,
                        SimTime now);
 
-  /// The priced plan menu of `query` at `now`: the enumerator's plan set
-  /// with its `price_micros` column holding C = Ce + Ca (Eq. 4). It reads
-  /// the state as is — call OnTick(now) first to activate finished
-  /// builds — and changes nothing but memos (pricing, the plan cache and
-  /// its hit/miss counters). The set is valid until the next Quote or
-  /// OnQuery.
+  /// The priced plan menu of `query` at `now`: the enumerator's plan set,
+  /// whose Price(i) is C = Ce + Ca (Eq. 4). It reads the state as is —
+  /// call OnTick(now) first to activate finished builds — and changes
+  /// nothing but memos (pricing, the plan cache and its hit/miss
+  /// counters). The set is valid until the next Quote or OnQuery.
   const PlanSet& Quote(const Query& query, SimTime now) const;
-
-  /// The set the last OnQuery quoted (null before one) and its skyline's
-  /// survivor indices; valid until the next Quote or OnQuery.
-  const PlanSet* last_quote() const { return last_quote_; }
-  const std::vector<size_t>& last_survivors() const { return skyline_indices_; }
 
   /// Ca of one structure at `now`, as PriceCarriedCharges adds it to
   /// every plan employing it: a resident structure's pending Eq. 5-7
@@ -266,6 +271,9 @@ class EconomyEngine {
   Status RestoreState(persist::Decoder* dec);
 
  private:
+  /// Test-only reader of the build-cost memo (tests/testing/).
+  friend class EconomyEnginePeer;
+
   struct PendingBuild {
     SimTime ready_at;
     StructureId id;
@@ -286,8 +294,8 @@ class EconomyEngine {
 
   /// Moves finished pending builds into the cache.
   void ActivatePending(SimTime now);
-  /// Adds each plan's carried charges (Ca + owed maintenance) to its
-  /// price column.
+  /// Writes the set's carried charges (Ca + owed maintenance): one base
+  /// charge per family and the CPU-node prefix.
   void PriceCarriedCharges(PlanSet* set, SimTime now) const;
   /// Position in survivors_ of the affordable executable survivor the
   /// policy selects; requires at least one.
@@ -302,15 +310,24 @@ class EconomyEngine {
   /// Evicts structures whose unpaid maintenance exceeds the failure
   /// threshold.
   void EvictFailedStructures(SimTime now, QueryOutcome* outcome);
-  /// Build-cost of `id` given current column residency.
-  Money BuildCostNow(StructureId id) const;
-  /// BuildCostNow memoized under the residency epoch: column residency —
-  /// the only input that varies — moves exactly with CacheState::epoch, so
-  /// within an epoch the memo returns the same bits as a fresh
-  /// computation. The invest fast path and the failure scan hit this every
-  /// query; index build costs (Eq. 14's synthetic sort query) are the
-  /// expensive case it elides.
-  Money MemoBuildCostNow(StructureId id) const;
+  /// One structure's memoized build cost at the current column residency.
+  struct BuildCostMemo {
+    /// Residency epoch + 1 the entry was last checked at; 0: never.
+    uint64_t stamp = 0;
+    /// CostModel::FixedBuildCost: computed once, never stale.
+    Money fixed;
+    /// fixed + CostModel::AbsentKeyColumnsCost at the stamp's epoch.
+    Money cost;
+    /// EvenShare(cost, horizon, 0): a hypothetical structure's Ca.
+    Money share;
+  };
+  /// The memo entry of `id`, brought up to the residency epoch. Within an
+  /// epoch it is one stamp compare; across epochs only an index's own
+  /// absent key columns are re-added, and the share is recomputed only
+  /// when the cost moved. Money is exact int64, so the regrouped sum is
+  /// the same bits as CostModel::BuildCost. The invest path, the failure
+  /// scan and every hypothetical carried charge read it.
+  const BuildCostMemo& MemoBuildCost(StructureId id) const;
   /// Clears `id` from the global ledger and every tenant ledger.
   void ClearRegretEverywhere(StructureId id);
   /// How evenly `id`'s accrued regret spreads over the tenant ledgers,
@@ -322,7 +339,7 @@ class EconomyEngine {
   /// investing on the tenant's behalf).
   void ForfeitTenantRegret(uint32_t tenant);
   /// Executes plan `index` of `set`: payments, touches, maintenance
-  /// shares, and the materialized outcome plan.
+  /// shares, and the outcome's chosen plan.
   void SettleExecution(const PlanSet& set, size_t index, Money payment,
                        SimTime now, QueryOutcome* outcome);
 
@@ -373,20 +390,18 @@ class EconomyEngine {
   /// Per-query scratch, reused across OnQuery calls: the skyline survivor
   /// indices, the skyline's frontier buffer, and the survivors' gathered
   /// columns. The decision path reads the enumerator's shared plan set in
-  /// place; only the chosen plan is materialized, into the outcome.
+  /// place; nothing of it outlives the query but the chosen plan's spec,
+  /// time and price.
   std::vector<size_t> skyline_indices_;
-  const PlanSet* last_quote_ = nullptr;
   SkylineScratch skyline_scratch_;
   std::vector<Survivor> survivors_;
   /// PriceCarriedCharges memo: CarriedCharge per StructureId under a
-  /// per-call tick, and the per-call CPU-node prefix sums.
+  /// per-call tick.
   mutable uint64_t charge_tick_ = 0;
   mutable std::vector<uint64_t> charge_stamp_;
   mutable std::vector<Money> charge_value_;
-  mutable std::vector<Money> cpu_prefix_;
-  /// MemoBuildCostNow's epoch-stamped cache, indexed by StructureId.
-  mutable std::vector<uint64_t> build_cost_stamp_;
-  mutable std::vector<Money> build_cost_value_;
+  /// MemoBuildCost's entries, indexed by StructureId.
+  mutable std::vector<BuildCostMemo> build_costs_;
 };
 
 }  // namespace cloudcache

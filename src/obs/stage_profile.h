@@ -14,7 +14,7 @@ namespace obs {
 enum class Stage : int {
   kEnumerate = 0,  // Plan enumeration plus the time/Ce columns.
   kSkyline = 1,    // Time/price skyline filtering of the plan set.
-  kPrice = 2,      // Carried charges added to the price column.
+  kPrice = 2,      // Carried charges: family bases and CPU-node prefix.
   kSettle = 3,     // Plan selection, settlement, regret, investment.
 };
 inline constexpr int kNumStages = 4;

@@ -96,6 +96,7 @@ void PlanEnumerator::EmitNodeVariants(const PlanSpec& spec,
         out->cpu_node_ids.push_back(id);
       }
     }
+    out->family.push_back(static_cast<uint32_t>(out->families.size()));
     out->nodes.push_back(nodes);
     ++family.count;
   }
@@ -105,6 +106,7 @@ void PlanEnumerator::EmitNodeVariants(const PlanSpec& spec,
 void PlanEnumerator::BuildPlans(const Query& query, PlanSet* out) const {
   size_t used = 0;
   out->families.clear();
+  out->family.clear();
   out->nodes.clear();
   out->cpu_node_ids.clear();
 
@@ -117,6 +119,7 @@ void PlanEnumerator::BuildPlans(const Query& query, PlanSet* out) const {
     plan.spec.cpu_nodes = 1;
     plan.structures.clear();
     out->families.push_back(PlanFamily{0, 1, 0});
+    out->family.push_back(0);
     out->nodes.push_back(1);
   }
 
@@ -206,7 +209,9 @@ void PlanEnumerator::BuildPlans(const Query& query, PlanSet* out) const {
   }
   out->existing.resize(used);
   out->time.resize(used);
-  out->price_micros.resize(used);
+  out->ce_micros.resize(used);
+  out->base_micros.assign(out->families.size(), 0);
+  out->cpu_prefix_micros.assign(out->cpu_node_ids.size() + 1, 0);
 }
 
 PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
@@ -255,35 +260,22 @@ PlanSet* PlanEnumerator::EnumerateShared(const Query& query,
     set = &entry.plans;
   }
 
-  // Price the plans for this query instance. Estimates depend on the
+  // Estimate the plans for this query instance. Estimates depend on the
   // instance's selectivities and result shape, so they are never cached;
   // but the batch estimator derives one ExecutionBase per shape class and
-  // finalizes its node variants from it, straight into the columns; the
-  // class's other members copy those bits. On a cache hit this loop is
+  // finalizes its node variants from it, straight into the class's
+  // columns, which its other members read. On a cache hit this loop is
   // the ONLY per-query work.
   batch_.Reset(query);
-  for (const PlanFamily& family : set->families) {
-    const uint32_t lead = set->families[family.shape_class].first;
-    if (lead != family.first) {
-      std::copy_n(&set->time[lead], family.count, &set->time[family.first]);
-      std::copy_n(&set->price_micros[lead], family.count,
-                  &set->price_micros[family.first]);
-      continue;
-    }
+  for (uint32_t f = 0; f < set->families.size(); ++f) {
+    const PlanFamily& family = set->families[f];
+    if (family.shape_class != f) continue;
     batch_.EstimateFamily(set->records[family.first].spec,
                           &set->nodes[family.first], family.count,
                           &set->time[family.first],
-                          &set->price_micros[family.first]);
+                          &set->ce_micros[family.first]);
   }
   return set;
-}
-
-QueryPlan PlanEnumerator::Materialize(const PlanSet& set, size_t i) const {
-  QueryPlan plan;
-  static_cast<PlanRecord&>(plan) = set.records[i];
-  plan.execution = batch_.Estimate(plan.spec);
-  plan.carried_charges = set.Price(i) - plan.execution.cost;
-  return plan;
 }
 
 }  // namespace cloudcache

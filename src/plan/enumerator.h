@@ -41,15 +41,18 @@ struct EnumeratorOptions {
 ///
 /// Structures already resident make a plan executable (PQexist); plans
 /// referencing unbuilt structures are emitted as hypothetical (PQpos). The
-/// returned set is NOT skyline-filtered:
-/// the economy first adds carried charges (Ca, owed maintenance), then
-/// applies SkylineIndicesInto.
+/// returned set is NOT skyline-filtered: the economy first writes its
+/// carried charges (Ca, owed maintenance) — one base charge per family and
+/// a CPU-node prefix — then applies SkylineIndicesInto.
 ///
 /// Hot path: which plans exist depends on residency, but the plans do
 /// not. Queries of the same template share the skeleton of their plan set
 /// (records, families and their shape classes, node counts, CPU-node
 /// ids), derived once per template and cached; a cache hit only writes
-/// the time and Ce columns, one ExecutionBase per shape class. An entry
+/// the time and Ce columns of each shape class, from one ExecutionBase
+/// per class. Member families copy nothing: PlanSet reads a member's
+/// estimate from its class's slots, and no plan is ever materialized —
+/// the decision loop and the served outcome read the columns. An entry
 /// is keyed by Query::template_id and revalidated against (candidate
 /// generation, the query's column signature). When the residency stamp
 /// (CacheState identity, CacheState::epoch) has moved since the entry was
@@ -72,21 +75,16 @@ class PlanEnumerator {
   }
 
   /// Enumerates plans for `query` against the current cache contents and
-  /// returns the enumerator-OWNED plan set with its `time` and
-  /// `price_micros` (= Ce) columns written for this query instance
-  /// (zero-copy: the per-query decision loop reads it in place). On a
-  /// template-cache hit the cold part is touched only to refresh its
-  /// missing-sets after a residency move. The pointee is valid until the
-  /// next call on this enumerator; callers may rewrite the hot columns
-  /// but must NOT touch the cold part, which is the cached template
-  /// state.
+  /// returns the enumerator-OWNED plan set with its shape classes' `time`
+  /// and `ce_micros` columns written for this query instance (zero-copy:
+  /// the per-query decision loop reads it in place). Its `base_micros`
+  /// and `cpu_prefix_micros` are the caller's to write (zero after a
+  /// rebuild). On a template-cache hit the cold part is touched only to
+  /// refresh its missing-sets after a residency move. The pointee is
+  /// valid until the next call on this enumerator; callers may rewrite
+  /// the hot columns but must NOT touch the cold part, which is the
+  /// cached template state.
   PlanSet* EnumerateShared(const Query& query, const CacheState& cache) const;
-
-  /// Plan `i` of `set` (the set the last EnumerateShared returned) as a
-  /// QueryPlan: its record, one re-estimate for the query of that call
-  /// (the same bits as the columns, because estimation is pure), and the
-  /// carried charges the price column holds beyond Ce.
-  QueryPlan Materialize(const PlanSet& set, size_t i) const;
 
   const EnumeratorOptions& options() const { return options_; }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/cost/cost_model.h"
@@ -31,26 +30,6 @@ struct PlanRecord {
   bool IsExisting() const { return missing.empty(); }
 };
 
-/// A materialized, priced plan: the record plus its execution estimate
-/// and carried charges for one query instance. The decision loop prices
-/// plans as PlanSet columns; only the executed plan becomes a QueryPlan.
-struct QueryPlan : PlanRecord {
-  /// Execution estimate at the deciding scheme's price list.
-  ExecutionEstimate execution;
-  /// Amortized-cost component Ca (Eq. 5-7) plus owed maintenance of the
-  /// plan's structures (footnote 3).
-  Money carried_charges;
-
-  /// C(PQ) = Ce(PQ) + Ca(PQ): the plan's advertised price (Eq. 4).
-  Money Price() const { return execution.cost + carried_charges; }
-
-  /// Response time the plan guarantees.
-  double TimeSeconds() const { return execution.time_seconds; }
-
-  /// Debug form, e.g. "cache-index[3n] t=1.20s price=$0.004 (+2 missing)".
-  std::string ToString() const;
-};
-
 /// One plan family: the node-count variants of one access shape
 /// (access, covered_predicates, covering), stored consecutively. Every
 /// variant employs the family's base structures followed by its own
@@ -78,15 +57,18 @@ struct PlanFamily {
 /// instance, and the decision loop — skyline, affordability, selection,
 /// regret — reads them instead of the records.
 ///
-/// Price invariant: members of one shape class have the same time and Ce
-/// bits at each variant k, and the price column adds a per-family
-/// constant plus a per-node-count term shared by the set (base structures'
-/// charges plus a CPU-node prefix). So two members' prices differ by one
-/// constant across k — SkylineIndicesInto relies on it.
+/// Prices are not stored per plan; Price(i) adds three columns where it is
+/// read: the Ce of plan i's shape class at its variant, its family's base
+/// charge, and the set's CPU-node prefix at its node count. So members of
+/// one shape class share each variant's time and Ce by layout, and two
+/// members' prices differ by one constant (their base charges) across
+/// every variant — SkylineIndicesInto relies on it.
 struct PlanSet {
   // --- Cold part.
   std::vector<PlanRecord> records;
   std::vector<PlanFamily> families;
+  /// Per plan: the index of its family.
+  std::vector<uint32_t> family;
   /// Per plan: CPU nodes employed (records[i].spec.cpu_nodes; 1 for the
   /// back-end plan).
   std::vector<uint32_t> nodes;
@@ -96,15 +78,36 @@ struct PlanSet {
   /// set employs them; a plan on n nodes employs the first n - 1.
   std::vector<StructureId> cpu_node_ids;
 
-  // --- Hot columns, one entry per plan.
-  /// Response time of the plan for the current query.
+  // --- Hot columns, rewritten per query: `time` and `ce_micros` by the
+  // enumerator, the carried charges by the economy's pricing pass (zero
+  // until one runs).
+  /// Response time and Ce (micro-dollars) of each shape class's variants,
+  /// at the plan slots of the class's first family; the slots of the
+  /// other members are never read.
   std::vector<double> time;
-  /// Ce in micro-dollars after enumeration; the economy then adds the
-  /// carried charges, making it the plan's price C = Ce + Ca (Eq. 4).
-  std::vector<int64_t> price_micros;
+  std::vector<int64_t> ce_micros;
+  /// Per family: the carried charges (Ca plus owed maintenance) of its
+  /// base structures.
+  std::vector<int64_t> base_micros;
+  /// cpu_prefix_micros[k]: the carried charges of the first k CPU-node
+  /// structures, which a plan on k + 1 nodes employs.
+  std::vector<int64_t> cpu_prefix_micros;
 
   size_t size() const { return records.size(); }
-  Money Price(size_t i) const { return Money::FromMicros(price_micros[i]); }
+  /// The slot of `time`/`ce_micros` holding plan i's estimate: the same
+  /// variant of its shape class's first family.
+  size_t Slot(size_t i) const {
+    const PlanFamily& f = families[family[i]];
+    return families[f.shape_class].first + (i - f.first);
+  }
+  /// Response time of plan i for the current query.
+  double Time(size_t i) const { return time[Slot(i)]; }
+  /// C = Ce + Ca of plan i (Eq. 4).
+  int64_t PriceMicros(size_t i) const {
+    return ce_micros[Slot(i)] + base_micros[family[i]] +
+           cpu_prefix_micros[nodes[i] - 1];
+  }
+  Money Price(size_t i) const { return Money::FromMicros(PriceMicros(i)); }
 };
 
 }  // namespace cloudcache

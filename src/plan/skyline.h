@@ -18,7 +18,8 @@ struct SkylineScratch {
     size_t index;
   };
 
-  std::vector<Key> frontier;
+  /// Per partition (indexed by the is-existing bit): its Pareto frontier.
+  std::vector<Key> frontier[2];
   /// Per (shape class, base residency) group: its cheapest family.
   std::vector<uint32_t> group_best;
   /// Those families, ascending: the only ones the scans visit.
@@ -39,14 +40,15 @@ struct SkylineScratch {
 /// skylined independently, because PQexist must retain an executable
 /// frontier even when hypothetical plans dominate it — and fills `out`
 /// with the survivors' plan indices (existing partition first, each in
-/// ascending-time order). It reads only the `time`, `price_micros` and
-/// `existing` columns and the family table, never a plan record.
+/// ascending-time order). It reads only the hot columns, the node counts,
+/// the `existing` column and the family table, never a plan record.
 ///
 /// Per (shape class, base residency `existing[first]`) group it scans
 /// only the family with the lowest first-variant price (ties to the
-/// lowest index). By PlanSet's price invariant every other member's
-/// variant is dominated by, or ties later than, one it keeps, so the
-/// survivors and their order equal a scan over every plan.
+/// lowest index). By PlanSet's layout every other member's variant is
+/// the kept family's variant plus a constant, so it is dominated by, or
+/// ties later than, one the scan keeps, and the survivors and their order
+/// equal a scan over every plan.
 void SkylineIndicesInto(const PlanSet& in, std::vector<size_t>* out,
                         SkylineScratch* scratch);
 

@@ -172,11 +172,28 @@ TEST_F(CostModelTest, IndexBuildChargesMissingColumnsEq14) {
   const StructureKey index = IndexKey(catalog_, {col});
   std::vector<bool> none(catalog_.num_columns(), false);
   std::vector<bool> all(catalog_.num_columns(), true);
-  const Money with_transfer = model_.IndexBuildCost(index, none);
-  const Money without_transfer = model_.IndexBuildCost(index, all);
+  const Money with_transfer = model_.BuildCost(index, none);
+  const Money without_transfer = model_.BuildCost(index, all);
   EXPECT_EQ(with_transfer - without_transfer,
             model_.ColumnBuildCost(col));
   EXPECT_GT(without_transfer.micros(), 0);  // The sort is never free.
+}
+
+TEST_F(CostModelTest, BuildCostSplitsIntoFixedAndAbsentKeyColumns) {
+  // Only an index's absent key columns depend on residency.
+  const ColumnId date = *catalog_.FindColumn("fact.f_date");
+  const ColumnId value = *catalog_.FindColumn("fact.f_value");
+  const StructureKey index = IndexKey(catalog_, {date, value});
+  std::vector<bool> cached(catalog_.num_columns(), false);
+  cached[value] = true;
+  EXPECT_EQ(model_.AbsentKeyColumnsCost(index, cached),
+            model_.ColumnBuildCost(date));
+  EXPECT_EQ(model_.BuildCost(index, cached),
+            model_.FixedBuildCost(index) + model_.ColumnBuildCost(date));
+  for (const StructureKey& key : {ColumnKey(catalog_, date), CpuNodeKey(0)}) {
+    EXPECT_TRUE(model_.AbsentKeyColumnsCost(key, cached).IsZero());
+    EXPECT_EQ(model_.BuildCost(key, cached), model_.FixedBuildCost(key));
+  }
 }
 
 TEST_F(CostModelTest, IndexBuildSecondsIncludeTransfers) {

@@ -109,7 +109,7 @@ TEST_F(EconomyTest, CaseBPaymentIsUserBudgetAtChosenTime) {
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   ASSERT_TRUE(outcome.served);
   EXPECT_EQ(outcome.payment, Money::FromDollars(1000));
-  EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.Price());
+  EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.price);
   EXPECT_GT(outcome.profit.micros(), 0);
 }
 
@@ -133,7 +133,7 @@ TEST_F(EconomyTest, UnaffordableBudgetIsCaseA) {
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseA);
   // The paper's user accepts the (backend) offer at its quoted price.
   ASSERT_TRUE(outcome.served);
-  EXPECT_EQ(outcome.payment, outcome.chosen.Price());
+  EXPECT_EQ(outcome.payment, outcome.chosen.price);
   EXPECT_TRUE(outcome.profit.IsZero());
 }
 
@@ -414,8 +414,8 @@ TEST_F(EconomyTest, FastestSelectionPrefersSpeed) {
   const QueryOutcome fast = fast_engine->OnQuery(q, budget, 1.0);
   ASSERT_TRUE(cheap.served);
   ASSERT_TRUE(fast.served);
-  EXPECT_LE(fast.chosen.TimeSeconds(), cheap.chosen.TimeSeconds());
-  EXPECT_LE(cheap.chosen.Price(), fast.chosen.Price());
+  EXPECT_LE(fast.chosen.time_seconds, cheap.chosen.time_seconds);
+  EXPECT_LE(cheap.chosen.price, fast.chosen.price);
 }
 
 TEST_F(EconomyTest, MinProfitSelectionMinimizesGain) {
@@ -432,9 +432,9 @@ TEST_F(EconomyTest, MinProfitSelectionMinimizesGain) {
   ASSERT_TRUE(outcome.served);
   // With a step budget, minimal gain = maximal price: the user gets the
   // most service for her money (the altruistic criterion).
-  EXPECT_GT(outcome.chosen.Price(),
+  EXPECT_GT(outcome.chosen.price,
             Money());  // Sanity.
-  EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.Price());
+  EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.price);
 }
 
 TEST_F(EconomyTest, MixedAffordabilityIsCaseC) {
@@ -463,12 +463,12 @@ TEST_F(EconomyTest, MixedAffordabilityIsCaseC) {
   const QueryOutcome probe = probe_engine->OnQuery(q, huge, 1.0);
   ASSERT_TRUE(probe.served);
 
-  StepBudget snug(probe.chosen.Price() * 1.3, 1e6);
+  StepBudget snug(probe.chosen.price * 1.3, 1e6);
   const QueryOutcome outcome = engine->OnQuery(q, snug, 1.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseC);
   ASSERT_TRUE(outcome.served);
   // Served within budget: payment equals the budget level, not the price.
-  EXPECT_EQ(outcome.payment, probe.chosen.Price() * 1.3);
+  EXPECT_EQ(outcome.payment, probe.chosen.price * 1.3);
 }
 
 TEST_F(EconomyTest, OutcomeCountsPlans) {

@@ -27,19 +27,21 @@ namespace {
 
 // ---------------------------------------------------------------- skyline
 
-QueryPlan RandomPlan(Rng& rng) {
-  QueryPlan plan;
-  plan.execution.time_seconds = rng.NextUniform(0.1, 100.0);
-  plan.execution.cost = Money::FromMicros(rng.NextInt(1, 1'000'000));
-  if (rng.NextBernoulli(0.5)) plan.missing.push_back(0);
+using testing::PricedPlan;
+
+PricedPlan RandomPlan(Rng& rng) {
+  PricedPlan plan;
+  plan.time = rng.NextUniform(0.1, 100.0);
+  plan.ce = Money::FromMicros(rng.NextInt(1, 1'000'000));
+  plan.existing = !rng.NextBernoulli(0.5);
   return plan;
 }
 
-bool Dominates(const QueryPlan& a, const QueryPlan& b) {
-  const bool no_worse = a.TimeSeconds() <= b.TimeSeconds() &&
-                        a.Price() <= b.Price();
-  const bool better = a.TimeSeconds() < b.TimeSeconds() ||
-                      a.Price() < b.Price();
+Money PriceOf(const PricedPlan& plan) { return plan.ce + plan.carried; }
+
+bool Dominates(const PricedPlan& a, const PricedPlan& b) {
+  const bool no_worse = a.time <= b.time && PriceOf(a) <= PriceOf(b);
+  const bool better = a.time < b.time || PriceOf(a) < PriceOf(b);
   return no_worse && better;
 }
 
@@ -47,7 +49,7 @@ class SkylineProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
   Rng rng(GetParam());
-  std::vector<QueryPlan> plans;
+  std::vector<PricedPlan> plans;
   const int n = static_cast<int>(rng.NextInt(1, 60));
   for (int i = 0; i < n; ++i) plans.push_back(RandomPlan(rng));
   const PlanSet set = testing::PlanSetOf(plans);
@@ -63,7 +65,7 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
   // Existing and possible plans are skylined separately, so dominance
   // only counts within a plan's own partition.
   const auto same_partition = [&](size_t i, size_t j) {
-    return plans[i].IsExisting() == plans[j].IsExisting();
+    return plans[i].existing == plans[j].existing;
   };
   for (size_t i = 0; i < plans.size(); ++i) {
     if (is_kept[i]) {
@@ -80,8 +82,8 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
       for (size_t idx : kept) {
         if (!same_partition(idx, i)) continue;
         justified |= Dominates(plans[idx], plans[i]);
-        justified |= plans[idx].TimeSeconds() == plans[i].TimeSeconds() &&
-                     plans[idx].Price() == plans[i].Price();
+        justified |= plans[idx].time == plans[i].time &&
+                     PriceOf(plans[idx]) == PriceOf(plans[i]);
       }
       EXPECT_TRUE(justified) << "plan " << i << " eliminated unjustly";
     }
@@ -90,12 +92,12 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
   // Survivors list the existing partition first, each partition in
   // strictly ascending time.
   for (size_t k = 1; k < kept.size(); ++k) {
-    const QueryPlan& prev = plans[kept[k - 1]];
-    const QueryPlan& next = plans[kept[k]];
+    const PricedPlan& prev = plans[kept[k - 1]];
+    const PricedPlan& next = plans[kept[k]];
     if (same_partition(kept[k - 1], kept[k])) {
-      EXPECT_LT(prev.TimeSeconds(), next.TimeSeconds());
+      EXPECT_LT(prev.time, next.time);
     } else {
-      EXPECT_TRUE(prev.IsExisting() && !next.IsExisting());
+      EXPECT_TRUE(prev.existing && !next.existing);
     }
   }
 }
@@ -103,13 +105,14 @@ TEST_P(SkylineProperty, SurvivorsAreUndominatedAndLosersAreDominated) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SkylineProperty,
                          ::testing::Range<uint64_t>(1, 26));
 
-/// A random plan set shaped like the enumerator's and keeping PlanSet's
-/// price invariant: a few shapes of 1-4 node variants, each duplicated
-/// into 1-4 member families in shuffled order. Variant k of a member is
-/// its shape's (time, Ce) at k plus the member's base charge (often tied
-/// with another member's) plus a CPU-node prefix shared by the set, and
-/// exists iff the member's base and the first k CPU nodes are resident.
-/// Times come from a coarse grid, so equal-time groups span shapes.
+/// A random plan set shaped like the enumerator's: a few shapes of 1-4
+/// node variants, each duplicated into 1-4 member families in shuffled
+/// order. The shape's first family holds its (time, Ce) per variant, and
+/// variant k of a member is priced by layout: that Ce plus the member's
+/// base charge (often tied with another member's) plus a CPU-node prefix
+/// shared by the set. It exists iff the member's base and the first k CPU
+/// nodes are resident. Times come from a coarse grid, so equal-time
+/// groups span shapes.
 PlanSet RandomClassedSet(Rng& rng) {
   const auto max_nodes = static_cast<size_t>(rng.NextInt(1, 4));
   std::vector<int64_t> cpu_prefix = {0};
@@ -137,29 +140,30 @@ PlanSet RandomClassedSet(Rng& rng) {
   }
 
   PlanSet set;
+  set.cpu_prefix_micros = cpu_prefix;
   std::vector<uint32_t> class_of(shapes.size(), UINT32_MAX);
-  std::vector<int64_t> bases;
   for (size_t s : order) {
-    if (class_of[s] == UINT32_MAX) {
-      class_of[s] = static_cast<uint32_t>(set.families.size());
-    }
+    const auto f = static_cast<uint32_t>(set.families.size());
+    if (class_of[s] == UINT32_MAX) class_of[s] = f;
     PlanFamily family;
-    family.first = static_cast<uint32_t>(set.time.size());
+    family.first = static_cast<uint32_t>(set.size());
     family.count = static_cast<uint32_t>(shapes[s].time.size());
     family.shape_class = class_of[s];
     set.families.push_back(family);
     const int64_t base =
-        !bases.empty() && rng.NextBernoulli(0.3)
-            ? bases[rng.NextBounded(bases.size())]
+        !set.base_micros.empty() && rng.NextBernoulli(0.3)
+            ? set.base_micros[rng.NextBounded(set.base_micros.size())]
             : rng.NextInt(0, 150);
-    bases.push_back(base);
+    set.base_micros.push_back(base);
     const bool base_resident = rng.NextBernoulli(0.5);
     for (size_t k = 0; k < family.count; ++k) {
       set.records.emplace_back();
+      set.family.push_back(f);
       set.nodes.push_back(static_cast<uint32_t>(k + 1));
       set.existing.push_back(base_resident && cpu_resident[k] ? 1 : 0);
-      set.time.push_back(shapes[s].time[k]);
-      set.price_micros.push_back(shapes[s].ce[k] + base + cpu_prefix[k]);
+      // Only the class's first family's slots are read.
+      set.time.push_back(class_of[s] == f ? shapes[s].time[k] : -1.0);
+      set.ce_micros.push_back(class_of[s] == f ? shapes[s].ce[k] : -1);
     }
   }
   return set;
@@ -240,9 +244,9 @@ TEST_P(CostMonotonicity, SupersetIndexCostsAtLeastAsMuchToBuild) {
   std::vector<bool> cached(catalog_.num_columns(),
                            rng.NextBernoulli(0.5));
   const Money single =
-      model_.IndexBuildCost(IndexKey(catalog_, {date}), cached);
+      model_.BuildCost(IndexKey(catalog_, {date}), cached);
   const Money composite =
-      model_.IndexBuildCost(IndexKey(catalog_, {date, value}), cached);
+      model_.BuildCost(IndexKey(catalog_, {date, value}), cached);
   EXPECT_GE(composite, single);
 }
 
@@ -295,10 +299,16 @@ TEST_P(EconomyInvariants, BooksBalanceUnderRandomTraffic) {
     // Profit is never negative; payments cover the plan price.
     ASSERT_GE(outcome.profit.micros(), 0);
     if (outcome.served) {
-      ASSERT_GE(outcome.payment, outcome.chosen.Price());
-      // Every structure of the executed plan is resident.
-      for (StructureId id : outcome.chosen.structures) {
-        ASSERT_TRUE(engine.cache().IsResident(id));
+      ASSERT_GE(outcome.payment, outcome.chosen.price);
+      // The executed plan's CPU nodes are resident, and so are the
+      // columns a column scan reads (SettleExecution checks every
+      // structure of the plan).
+      const PlanSpec& spec = outcome.chosen.spec;
+      ASSERT_LE(spec.cpu_nodes, engine.cache().extra_cpu_nodes() + 1);
+      if (spec.access == PlanSpec::Access::kCacheScan) {
+        for (ColumnId col : q.AccessedColumns()) {
+          ASSERT_TRUE(engine.cache().ColumnResident(col));
+        }
       }
     }
 

@@ -95,9 +95,12 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
     engine_->OnTick(now);
     const PlanSet& set = engine_->Quote(query, now);
     ASSERT_EQ(set.time.size(), set.size());
-    ASSERT_EQ(set.price_micros.size(), set.size());
+    ASSERT_EQ(set.ce_micros.size(), set.size());
+    ASSERT_EQ(set.family.size(), set.size());
     ASSERT_EQ(set.existing.size(), set.size());
     ASSERT_EQ(set.nodes.size(), set.size());
+    ASSERT_EQ(set.base_micros.size(), set.families.size());
+    ASSERT_EQ(set.cpu_prefix_micros.size(), set.cpu_node_ids.size() + 1);
     for (size_t i = 0; i < set.size(); ++i) {
       const PlanRecord& record = set.records[i];
       const ExecutionEstimate single =
@@ -106,9 +109,9 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
       for (StructureId id : record.structures) {
         carried += engine_->CarriedCharge(id, now);
       }
-      ASSERT_EQ(set.time[i], single.time_seconds)
+      ASSERT_EQ(set.Time(i), single.time_seconds)
           << "plan " << i << " of query " << query.id;
-      ASSERT_EQ(set.price_micros[i], (single.cost + carried).micros())
+      ASSERT_EQ(set.Price(i), single.cost + carried)
           << "plan " << i << " of query " << query.id;
       ASSERT_EQ(set.existing[i] != 0, record.IsExisting()) << "plan " << i;
       std::vector<StructureId> missing;
@@ -126,8 +129,8 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
         << "query " << query.id;
   }
 
-  /// Serves `query` and checks the materialized plan against the
-  /// single-shot estimate.
+  /// Serves `query` and checks the chosen plan's time against the
+  /// single-shot estimate of its spec.
   void Serve(const Query& query, SimTime now) {
     PlanSpec backend;
     backend.access = PlanSpec::Access::kBackend;
@@ -138,12 +141,9 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
     if (!outcome.served) return;
     const ExecutionEstimate single =
         model_.EstimateExecution(query, outcome.chosen.spec);
-    EXPECT_EQ(outcome.chosen.execution.time_seconds, single.time_seconds);
-    EXPECT_EQ(outcome.chosen.execution.cpu_seconds, single.cpu_seconds);
-    EXPECT_EQ(outcome.chosen.execution.io_ops, single.io_ops);
-    EXPECT_EQ(outcome.chosen.execution.wan_bytes, single.wan_bytes);
-    EXPECT_EQ(outcome.chosen.execution.cost, single.cost);
-    EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.Price());
+    EXPECT_EQ(outcome.chosen.time_seconds, single.time_seconds);
+    EXPECT_GE(outcome.chosen.price, single.cost);
+    EXPECT_EQ(outcome.profit, outcome.payment - outcome.chosen.price);
   }
 
   static Catalog* catalog_;

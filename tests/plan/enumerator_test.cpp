@@ -271,22 +271,21 @@ TEST_F(EnumeratorTest, ShapeClassesShareOneEstimate) {
   EXPECT_FALSE(set.records[set.families[3].first].spec.covering);
   EXPECT_TRUE(set.records[set.families[4].first].spec.covering);
 
-  // The member copies the leader's columns, and both match the
-  // single-shot estimate of each plan's own spec.
+  // The member reads the leader's slots, and both match the single-shot
+  // estimate of each plan's own spec (no carried charges were written).
   const PlanFamily& leader = set.families[2];
   const PlanFamily& member = set.families[3];
   ASSERT_EQ(member.count, leader.count);
   for (uint32_t k = 0; k < member.count; ++k) {
-    EXPECT_EQ(set.time[member.first + k], set.time[leader.first + k]);
-    EXPECT_EQ(set.price_micros[member.first + k],
-              set.price_micros[leader.first + k]);
+    EXPECT_EQ(set.Slot(member.first + k), leader.first + k);
+    EXPECT_EQ(set.Slot(leader.first + k), leader.first + k);
     const ExecutionEstimate single =
         model_.EstimateExecution(q, set.records[member.first + k].spec);
-    EXPECT_EQ(set.time[member.first + k], single.time_seconds);
-    EXPECT_EQ(set.price_micros[member.first + k], single.cost.micros());
+    EXPECT_EQ(set.Time(member.first + k), single.time_seconds);
+    EXPECT_EQ(set.PriceMicros(member.first + k), single.cost.micros());
   }
   // Different shapes, different estimates.
-  EXPECT_NE(set.time[set.families[4].first], set.time[leader.first]);
+  EXPECT_NE(set.Time(set.families[4].first), set.Time(leader.first));
 }
 
 // --- Plan-skeleton cache -------------------------------------------------
@@ -305,8 +304,9 @@ void ExpectSamePlanSet(const PlanSet& a, const PlanSet& b) {
     EXPECT_EQ(pa.missing, pb.missing) << "plan " << i;
     EXPECT_EQ(a.nodes[i], b.nodes[i]) << "plan " << i;
     EXPECT_EQ(a.existing[i], b.existing[i]) << "plan " << i;
-    EXPECT_EQ(a.time[i], b.time[i]) << "plan " << i;
-    EXPECT_EQ(a.price_micros[i], b.price_micros[i]) << "plan " << i;
+    EXPECT_EQ(a.family[i], b.family[i]) << "plan " << i;
+    EXPECT_EQ(a.Time(i), b.Time(i)) << "plan " << i;
+    EXPECT_EQ(a.PriceMicros(i), b.PriceMicros(i)) << "plan " << i;
   }
   EXPECT_EQ(a.cpu_node_ids, b.cpu_node_ids);
   ASSERT_EQ(a.families.size(), b.families.size());

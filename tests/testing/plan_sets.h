@@ -10,20 +10,31 @@
 
 namespace cloudcache::testing {
 
-/// A plan set whose records and hot columns come from already priced
-/// plans, in order. Each plan is a one-variant family of its own shape
-/// class, so the skyline scans every plan.
-inline PlanSet PlanSetOf(const std::vector<QueryPlan>& plans) {
+/// One already priced plan of a hand-built set: its time, its Ce and its
+/// carried charges, and whether it is executable.
+struct PricedPlan {
+  double time = 0;
+  Money ce;
+  Money carried;
+  bool existing = true;
+};
+
+/// A plan set of `plans`, in order. Each plan is a one-variant family of
+/// its own shape class, so the skyline scans every plan, and its carried
+/// charges are its family's base charge.
+inline PlanSet PlanSetOf(const std::vector<PricedPlan>& plans) {
   PlanSet set;
-  for (const QueryPlan& plan : plans) {
+  set.cpu_prefix_micros = {0};
+  for (const PricedPlan& plan : plans) {
     const auto i = static_cast<uint32_t>(set.records.size());
-    set.families.push_back(PlanFamily{
-        i, 1, static_cast<uint32_t>(plan.structures.size()), i});
-    set.records.push_back(plan);
-    set.nodes.push_back(plan.spec.cpu_nodes);
-    set.existing.push_back(plan.IsExisting() ? 1 : 0);
-    set.time.push_back(plan.TimeSeconds());
-    set.price_micros.push_back(plan.Price().micros());
+    set.families.push_back(PlanFamily{i, 1, 0, i});
+    set.records.emplace_back();
+    set.family.push_back(i);
+    set.nodes.push_back(1);
+    set.existing.push_back(plan.existing ? 1 : 0);
+    set.time.push_back(plan.time);
+    set.ce_micros.push_back(plan.ce.micros());
+    set.base_micros.push_back(plan.carried.micros());
   }
   return set;
 }
@@ -37,6 +48,25 @@ inline bool HasSharedShapeClass(const PlanSet& set) {
   return false;
 }
 
+/// True iff some shape class of `set` has a member whose base structures
+/// are not all resident and whose first variant is cheaper than that of a
+/// member whose base is resident: both residency groups of the class must
+/// then be scanned.
+inline bool HasCheaperNonResidentMember(const PlanSet& set) {
+  for (const PlanFamily& hypothetical : set.families) {
+    if (set.existing[hypothetical.first] != 0) continue;
+    for (const PlanFamily& resident : set.families) {
+      if (resident.shape_class == hypothetical.shape_class &&
+          set.existing[resident.first] != 0 &&
+          set.PriceMicros(hypothetical.first) <
+              set.PriceMicros(resident.first)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// The skyline the slow way, over every plan of `set` and ignoring its
 /// families and shape classes: each partition (existing first) sorted by
 /// (time, price, index), keeping every plan strictly cheaper than all
@@ -45,9 +75,9 @@ inline std::vector<size_t> FullScanSkyline(const PlanSet& set) {
   std::vector<size_t> out;
   for (const uint8_t existing : {uint8_t{1}, uint8_t{0}}) {
     std::vector<std::tuple<double, int64_t, size_t>> keys;
-    for (size_t i = 0; i < set.time.size(); ++i) {
+    for (size_t i = 0; i < set.size(); ++i) {
       if (set.existing[i] == existing) {
-        keys.emplace_back(set.time[i], set.price_micros[i], i);
+        keys.emplace_back(set.Time(i), set.PriceMicros(i), i);
       }
     }
     std::sort(keys.begin(), keys.end());
