@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/baseline/bypass_yield.h"
 #include "src/persist/util_io.h"
 #include "src/util/logging.h"
 
@@ -219,37 +218,6 @@ Status EconScheme::RestoreState(persist::Decoder* dec) {
     CLOUDCACHE_RETURN_IF_ERROR(persist::RestoreRng(dec, &rng));
   }
   return Status::OK();
-}
-
-std::unique_ptr<Scheme> MakeScheme(SchemeKind kind, const Catalog* catalog,
-                                   const PriceList* decision_prices,
-                                   const std::vector<StructureKey>& indexes,
-                                   uint64_t seed) {
-  switch (kind) {
-    case SchemeKind::kBypassYield: {
-      BypassYieldScheme::Options options;
-      return std::make_unique<BypassYieldScheme>(catalog, options);
-    }
-    case SchemeKind::kEconCol: {
-      EconScheme::Config config = EconScheme::EconColConfig();
-      config.seed = seed;
-      return std::make_unique<EconScheme>(catalog, decision_prices, indexes,
-                                          std::move(config));
-    }
-    case SchemeKind::kEconCheap: {
-      EconScheme::Config config = EconScheme::EconCheapConfig();
-      config.seed = seed;
-      return std::make_unique<EconScheme>(catalog, decision_prices, indexes,
-                                          std::move(config));
-    }
-    case SchemeKind::kEconFast: {
-      EconScheme::Config config = EconScheme::EconFastConfig();
-      config.seed = seed;
-      return std::make_unique<EconScheme>(catalog, decision_prices, indexes,
-                                          std::move(config));
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace cloudcache

@@ -194,7 +194,7 @@ class Scheme {
   /// touch `out->node_rent_dollars` — the simulator owns that field.
   virtual void DescribeCluster(ClusterMetrics* out) const { (void)out; }
 
-  // --- Checkpoint surface. Every scheme MakeScheme can construct
+  // --- Checkpoint surface. Every scheme MakeExperimentScheme builds
   // overrides all three with a bit-exact save -> restore -> continue round
   // trip; the defaults opt out (test doubles carry no restorable state),
   // and the simulator refuses to checkpoint a scheme that does not
@@ -252,9 +252,8 @@ class EconScheme : public Scheme {
     /// shape knobs, independent jitter streams seeded
     /// MixSeed(seed, tenant); tenant 0 keeps `seed` itself, so its
     /// stream IS the classic user's) and per-tenant regret attribution
-    /// in the engine. The multi-tenant simulation path provisions even a
-    /// single tenant, so its metrics slice carries real attribution;
-    /// once provisioned, every query's tenant_id must be in range.
+    /// in the engine. Once provisioned, every query's tenant_id must be
+    /// in range.
     uint32_t tenants = 0;
     /// Per-tenant budget-shape overrides (requires tenants >= 1; each
     /// entry's tenant must be in range). Tenants without an entry keep
@@ -320,13 +319,5 @@ class EconScheme : public Scheme {
   /// config's shape, so one scratch serves every stream).
   BudgetScratch budget_scratch_;
 };
-
-/// Builds the scheme `kind` with the paper's configuration: the economy
-/// variants decide at full EC2 prices; bypass-yield decides at
-/// network-only prices with a cache capped at 30% of the database.
-std::unique_ptr<Scheme> MakeScheme(SchemeKind kind, const Catalog* catalog,
-                                   const PriceList* decision_prices,
-                                   const std::vector<StructureKey>& indexes,
-                                   uint64_t seed);
 
 }  // namespace cloudcache

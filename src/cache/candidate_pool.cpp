@@ -117,11 +117,4 @@ Status CandidatePool::RestoreState(persist::Decoder* dec) {
   return Status::OK();
 }
 
-std::vector<StructureId> CandidatePool::MruOrder() const {
-  std::vector<StructureId> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.id);
-  return out;
-}
-
 }  // namespace cloudcache

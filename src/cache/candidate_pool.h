@@ -60,9 +60,6 @@ class CandidatePool {
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
 
-  /// Pool contents, most recently used first.
-  std::vector<StructureId> MruOrder() const;
-
   /// Checkpoint support: saves the (id, last_touch) entries in exact MRU
   /// order; restore rebuilds the handle map. Capacity and the victim
   /// scorer are configuration, re-established by reconstruction.

@@ -4,26 +4,6 @@
 
 namespace cloudcache {
 
-const char* DataTypeToString(DataType type) {
-  switch (type) {
-    case DataType::kInt32:
-      return "int32";
-    case DataType::kInt64:
-      return "int64";
-    case DataType::kFloat64:
-      return "float64";
-    case DataType::kDecimal:
-      return "decimal";
-    case DataType::kDate:
-      return "date";
-    case DataType::kChar:
-      return "char";
-    case DataType::kVarchar:
-      return "varchar";
-  }
-  return "?";
-}
-
 uint32_t DefaultWidth(DataType type) {
   switch (type) {
     case DataType::kInt32:

@@ -21,9 +21,6 @@ enum class DataType {
   kVarchar,   // Average width, given per column.
 };
 
-/// Human-readable type name ("int64", "varchar", ...).
-const char* DataTypeToString(DataType type);
-
 /// Default storage width in bytes for fixed-width types; 0 for kChar and
 /// kVarchar, whose width is per-column.
 uint32_t DefaultWidth(DataType type);

@@ -18,8 +18,7 @@ namespace cloudcache {
 /// workload, and whether the economy may resize the fleet.
 struct ClusterOptions {
   /// Initial (and, when !elastic, fixed) cache nodes. 1 = the paper's
-  /// single node, on exactly the pre-cluster code path (unless
-  /// force_cluster_path below).
+  /// single node, on exactly the pre-cluster code path.
   uint32_t nodes = 1;
   /// Let the ElasticityController rent/release nodes at run time.
   bool elastic = false;
@@ -32,12 +31,6 @@ struct ClusterOptions {
   /// scale-in survive it: they migrate to the warmest surviving node
   /// (built there, paid from that node's account). 0 migrates nothing.
   double migration_recency_seconds = 600.0;
-  /// Force the cluster path even for nodes == 1, elastic off. A
-  /// one-node cluster routes every query to its only node, so metrics
-  /// must be bit-identical either way — this knob exists so tests (and
-  /// bisections) can pin that equivalence, mirroring
-  /// TenancyOptions::force_event_path.
-  bool force_cluster_path = false;
   /// Scale-out/in policy knobs.
   ElasticityOptions elasticity;
 };

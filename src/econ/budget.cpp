@@ -53,31 +53,4 @@ Money ConcaveBudget::Evaluate(double t) const {
   return amount_ * (1.0 - ratio * ratio);
 }
 
-PiecewiseBudget::PiecewiseBudget(
-    std::vector<std::pair<double, Money>> knots)
-    : BudgetFunction(knots.back().first), knots_(std::move(knots)) {}
-
-Result<PiecewiseBudget> PiecewiseBudget::Make(
-    std::vector<std::pair<double, Money>> knots) {
-  if (knots.empty()) {
-    return Status::InvalidArgument("piecewise budget needs >= 1 knot");
-  }
-  for (size_t i = 0; i < knots.size(); ++i) {
-    if (knots[i].first <= 0.0) {
-      return Status::InvalidArgument("knot times must be positive");
-    }
-    if (i > 0 && knots[i].first <= knots[i - 1].first) {
-      return Status::InvalidArgument("knot times must strictly increase");
-    }
-  }
-  return PiecewiseBudget(std::move(knots));
-}
-
-Money PiecewiseBudget::Evaluate(double t) const {
-  for (const auto& [time, price] : knots_) {
-    if (t <= time) return price;
-  }
-  return Money();
-}
-
 }  // namespace cloudcache

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "src/util/money.h"
 #include "src/util/status.h"
@@ -114,24 +113,6 @@ class ConcaveBudget : public BudgetFunction {
 
  private:
   Money amount_;
-};
-
-/// Right-continuous step interpolation through user-supplied (time, price)
-/// knots; the general form any combination of Fig. 1 shapes reduces to.
-class PiecewiseBudget : public BudgetFunction {
- public:
-  /// `knots` must be non-empty with strictly increasing times; the last
-  /// knot's time is t_max. B(t) = price of the first knot with time >= t.
-  static Result<PiecewiseBudget> Make(
-      std::vector<std::pair<double, Money>> knots);
-
- protected:
-  Money Evaluate(double t) const override;
-
- private:
-  explicit PiecewiseBudget(std::vector<std::pair<double, Money>> knots);
-
-  std::vector<std::pair<double, Money>> knots_;
 };
 
 }  // namespace cloudcache

@@ -24,18 +24,6 @@ const char* BudgetCaseToString(BudgetCase c) {
   return "?";
 }
 
-const char* PlanSelectionToString(PlanSelection s) {
-  switch (s) {
-    case PlanSelection::kMinProfit:
-      return "min-profit";
-    case PlanSelection::kCheapest:
-      return "cheapest";
-    case PlanSelection::kFastest:
-      return "fastest";
-  }
-  return "?";
-}
-
 EconomyEngine::EconomyEngine(const Catalog* catalog,
                              StructureRegistry* registry,
                              const CostModel* decision_model,
@@ -68,9 +56,9 @@ void EconomyEngine::SetTenantCount(size_t n) {
   active_tenant_regret_ = nullptr;
   suppress_regret_ = false;
   // Both policies need a population to arbitrate between: with fewer
-  // than two tenants they stay fully inert, so a forced-event-path
-  // single-tenant run (admission flag or not) remains bit-identical to
-  // the classic path — a lone tenant must never throttle itself.
+  // than two tenants they stay fully inert, so a single provisioned
+  // tenant (admission flag or not) remains bit-identical to the classic
+  // path — a lone tenant must never throttle itself.
   admission_.SetTenantCount(n > 1 ? n : 0);
   // Tenant-aware pool aging only means something once at least two
   // ledgers exist; otherwise (or with the policy off) the pool stays

@@ -43,7 +43,6 @@ enum class PlanSelection {
 enum class BudgetCase { kCaseA, kCaseB, kCaseC };
 
 const char* BudgetCaseToString(BudgetCase c);
-const char* PlanSelectionToString(PlanSelection s);
 
 /// Policy knobs of the economy.
 struct EconomyOptions {

@@ -50,8 +50,7 @@ double NormalizedBreadth(const std::vector<double>& values);
 ///
 /// Defaults are the single-population fixed point (everything 1.0), so a
 /// classic single-stream run — which never computes fairness — carries
-/// exactly the values a one-tenant merged run computes, keeping the
-/// `--tenants=1` bit-for-bit equivalence intact.
+/// exactly the values one merged stream computes.
 struct FairnessReport {
   /// Jain's index / lower-is-better max-min share (mean/max) over
   /// per-tenant mean response seconds.

@@ -25,8 +25,10 @@ namespace persist {
 /// configuration is rejected before any section is decoded.
 inline constexpr uint32_t kSnapshotMagic = 0x504B4343;  // "CCKP"
 /// v3: no section grows with the run length (docs/persistence.md lists
-/// the sections and their bounds).
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// the sections and their bounds). v4: the config hash lost two retired
+/// options, so a v3 file is refused by its version, not as a foreign
+/// config.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Accumulates named sections and writes the container atomically:
 /// serialize to `<path>.tmp`, flush, then rename over `path`, so a crash

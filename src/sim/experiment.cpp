@@ -37,17 +37,6 @@ WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
 
 namespace {
 
-/// N merged streams with tenant slices, rather than the paper's one stream.
-bool MultiTenant(const ExperimentConfig& config) {
-  return config.tenancy.tenants > 1 || config.tenancy.force_event_path;
-}
-
-/// A ClusterScheme wraps the per-node economies.
-bool Clustered(const ExperimentConfig& config) {
-  return config.cluster.nodes > 1 || config.cluster.elastic ||
-         config.cluster.force_cluster_path;
-}
-
 /// FNV-1a over the canonical little-endian serialization of the config.
 uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
   uint64_t hash = 1469598103934665603ull;
@@ -82,7 +71,7 @@ void EncodePriceList(const PriceList& p, persist::Encoder* enc) {
 std::unique_ptr<Scheme> MakeExperimentScheme(
     const Catalog& catalog, const std::vector<StructureKey>& indexes,
     const ExperimentConfig& config) {
-  const bool multi_tenant = MultiTenant(config);
+  const bool multi_tenant = config.tenancy.tenants > 1;
 
   // Builds the scheme for one cache node. Ordinal 0 carries the
   // experiment's own seed — on the single-node path it IS the classic
@@ -124,9 +113,8 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
                              : MixSeed(config.seed, kNodeSeedSalt + ordinal);
       if (config.customize_econ) config.customize_econ(econ_config);
       // Tenancy is the experiment's to decide, not the ablation hook's:
-      // the event-driven path provisions identities even for one tenant
-      // (so its metrics slice carries regret attribution); the classic
-      // path stays on the zero-overhead pre-tenancy configuration. The
+      // the multi-tenant path provisions tenant identities; one stream
+      // stays on the zero-overhead pre-tenancy configuration. The
       // fairness policies ride the same switch — they read tenant
       // attribution, so they only engage on the multi-tenant path (the
       // hook may still tune their ratios/slack/windows). So do the
@@ -149,7 +137,7 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
     return scheme;
   };
 
-  if (Clustered(config)) {
+  if (config.cluster.nodes > 1 || config.cluster.elastic) {
     return std::make_unique<ClusterScheme>(
         catalog_ptr, &config.decision_prices, config.cluster, node_factory);
   }
@@ -175,7 +163,6 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config) {
   enc.PutU32(t.tenants);
   enc.PutDouble(t.traffic_skew);
   enc.PutBool(t.rotate_template_mix);
-  enc.PutBool(t.force_event_path);
   enc.PutBool(t.fair_eviction);
   enc.PutBool(t.admission);
   enc.PutU64(t.tenant_budgets.size());
@@ -190,7 +177,6 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config) {
   enc.PutBool(c.elastic);
   enc.PutDouble(c.node_rent_multiplier);
   enc.PutDouble(c.migration_recency_seconds);
-  enc.PutBool(c.force_cluster_path);
   enc.PutU64(c.elasticity.check_interval_queries);
   enc.PutU32(c.elasticity.sustain_windows);
   enc.PutU32(c.elasticity.cooldown_windows);
@@ -279,7 +265,7 @@ void ExperimentGraph::Assemble() {
   SimulatorOptions options = config.sim;
   options.node_rent_multiplier = config.cluster.node_rent_multiplier;
   options.checkpoint.config_hash = HashExperimentConfig(config);
-  if (MultiTenant(config)) {
+  if (config.tenancy.tenants > 1) {
     simulator_ = std::make_unique<Simulator>(catalog_, scheme_.get(),
                                              std::move(streams), options);
   } else {

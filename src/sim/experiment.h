@@ -20,7 +20,7 @@ namespace cloudcache {
 /// share the scheme's one cache, and how the streams differ.
 struct TenancyOptions {
   /// Concurrent tenants. 1 = the paper's single stream, on exactly the
-  /// pre-tenancy code path (unless force_event_path below).
+  /// pre-tenancy code path.
   uint32_t tenants = 1;
   /// Zipf skew of per-tenant traffic shares (tenant 0 hottest; 0 = equal
   /// split). The aggregate offered load is held at the base interarrival
@@ -30,11 +30,6 @@ struct TenancyOptions {
   /// Rotate each tenant's template-popularity ranking by its id, giving
   /// every tenant a distinct hot set from the same template pool.
   bool rotate_template_mix = true;
-  /// Force the event-driven multi-tenant simulator even for tenants == 1.
-  /// The merged schedule of one stream is the single stream, so metrics
-  /// must be bit-identical either way — this knob exists so tests (and
-  /// bisections) can pin that equivalence.
-  bool force_event_path = false;
 
   // --- Tenant-fairness policies (both off by default = the PR 3
   // behavior, bit for bit). They apply only on the multi-tenant path;
@@ -100,11 +95,11 @@ WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
 /// Builds the exact scheme graph RunExperiment drives: the per-node
 /// economies (ordinal 0 carries config.seed — the classic scheme — while
 /// rented/extra nodes derive salted seeds from their ordinal), tenancy
-/// provisioning on the event path (tenant identities, fairness policies,
-/// per-tenant budget shapes), and the ClusterScheme wrapper whenever the
-/// cluster options ask for one. ExperimentGraph::Build calls it for every
-/// host. `catalog`, `indexes`, and `config` (its decision_prices in
-/// particular) must outlive the returned scheme.
+/// provisioning when tenants > 1 (tenant identities, fairness policies,
+/// per-tenant budget shapes; applied after customize_econ), and the
+/// ClusterScheme wrapper when nodes > 1 or elastic. ExperimentGraph::Build
+/// calls it for every host. `catalog`, `indexes`, and `config` (its
+/// decision_prices in particular) must outlive the returned scheme.
 std::unique_ptr<Scheme> MakeExperimentScheme(
     const Catalog& catalog, const std::vector<StructureKey>& indexes,
     const ExperimentConfig& config);

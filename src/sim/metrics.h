@@ -109,15 +109,14 @@ struct SimMetrics : QueryCounters {
   TimeSeries cost_over_time;    // Cumulative operating dollars.
   TimeSeries credit_over_time;  // CR in dollars.
 
-  // --- Per-tenant slices. Sized to the tenant count on the multi-tenant
-  // simulation path (even for one tenant); empty on the classic
-  // single-stream path, whose aggregates above are the whole story.
+  // --- Per-tenant slices. Sized to the stream count by the multi-stream
+  // Simulator constructor; empty on the classic single-stream path,
+  // whose aggregates above are the whole story.
   std::vector<TenantMetrics> tenants;
 
   // --- Fairness over the tenant slices (ComputeFairness at run end).
   // Left at its trivially-fair defaults on the classic path — which is
-  // exactly what a one-tenant merged run computes, preserving the
-  // `--tenants=1` bit-for-bit equivalence.
+  // exactly what one merged stream computes.
   FairnessReport fairness;
 
   // --- Cluster shape (Scheme::DescribeCluster at run end). Inert —

@@ -41,11 +41,6 @@ class Money {
     return Money(whole + (frac >= 0.5) - (frac <= -0.5));
   }
 
-  /// Exact construction from whole cents.
-  static constexpr Money FromCents(int64_t cents) {
-    return Money(cents * 10'000);
-  }
-
   /// The stored micro-dollar count.
   constexpr int64_t micros() const { return micros_; }
 

@@ -87,16 +87,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Rng::NextGaussian() {
-  double u, v, s;
-  do {
-    u = NextUniform(-1, 1);
-    v = NextUniform(-1, 1);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  return u * std::sqrt(-2.0 * std::log(s) / s);
-}
-
 void Rng::SaveState(uint64_t out[5]) const {
   for (int i = 0; i < 4; ++i) out[i] = state_[i];
   out[4] = seed_;

@@ -40,9 +40,6 @@ class Rng {
   /// True with probability p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
-  /// Standard normal via Marsaglia polar method.
-  double NextGaussian();
-
   /// Forks an independent stream: deterministic function of this stream's
   /// seed lineage and `stream_id`, without consuming this stream's output.
   Rng Fork(uint64_t stream_id) const;

@@ -21,11 +21,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

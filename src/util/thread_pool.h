@@ -57,13 +57,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks queued but not yet picked up by a worker.
-  size_t QueueDepth() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_workers_;
   std::queue<std::function<void()>> tasks_;
   bool stopping_ = false;

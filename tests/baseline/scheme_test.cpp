@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/baseline/bypass_yield.h"
+#include "src/sim/experiment.h"
 #include "tests/testing/fixtures.h"
 
 namespace cloudcache {
@@ -28,8 +29,11 @@ TEST_F(SchemeTest, FactoryProducesAllFourSchemes) {
   for (SchemeKind kind :
        {SchemeKind::kBypassYield, SchemeKind::kEconCol,
         SchemeKind::kEconCheap, SchemeKind::kEconFast}) {
+    ExperimentConfig config;
+    config.scheme = kind;
+    config.decision_prices = prices_;
     std::unique_ptr<Scheme> scheme =
-        MakeScheme(kind, &catalog_, &prices_, indexes_, 1);
+        MakeExperimentScheme(catalog_, indexes_, config);
     ASSERT_NE(scheme, nullptr);
     EXPECT_EQ(scheme->name(), SchemeKindToString(kind));
   }

@@ -43,15 +43,6 @@ TEST(CandidatePoolTest, EraseRemovesWithoutEviction) {
   pool.Erase(99);  // No-op.
 }
 
-TEST(CandidatePoolTest, MruOrder) {
-  CandidatePool pool(3);
-  pool.Touch(1, 0.0);
-  pool.Touch(2, 1.0);
-  pool.Touch(3, 2.0);
-  pool.Touch(1, 3.0);
-  EXPECT_EQ(pool.MruOrder(), (std::vector<StructureId>{1, 3, 2}));
-}
-
 TEST(CandidatePoolTest, CapacityOneKeepsOnlyNewest) {
   CandidatePool pool(1);
   pool.Touch(1, 0.0);

@@ -130,8 +130,6 @@ TEST(SchemaTest, IdsStableAfterAddingTables) {
 }
 
 TEST(DataTypeTest, NamesAndWidths) {
-  EXPECT_STREQ(DataTypeToString(DataType::kInt32), "int32");
-  EXPECT_STREQ(DataTypeToString(DataType::kVarchar), "varchar");
   EXPECT_EQ(DefaultWidth(DataType::kInt32), 4u);
   EXPECT_EQ(DefaultWidth(DataType::kDate), 4u);
   EXPECT_EQ(DefaultWidth(DataType::kInt64), 8u);

@@ -74,43 +74,19 @@ TEST(BudgetValidateTest, RejectsTooFewSamples) {
       StepBudget(Money::FromDollars(1), 5).ValidateMonotone(1).ok());
 }
 
-TEST(PiecewiseBudgetTest, RightContinuousSteps) {
-  Result<PiecewiseBudget> budget = PiecewiseBudget::Make(
-      {{1.0, Money::FromDollars(10)}, {5.0, Money::FromDollars(4)}});
-  ASSERT_TRUE(budget.ok());
-  EXPECT_EQ(budget->At(0.5), Money::FromDollars(10));
-  EXPECT_EQ(budget->At(1.0), Money::FromDollars(10));
-  EXPECT_EQ(budget->At(1.01), Money::FromDollars(4));
-  EXPECT_EQ(budget->At(5.0), Money::FromDollars(4));
-  EXPECT_TRUE(budget->At(5.01).IsZero());
-  EXPECT_EQ(budget->t_max(), 5.0);
-}
-
-TEST(PiecewiseBudgetTest, ValidatesMonotoneWhenDescending) {
-  Result<PiecewiseBudget> budget = PiecewiseBudget::Make(
-      {{1.0, Money::FromDollars(10)}, {5.0, Money::FromDollars(4)}});
-  ASSERT_TRUE(budget.ok());
-  EXPECT_TRUE(budget->ValidateMonotone().ok());
-}
-
-TEST(PiecewiseBudgetTest, DetectsIncreasingShape) {
+TEST(BudgetValidateTest, DetectsIncreasingShape) {
   // The paper allows arbitrary user shapes but expects descent; the
   // validator flags an ascending one.
-  Result<PiecewiseBudget> budget = PiecewiseBudget::Make(
-      {{1.0, Money::FromDollars(1)}, {5.0, Money::FromDollars(10)}});
-  ASSERT_TRUE(budget.ok());
-  EXPECT_FALSE(budget->ValidateMonotone().ok());
-}
+  class AscendingBudget : public BudgetFunction {
+   public:
+    AscendingBudget() : BudgetFunction(5.0) {}
 
-TEST(PiecewiseBudgetTest, RejectsEmptyKnots) {
-  EXPECT_FALSE(PiecewiseBudget::Make({}).ok());
-}
-
-TEST(PiecewiseBudgetTest, RejectsNonIncreasingTimes) {
-  EXPECT_FALSE(PiecewiseBudget::Make({{2.0, Money::FromDollars(1)},
-                                      {2.0, Money::FromDollars(1)}})
-                   .ok());
-  EXPECT_FALSE(PiecewiseBudget::Make({{-1.0, Money::FromDollars(1)}}).ok());
+   protected:
+    Money Evaluate(double t) const override {
+      return t <= 1.0 ? Money::FromDollars(1) : Money::FromDollars(10);
+    }
+  };
+  EXPECT_FALSE(AscendingBudget().ValidateMonotone().ok());
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // and four properties pin it down:
 //
 //  1. Collapse: a one-node cluster routes every query to its only node,
-//     so the forced cluster path must reproduce the classic path's
-//     SimMetrics bit for bit — every count, micro-dollar, double, and
-//     timeline byte (the `--nodes=1 --elastic=off` equivalence of the
-//     roadmap).
+//     so a one-node ClusterScheme (built by testing::RunThroughWrappedLayer)
+//     must reproduce the classic path's SimMetrics bit for bit — every
+//     count, micro-dollar, double, and timeline byte (the `--nodes=1
+//     --elastic=off` equivalence of the roadmap).
 //  2. Determinism: an N-node run — fixed or elastic — is a pure function
 //     of its configuration: repeated runs, and runs fanned over any sweep
 //     thread count, replay identically, down to the per-node slices.
@@ -24,12 +24,15 @@
 #include "src/sim/experiment.h"
 #include "src/sim/sweep.h"
 #include "tests/testing/metrics_equal.h"
+#include "tests/testing/wrapped_path.h"
 
 namespace cloudcache {
 namespace {
 
 using cloudcache::testing::ExpectBitIdenticalCluster;
 using cloudcache::testing::ExpectBitIdenticalMetrics;
+using cloudcache::testing::RunThroughWrappedLayer;
+using cloudcache::testing::WrappedLayer;
 
 class ClusterEquivalenceTest : public ::testing::Test {
  protected:
@@ -90,16 +93,16 @@ Catalog* ClusterEquivalenceTest::catalog_ = nullptr;
 std::vector<QueryTemplate>* ClusterEquivalenceTest::templates_ = nullptr;
 
 TEST_F(ClusterEquivalenceTest, SingleNodeClusterPathBitIdentical) {
-  // Every scheme, two arrival spacings: the forced cluster path with one
-  // node must replay the classic single-node loop exactly.
+  // Every scheme, two arrival spacings: a one-node cluster must replay
+  // the classic single-node loop exactly.
   for (SchemeKind scheme : PaperSchemes()) {
     for (double interval : {1.0, 10.0}) {
       SCOPED_TRACE(std::string(SchemeKindToString(scheme)) + " @ " +
                    std::to_string(interval) + "s");
-      ExperimentConfig config = ActiveConfig(scheme, interval);
+      const ExperimentConfig config = ActiveConfig(scheme, interval);
       const SimMetrics classic = RunExperiment(*catalog_, *templates_, config);
-      config.cluster.force_cluster_path = true;
-      const SimMetrics routed = RunExperiment(*catalog_, *templates_, config);
+      const SimMetrics routed = RunThroughWrappedLayer(
+          *catalog_, *templates_, config, WrappedLayer::kCluster);
       ExpectBitIdenticalMetrics(classic, routed);
       // The classic path carries no cluster footprint; the routed path
       // carries exactly one node, and it must restate the aggregates.

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/catalog/tpch.h"
+#include "src/persist/snapshot.h"
 #include "src/sim/experiment.h"
 #include "tests/testing/metrics_equal.h"
 
@@ -174,6 +176,49 @@ TEST_F(CrashRecoveryTest, RetiredDriverModeSnapshotIsRefused) {
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectBitIdenticalMetrics(plain, *fresh);
   ExpectBitIdenticalCluster(plain, *fresh);
+}
+
+TEST_F(CrashRecoveryTest, PreviousFormatVersionSnapshotIsRefused) {
+  // A real mid-run snapshot stamped back to the previous format version
+  // (the u32 after the magic): kHard refuses it by version, and kAuto
+  // starts fresh, bit-identical to the uninterrupted run.
+  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 600);
+  const SimMetrics plain = RunExperiment(*catalog_, *templates_, config);
+  config.sim.checkpoint.every = 200;
+  config.sim.checkpoint.path = SnapPath("previous_version");
+  config.sim.checkpoint.crash_after = 300;
+  Result<SimMetrics> crashed =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_FALSE(crashed.ok());
+  ASSERT_EQ(crashed.status().code(), StatusCode::kResourceExhausted);
+
+  const uint32_t previous = persist::kSnapshotFormatVersion - 1;
+  {
+    std::fstream file(config.sim.checkpoint.path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file.seekp(4);
+    for (int i = 0; i < 4; ++i) {
+      file.put(static_cast<char>(previous >> (8 * i)));
+    }
+    ASSERT_TRUE(file.good());
+  }
+
+  config.sim.checkpoint.crash_after = 0;
+  config.sim.checkpoint.restore = CheckpointOptions::Restore::kHard;
+  Result<SimMetrics> refused =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  const std::string named = "version " + std::to_string(previous);
+  EXPECT_NE(refused.status().message().find(named), std::string::npos)
+      << refused.status().ToString();
+
+  config.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  Result<SimMetrics> fresh =
+      RunExperimentChecked(*catalog_, *templates_, config);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectBitIdenticalMetrics(plain, *fresh);
 }
 
 TEST_F(CrashRecoveryTest, PeriodicCheckpointsDoNotPerturbTheRun) {

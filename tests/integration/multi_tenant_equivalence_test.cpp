@@ -2,9 +2,11 @@
 // paper's single-stream loop, and three properties pin it down:
 //
 //  1. Collapse: with one tenant, the merged schedule IS the single
-//     stream, so the event-driven path must reproduce the classic path's
-//     SimMetrics bit for bit — every count, micro-dollar, double, and
-//     timeline byte (the `--tenants=1` equivalence of the roadmap).
+//     stream, so the tenancy layer (a provisioned tenant identity and the
+//     stream-vector Simulator, built by testing::RunThroughWrappedLayer)
+//     must reproduce the classic path's SimMetrics bit for bit — every
+//     count, micro-dollar, double, and timeline byte (the `--tenants=1`
+//     equivalence of the roadmap).
 //  2. Determinism: an N-tenant run is a pure function of its
 //     configuration — repeated runs, and runs fanned over any sweep
 //     thread count, replay identically.
@@ -19,12 +21,15 @@
 #include "src/sim/experiment.h"
 #include "src/sim/sweep.h"
 #include "tests/testing/metrics_equal.h"
+#include "tests/testing/wrapped_path.h"
 
 namespace cloudcache {
 namespace {
 
 using cloudcache::testing::ExpectBitIdenticalMetrics;
 using cloudcache::testing::ExpectBitIdenticalTenants;
+using cloudcache::testing::RunThroughWrappedLayer;
+using cloudcache::testing::WrappedLayer;
 
 class MultiTenantEquivalenceTest : public ::testing::Test {
  protected:
@@ -66,18 +71,18 @@ Catalog* MultiTenantEquivalenceTest::catalog_ = nullptr;
 std::vector<QueryTemplate>* MultiTenantEquivalenceTest::templates_ = nullptr;
 
 TEST_F(MultiTenantEquivalenceTest, SingleTenantEventPathBitIdentical) {
-  // Every scheme, two arrival spacings: the forced event-driven path with
-  // one tenant must replay the classic single-stream loop exactly.
+  // Every scheme, two arrival spacings: the tenancy layer with one tenant
+  // must replay the classic single-stream loop exactly.
   for (SchemeKind scheme : PaperSchemes()) {
     for (double interval : {1.0, 10.0}) {
       SCOPED_TRACE(std::string(SchemeKindToString(scheme)) + " @ " +
                    std::to_string(interval) + "s");
-      ExperimentConfig config = ActiveConfig(scheme, interval);
+      const ExperimentConfig config = ActiveConfig(scheme, interval);
       const SimMetrics classic = RunExperiment(*catalog_, *templates_, config);
-      config.tenancy.force_event_path = true;
-      const SimMetrics merged = RunExperiment(*catalog_, *templates_, config);
+      const SimMetrics merged = RunThroughWrappedLayer(
+          *catalog_, *templates_, config, WrappedLayer::kTenancy);
       ExpectBitIdenticalMetrics(classic, merged);
-      // The classic path carries no tenant slice; the merged path carries
+      // The classic path carries no tenant slice; the tenancy layer carries
       // exactly one, and it must restate the aggregates.
       EXPECT_TRUE(classic.tenants.empty());
       ASSERT_EQ(merged.tenants.size(), 1u);
@@ -158,13 +163,12 @@ TEST_F(MultiTenantEquivalenceTest, SingleTenantStaysClassicEvenWithPoliciesOn) {
   // The tenant-economics policies need a population to arbitrate
   // between: with one tenant they must be fully inert — a lone tenant
   // must never throttle itself, and breadth-weighted eviction has no
-  // breadth to weigh — so the forced event path stays bit-identical to
-  // the classic path even with both flags (and aggressive knobs) on.
+  // breadth to weigh — so the tenancy layer stays bit-identical to the
+  // classic path even with both flags (and aggressive knobs) on.
   ExperimentConfig config = ActiveConfig(SchemeKind::kEconCheap, 5.0);
   const SimMetrics classic = RunExperiment(*catalog_, *templates_, config);
 
   ExperimentConfig forced = config;
-  forced.tenancy.force_event_path = true;
   forced.tenancy.fair_eviction = true;
   forced.tenancy.admission = true;
   const auto base_customize = forced.customize_econ;
@@ -175,8 +179,10 @@ TEST_F(MultiTenantEquivalenceTest, SingleTenantStaysClassicEvenWithPoliciesOn) {
     econ.economy.admission.min_regret = Money::FromMicros(1);
     econ.economy.eviction_breadth_slack = 25.0;
   };
-  const SimMetrics merged = RunExperiment(*catalog_, *templates_, forced);
+  const SimMetrics merged = RunThroughWrappedLayer(
+      *catalog_, *templates_, forced, WrappedLayer::kTenancy);
   ExpectBitIdenticalMetrics(classic, merged);
+  ASSERT_EQ(merged.tenants.size(), 1u);
   EXPECT_EQ(merged.throttled, 0u);
 }
 

@@ -8,6 +8,7 @@
 
 #include "src/persist/codec.h"
 #include "src/util/rng.h"
+#include "tests/testing/gaussian.h"
 
 namespace cloudcache::obs {
 namespace {
@@ -57,7 +58,8 @@ TEST(HistogramTest, BucketRelativeErrorIsBounded) {
   // value.
   Rng rng(11);
   for (int i = 0; i < 10'000; ++i) {
-    const double x = std::exp(rng.NextGaussian() * 3);  // Spans octaves.
+    // Spans octaves.
+    const double x = std::exp(testing::NextGaussian(rng) * 3);
     const size_t index = Histogram::BucketIndex(x);
     const double lower = Histogram::BucketLower(index);
     const double upper = Histogram::BucketUpper(index);
@@ -112,7 +114,7 @@ TEST(HistogramTest, QuantileTracksExactOrderStatistics) {
   Histogram h;
   std::vector<double> values;
   for (int i = 0; i < 20'000; ++i) {
-    const double x = std::exp(rng.NextGaussian());
+    const double x = std::exp(testing::NextGaussian(rng));
     values.push_back(x);
     h.Add(x);
   }
@@ -162,7 +164,7 @@ TEST(HistogramTest, PersistRoundTripsEveryShape) {
   // Dense-ish populated histogram.
   Rng rng(5);
   Histogram h;
-  for (int i = 0; i < 5'000; ++i) h.Add(std::exp(rng.NextGaussian()));
+  for (int i = 0; i < 5'000; ++i) h.Add(std::exp(testing::NextGaussian(rng)));
   ExpectRoundTrips(h);
 
   // Underflow/overflow counters without any bucketed values.

@@ -47,8 +47,8 @@ inline void ExpectBitIdenticalCounters(const QueryCounters& a,
 /// timelines — is identical between two runs. The per-tenant slices are
 /// compared separately (see ExpectBitIdenticalTenants) because only the
 /// multi-tenant simulation path fills them: a single-stream run and its
-/// forced-event twin must agree on every aggregate even though one of them
-/// carries a slice.
+/// twin through the tenancy layer (wrapped_path.h) must agree on every
+/// aggregate even though one of them carries a slice.
 inline void ExpectBitIdenticalMetrics(const SimMetrics& a,
                                       const SimMetrics& b) {
   EXPECT_EQ(a.scheme_name, b.scheme_name);

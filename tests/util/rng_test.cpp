@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "tests/testing/gaussian.h"
+
 namespace cloudcache {
 namespace {
 
@@ -94,7 +96,7 @@ TEST(RngTest, GaussianMoments) {
   double sum = 0, sq = 0;
   const int n = 200'000;
   for (int i = 0; i < n; ++i) {
-    const double x = rng.NextGaussian();
+    const double x = testing::NextGaussian(rng);
     sum += x;
     sq += x * x;
   }
