@@ -1,10 +1,11 @@
 // Ablation A6: user budget-function shape (Fig. 1).
 //
-// The paper's experiments fix a step function; the model allows any
-// non-increasing shape. Shapes that discount slow service steeply (convex)
-// push more interactions into case A (nothing affordable), starve the
-// cloud of profit, and shift regret toward cost-saving structures;
-// deadline-style concave budgets behave like steps until the cliff.
+// The paper's experiments fix a step function; the paper allows any
+// non-increasing shape, and this sweep covers the four of Fig. 1. Shapes
+// that discount slow service steeply (convex) push more interactions into
+// case A (nothing affordable), starve the cloud of profit, and shift
+// regret toward cost-saving structures; deadline-style concave budgets
+// behave like steps until the cliff.
 
 #include <cstdio>
 
@@ -20,14 +21,14 @@ int main(int argc, char** argv) {
   const PaperSetup setup = MakePaperSetup(options);
 
   struct Shape {
-    BudgetModelOptions::Shape shape;
+    BudgetShape shape;
     const char* name;
   };
   const std::vector<Shape> shapes = {
-      {BudgetModelOptions::Shape::kStep, "step"},
-      {BudgetModelOptions::Shape::kLinear, "linear"},
-      {BudgetModelOptions::Shape::kConvex, "convex"},
-      {BudgetModelOptions::Shape::kConcave, "concave"},
+      {BudgetShape::kStep, "step"},
+      {BudgetShape::kLinear, "linear"},
+      {BudgetShape::kConvex, "convex"},
+      {BudgetShape::kConcave, "concave"},
   };
   std::vector<SweepVariant> variants;
   for (const Shape& shape : shapes) {

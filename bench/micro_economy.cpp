@@ -167,17 +167,19 @@ void BM_EconColOnQuery(benchmark::State& state) {
 BENCHMARK(BM_EconColOnQuery);
 
 void BM_BudgetEvaluation(benchmark::State& state) {
-  StepBudget step(Money::FromDollars(1), 100.0);
-  ConcaveBudget concave(Money::FromDollars(1), 100.0);
+  static constexpr const char* kNames[] = {"step", "linear", "convex",
+                                           "concave"};
+  const BudgetFunction budget{static_cast<BudgetShape>(state.range(0)),
+                              Money::FromDollars(1), 100.0};
+  state.SetLabel(kNames[state.range(0)]);
   double t = 0.0;
   for (auto _ : state) {
     t += 0.1;
     if (t > 100.0) t = 0.1;
-    benchmark::DoNotOptimize(step.At(t));
-    benchmark::DoNotOptimize(concave.At(t));
+    benchmark::DoNotOptimize(budget.At(t));
   }
 }
-BENCHMARK(BM_BudgetEvaluation);
+BENCHMARK(BM_BudgetEvaluation)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace cloudcache

@@ -88,7 +88,8 @@ int main() {
 
   std::puts("[1] generous user: step budget at 3x the back-end quote");
   {
-    StepBudget budget(quote.cost * 3.0, quote.time_seconds * 4);
+    BudgetFunction budget{BudgetShape::kStep, quote.cost * 3.0,
+                          quote.time_seconds * 4};
     ShowOutcome(catalog, engine, engine.OnQuery(query, budget, 0.0));
   }
 
@@ -96,13 +97,15 @@ int main() {
       "\n[2] deadline user: concave budget that collapses before the "
       "back-end finishes");
   {
-    ConcaveBudget budget(quote.cost * 1.2, quote.time_seconds * 1.05);
+    BudgetFunction budget{BudgetShape::kConcave, quote.cost * 1.2,
+                          quote.time_seconds * 1.05};
     ShowOutcome(catalog, engine, engine.OnQuery(query, budget, 10.0));
   }
 
   std::puts("\n[3] pauper: budget below every executable plan");
   {
-    StepBudget budget(quote.cost * 0.1, quote.time_seconds * 4);
+    BudgetFunction budget{BudgetShape::kStep, quote.cost * 0.1,
+                          quote.time_seconds * 4};
     ShowOutcome(catalog, engine, engine.OnQuery(query, budget, 20.0));
   }
 
@@ -116,7 +119,7 @@ int main() {
     PlanSpec spec;
     spec.access = PlanSpec::Access::kBackend;
     const Money quote_i = model.EstimateExecution(q, spec).cost;
-    StepBudget budget(quote_i * 0.1, 1e6);
+    BudgetFunction budget{BudgetShape::kStep, quote_i * 0.1, 1e6};
     const QueryOutcome outcome =
         engine.OnQuery(q, budget, 30.0 + static_cast<double>(i) * 10.0);
     for (StructureId id : outcome.investments) {

@@ -8,50 +8,15 @@
 
 namespace cloudcache {
 
-const BudgetFunction& BudgetModel::MakeInto(Money reference_price,
-                                            double reference_seconds,
-                                            Rng& rng,
-                                            BudgetScratch* scratch) const {
+BudgetFunction BudgetModel::Make(Money reference_price,
+                                 double reference_seconds, Rng& rng) const {
   const double jitter =
       rng.NextUniform(-options_.jitter, options_.jitter);
   const double multiplier =
       std::max(0.0, options_.price_multiplier + jitter);
-  const Money amount = reference_price * multiplier;
   const double t_max =
       std::max(1e-6, reference_seconds * options_.tmax_multiplier);
-  if (scratch->fn == nullptr || scratch->shape != options_.shape) {
-    scratch->shape = options_.shape;
-    switch (options_.shape) {
-      case BudgetModelOptions::Shape::kStep:
-        scratch->fn = std::make_unique<StepBudget>(amount, t_max);
-        break;
-      case BudgetModelOptions::Shape::kLinear:
-        scratch->fn = std::make_unique<LinearBudget>(amount, t_max);
-        break;
-      case BudgetModelOptions::Shape::kConvex:
-        scratch->fn = std::make_unique<ConvexBudget>(amount, t_max);
-        break;
-      case BudgetModelOptions::Shape::kConcave:
-        scratch->fn = std::make_unique<ConcaveBudget>(amount, t_max);
-        break;
-    }
-    return *scratch->fn;
-  }
-  switch (scratch->shape) {
-    case BudgetModelOptions::Shape::kStep:
-      static_cast<StepBudget*>(scratch->fn.get())->Reset(amount, t_max);
-      break;
-    case BudgetModelOptions::Shape::kLinear:
-      static_cast<LinearBudget*>(scratch->fn.get())->Reset(amount, t_max);
-      break;
-    case BudgetModelOptions::Shape::kConvex:
-      static_cast<ConvexBudget*>(scratch->fn.get())->Reset(amount, t_max);
-      break;
-    case BudgetModelOptions::Shape::kConcave:
-      static_cast<ConcaveBudget*>(scratch->fn.get())->Reset(amount, t_max);
-      break;
-  }
-  return *scratch->fn;
+  return {options_.shape, reference_price * multiplier, t_max};
 }
 
 const char* SchemeKindToString(SchemeKind kind) {
@@ -99,7 +64,6 @@ EconScheme::EconScheme(const Catalog* catalog,
     : config_(std::move(config)),
       registry_(catalog),
       model_(catalog, decision_prices),
-      budget_model_(config_.budget),
       rng_(config_.seed) {
   engine_ = std::make_unique<EconomyEngine>(
       catalog, &registry_, &model_, config_.enumerator, config_.economy);
@@ -114,19 +78,17 @@ EconScheme::EconScheme(const Catalog* catalog,
     }
     engine_->SetTenantCount(config_.tenants);
   }
-  if (!config_.tenant_budgets.empty()) {
-    // Budget-shape overrides need tenant identities to attach to.
-    CLOUDCACHE_CHECK_GE(config_.tenants, 1u);
-    std::vector<BudgetModelOptions> shapes(config_.tenants, config_.budget);
-    for (const TenantBudgetShape& shape : config_.tenant_budgets) {
-      CLOUDCACHE_CHECK_LT(shape.tenant, config_.tenants);
-      shapes[shape.tenant].price_multiplier *= shape.price_scale;
-      shapes[shape.tenant].tmax_multiplier *= shape.tmax_scale;
-    }
-    tenant_budget_models_.reserve(config_.tenants);
-    for (uint32_t t = 0; t < config_.tenants; ++t) {
-      tenant_budget_models_.emplace_back(shapes[t]);
-    }
+  std::vector<BudgetModelOptions> shapes(
+      std::max<uint32_t>(1, config_.tenants), config_.budget);
+  for (const TenantBudgetShape& shape : config_.tenant_budgets) {
+    // Overrides need tenant identities to attach to.
+    CLOUDCACHE_CHECK_LT(shape.tenant, config_.tenants);
+    shapes[shape.tenant].price_multiplier *= shape.price_scale;
+    shapes[shape.tenant].tmax_multiplier *= shape.tmax_scale;
+  }
+  budget_models_.reserve(shapes.size());
+  for (const BudgetModelOptions& options : shapes) {
+    budget_models_.emplace_back(options);
   }
 }
 
@@ -142,14 +104,10 @@ ServedQuery EconScheme::OnQuery(const Query& query, SimTime now) {
   if (!tenant_rngs_.empty()) {
     CLOUDCACHE_CHECK_LT(query.tenant_id, tenant_rngs_.size());
   }
-  Rng& budget_rng =
-      tenant_rngs_.empty() ? rng_ : tenant_rngs_[query.tenant_id];
-  const BudgetModel& budget_model =
-      tenant_budget_models_.empty() ? budget_model_
-                                    : tenant_budget_models_[query.tenant_id];
-  const BudgetFunction& budget = budget_model.MakeInto(
-      backend_est.cost, backend_est.time_seconds, budget_rng,
-      &budget_scratch_);
+  const size_t stream = tenant_rngs_.empty() ? 0 : query.tenant_id;
+  Rng& budget_rng = tenant_rngs_.empty() ? rng_ : tenant_rngs_[stream];
+  const BudgetFunction budget = budget_models_[stream].Make(
+      backend_est.cost, backend_est.time_seconds, budget_rng);
 
   // Snapshot residency before the engine invests, so the reported build
   // usage reflects what actually had to be transferred. The snapshot

@@ -23,8 +23,7 @@ namespace cloudcache {
 /// budget to the quoted back-end plan (the service every user can always
 /// buy) and scale it.
 struct BudgetModelOptions {
-  enum class Shape { kStep, kLinear, kConvex, kConcave };
-  Shape shape = Shape::kStep;
+  BudgetShape shape = BudgetShape::kStep;
   /// Budget amount = multiplier x the back-end plan's price. Centered at
   /// 1.05 so the jitter makes budgets straddle the quoted back-end price:
   /// queries above it land in cases B/C (profit, Eq. 2 regret toward
@@ -52,30 +51,15 @@ struct TenantBudgetShape {
   double tmax_scale = 1.0;
 };
 
-/// Reusable storage for BudgetModel::MakeInto: the synthesized function
-/// object is recycled across queries whenever the requested shape matches
-/// the one already held, so steady-state budget synthesis allocates
-/// nothing.
-struct BudgetScratch {
-  BudgetModelOptions::Shape shape = BudgetModelOptions::Shape::kStep;
-  std::unique_ptr<BudgetFunction> fn;
-};
-
 /// Synthesizes per-query budget functions from a reference quote.
 class BudgetModel {
  public:
   explicit BudgetModel(BudgetModelOptions options) : options_(options) {}
 
   /// Builds the budget for a query whose back-end quote is
-  /// (reference_price, reference_seconds). The parameters land in
-  /// `scratch`'s recycled function object, so steady-state synthesis
-  /// allocates nothing. The returned reference is valid until the next
-  /// MakeInto on the same scratch.
-  const BudgetFunction& MakeInto(Money reference_price,
-                                 double reference_seconds, Rng& rng,
-                                 BudgetScratch* scratch) const;
-
-  const BudgetModelOptions& options() const { return options_; }
+  /// (reference_price, reference_seconds), drawing its jitter from `rng`.
+  BudgetFunction Make(Money reference_price, double reference_seconds,
+                      Rng& rng) const;
 
  private:
   BudgetModelOptions options_;
@@ -257,8 +241,7 @@ class EconScheme : public Scheme {
     uint32_t tenants = 0;
     /// Per-tenant budget-shape overrides (requires tenants >= 1; each
     /// entry's tenant must be in range). Tenants without an entry keep
-    /// the base `budget` shape. Empty (the default) keeps the one shared
-    /// synthesizer — the pre-override code path, bit for bit.
+    /// the base `budget` shape.
     std::vector<TenantBudgetShape> tenant_budgets;
   };
 
@@ -302,11 +285,10 @@ class EconScheme : public Scheme {
   StructureRegistry registry_;
   CostModel model_;
   std::unique_ptr<EconomyEngine> engine_;
-  BudgetModel budget_model_;
-  /// Per-tenant budget synthesizers, populated only when
-  /// config_.tenant_budgets carries overrides; otherwise every tenant
-  /// shares budget_model_ exactly as before the overrides existed.
-  std::vector<BudgetModel> tenant_budget_models_;
+  /// Budget synthesizers, one per tenant (one in all for the classic
+  /// single user), indexed like the jitter streams below: `budget`
+  /// scaled by the tenant's override, if it has one.
+  std::vector<BudgetModel> budget_models_;
   Rng rng_;
   /// Per-tenant budget jitter streams (config_.tenants > 1 only): tenant
   /// t's budgets are a pure function of MixSeed(config seed, t), so a
@@ -315,9 +297,6 @@ class EconScheme : public Scheme {
   std::vector<Rng> tenant_rngs_;
   /// Reused pre-query column-residency snapshot (build-usage metering).
   std::vector<bool> residency_scratch_;
-  /// Recycled per-query budget function (all tenant models share the
-  /// config's shape, so one scratch serves every stream).
-  BudgetScratch budget_scratch_;
 };
 
 }  // namespace cloudcache

@@ -306,72 +306,56 @@ void EconomyEngine::SettleExecution(const PlanSet& set, size_t index,
 }
 
 void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
-  const Money credit = account_.credit();
+  // The credit CR, and with it a * CR, changes only when an investment
+  // below withdraws from the account.
+  Money credit = account_.credit();
   if (!credit.IsPositive()) return;
+  Money scaled_credit = credit * options_.regret_fraction_a;
 
-  // Fast path: Eq. 3 fires only when some eligible structure's standing
-  // regret clears round(regret / (a * CR)) >= 1 — and, for a conservative
-  // provider, only when the credit also covers that structure's build
-  // cost. One flat ledger scan decides that before paying for the sorted
-  // descending view below. Skipping the full pass when nothing qualifies
-  // is bit-identical: with no investment the credit — and with it every
-  // per-entry check — never changes across the loop, so every iteration
-  // would just `continue` with no side effects. The affordability check
-  // mirrors the loop's conservative guard exactly (same epoch, so the
-  // memoized build cost is the same bits); without it, one standing
-  // high-regret-but-unaffordable candidate would force the full sorted
-  // pass on every query.
-  const Money scaled_credit = credit * options_.regret_fraction_a;
-  // Before that scan, an O(1) exit: Ratio and llround are monotone in the
-  // numerator, so if the largest entry misses Eq. 3, every entry does.
+  // Eligibility for Eq. 3 at the current credit: not resident or pending,
+  // CPU nodes booted in ordinal order (so multi-node plans become
+  // executable), InvestIn(S) = round(regret_S / (a * CR)) >= 1, and, for a
+  // conservative provider, a build cost CR fully covers (never gamble
+  // credit the cloud does not have).
+  const auto eligible = [&](StructureId id, Money regret_value) {
+    if (cache_.IsResident(id)) return false;
+    if (id < pending_flag_.size() && pending_flag_[id]) return false;
+    const StructureKey& key = registry_->key(id);
+    if (key.type == StructureType::kCpuNode &&
+        key.ordinal > cache_.extra_cpu_nodes()) {
+      return false;
+    }
+    if (std::llround(regret_value.Ratio(scaled_credit)) < 1) return false;
+    return !options_.conservative_provider ||
+           credit >= MemoBuildCost(id).cost;
+  };
+
+  // Fast path: one flat ledger scan decides whether anything is eligible
+  // before paying for the sorted descending view below. Skipping the full
+  // pass when nothing qualifies is bit-identical: with no investment the
+  // credit never changes across the loop, so every iteration would just
+  // `continue` with no side effects. The build-cost memo is read at the
+  // same epoch, so the guard sees the same bits in both passes; without
+  // the guard, one standing high-regret-but-unaffordable candidate would
+  // force the full sorted pass on every query. Before that scan, an O(1)
+  // exit: Ratio and llround are monotone in the numerator, so if the
+  // largest entry misses Eq. 3, every entry does.
   if (scaled_credit.IsPositive() &&
       std::llround(regret_.MaxAmount().Ratio(scaled_credit)) < 1) {
     return;
   }
-  const bool any_candidate =
-      regret_.AnyNonZero([&](StructureId id, Money regret_value) {
-        if (cache_.IsResident(id)) return false;
-        if (id < pending_flag_.size() && pending_flag_[id]) return false;
-        const StructureKey& key = registry_->key(id);
-        if (key.type == StructureType::kCpuNode) {
-          if (key.ordinal >= options_.max_extra_nodes) return false;
-          if (key.ordinal > cache_.extra_cpu_nodes()) return false;
-        }
-        if (std::llround(regret_value.Ratio(scaled_credit)) < 1) {
-          return false;
-        }
-        if (options_.conservative_provider &&
-            credit < MemoBuildCost(id).cost) {
-          return false;
-        }
-        return true;
-      });
-  if (!any_candidate) return;
+  if (!regret_.AnyNonZero(eligible)) return;
 
   for (const auto& [id, regret_value] : regret_.NonZeroDescending()) {
-    if (cache_.IsResident(id)) continue;
-    if (id < pending_flag_.size() && pending_flag_[id]) continue;
+    // Once the credit is gone, no later entry can be invested in.
+    if (!credit.IsPositive()) break;
+    if (!eligible(id, regret_value)) continue;
+    const Money build_cost = MemoBuildCost(id).cost;
+    if (!account_.WithdrawInvestment(build_cost).ok()) continue;
+    credit = account_.credit();
+    scaled_credit = credit * options_.regret_fraction_a;
 
     const StructureKey& key = registry_->key(id);
-    if (key.type == StructureType::kCpuNode) {
-      if (key.ordinal >= options_.max_extra_nodes) continue;
-      // Boot nodes in ordinal order so multi-node plans become executable.
-      if (key.ordinal > cache_.extra_cpu_nodes()) continue;
-    }
-
-    // Eq. 3: InvestIn(S) = round(regret_S / (a * CR)) >= 1.
-    const Money current_credit = account_.credit();
-    if (!current_credit.IsPositive()) break;
-    const double invest_in =
-        regret_value.Ratio(current_credit * options_.regret_fraction_a);
-    if (std::llround(invest_in) < 1) continue;
-
-    const Money build_cost = MemoBuildCost(id).cost;
-    if (options_.conservative_provider && current_credit < build_cost) {
-      continue;  // Never gamble credit the cloud does not have.
-    }
-    if (!account_.WithdrawInvestment(build_cost).ok()) continue;
-
     // Building an index also ships its absent key columns into the cache
     // (their BuildT is inside Eq. 14), so they materialize alongside it.
     std::vector<StructureId> built = {id};
@@ -466,9 +450,12 @@ void EconomyEngine::EvictFailedStructures(SimTime now,
     maintenance_.Unregister(id, now);
     amortizer_.Cancel(id);
     // A failed build wasted the regret that backed it: admission hands
-    // the backers' monetized shares back to unmonetized.
+    // the backers' monetized shares back to unmonetized. The structure
+    // just proved it cannot repay its rent under the current workload, so
+    // its regret is forfeited too, which prevents an immediate, equally
+    // doomed rebuild.
     admission_.OnStructureFailed(id);
-    if (options_.clear_regret_on_failure) ClearRegretEverywhere(id);
+    ClearRegretEverywhere(id);
     if (outcome != nullptr) {
       outcome->evictions.push_back(id);
     } else {
@@ -593,8 +580,8 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
   // tie-break is unchanged) keeps the candidate pool's LRU clock fresh for
   // every hypothetical structure that appeared in a plan — candidates that
   // fall off the cold end forfeit their regret (Section IV-B) — and
-  // gathers each survivor's columns, evaluating B_Q once per survivor
-  // (a virtual call) and classifying its affordability once.
+  // gathers each survivor's columns, evaluating B_Q once per survivor and
+  // classifying its affordability once.
   survivors_.clear();
   size_t existing_count = 0;
   size_t affordable_count = 0;
@@ -613,7 +600,7 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
     s.time = set.Time(idx);
     s.price = set.Price(idx);
     s.budget = budget.At(s.time);
-    s.affordable = !(s.time > budget.t_max()) && s.budget >= s.price;
+    s.affordable = !(s.time > budget.t_max) && s.budget >= s.price;
     existing_count += s.existing;
     affordable_count += s.affordable;
     affordable_existing += s.existing && s.affordable;

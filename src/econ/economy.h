@@ -81,13 +81,6 @@ struct EconomyOptions {
   /// (WAN transfer / sort / boot) has elapsed; if false, builds are
   /// instantaneous (the paper's economy does not model build latency).
   bool model_build_latency = true;
-  /// Upper bound on extra CPU nodes the cloud will ever keep.
-  uint32_t max_extra_nodes = 8;
-  /// A structure that fails maintenance just proved it cannot repay its
-  /// rent under the current workload; forfeiting its accumulated regret
-  /// prevents an immediate, equally doomed rebuild. Disable to study the
-  /// churn the paper's letter would produce.
-  bool clear_regret_on_failure = true;
   /// If false, a query whose budget covers no plan (case A, user declines)
   /// is rejected instead of falling back to the cheapest executable plan.
   /// The paper's experiments have the user "accept query execution in the

@@ -4,6 +4,7 @@
 
 #include "src/baseline/bypass_yield.h"
 #include "src/sim/experiment.h"
+#include "tests/testing/budget_monotone.h"
 #include "tests/testing/fixtures.h"
 
 namespace cloudcache {
@@ -105,22 +106,19 @@ TEST_F(SchemeTest, DeterministicForFixedSeed) {
 
 TEST_F(SchemeTest, BudgetModelShapes) {
   Rng rng(1);
-  for (auto shape :
-       {BudgetModelOptions::Shape::kStep, BudgetModelOptions::Shape::kLinear,
-        BudgetModelOptions::Shape::kConvex,
-        BudgetModelOptions::Shape::kConcave}) {
+  for (BudgetShape shape : {BudgetShape::kStep, BudgetShape::kLinear,
+                            BudgetShape::kConvex, BudgetShape::kConcave}) {
     BudgetModelOptions options;
     options.shape = shape;
     options.jitter = 0.0;
     options.price_multiplier = 2.0;
     options.tmax_multiplier = 3.0;
     BudgetModel model(options);
-    BudgetScratch scratch;
-    const BudgetFunction& budget =
-        model.MakeInto(Money::FromDollars(10), 4.0, rng, &scratch);
-    EXPECT_DOUBLE_EQ(budget.t_max(), 12.0);
+    const BudgetFunction budget = model.Make(Money::FromDollars(10), 4.0, rng);
+    EXPECT_EQ(budget.shape, shape);
+    EXPECT_DOUBLE_EQ(budget.t_max, 12.0);
     // Non-increasing by construction.
-    EXPECT_TRUE(budget.ValidateMonotone().ok());
+    EXPECT_TRUE(testing::ValidateMonotone(budget).ok());
     // Early values reflect the doubled reference price.
     EXPECT_GT(budget.At(0.01), Money::FromDollars(19.9));
   }
@@ -132,11 +130,9 @@ TEST_F(SchemeTest, BudgetJitterStraddlesReference) {
   options.jitter = 0.3;
   BudgetModel model(options);
   Rng rng(5);
-  BudgetScratch scratch;
   int below = 0, above = 0;
   for (int i = 0; i < 200; ++i) {
-    const BudgetFunction& budget =
-        model.MakeInto(Money::FromDollars(10), 1.0, rng, &scratch);
+    const BudgetFunction budget = model.Make(Money::FromDollars(10), 1.0, rng);
     (budget.At(0.5) < Money::FromDollars(10) ? below : above)++;
   }
   EXPECT_GT(below, 50);

@@ -55,8 +55,8 @@ class EconomyTest : public ::testing::Test {
   /// A "snug" budget: barely above the back-end quote, with a loose
   /// deadline. Keeps regret (and thus investment activity) negligible so
   /// tests can observe one mechanism at a time.
-  StepBudget SnugBudget(const Query& q, double margin = 1.05) {
-    return StepBudget(BackendPrice(q) * margin, BackendTime(q) * 10);
+  BudgetFunction SnugBudget(const Query& q, double margin = 1.05) {
+    return {BudgetShape::kStep, BackendPrice(q) * margin, BackendTime(q) * 10};
   }
 
   /// Options under which investments actually fire on the tiny catalog:
@@ -87,7 +87,7 @@ class EconomyTest : public ::testing::Test {
 TEST_F(EconomyTest, GenerousBudgetIsCaseB) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseB);
   EXPECT_TRUE(outcome.served);
@@ -96,7 +96,7 @@ TEST_F(EconomyTest, GenerousBudgetIsCaseB) {
 TEST_F(EconomyTest, ColdCacheServesFromBackend) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   ASSERT_TRUE(outcome.served);
   EXPECT_EQ(outcome.chosen.spec.access, PlanSpec::Access::kBackend);
@@ -105,7 +105,7 @@ TEST_F(EconomyTest, ColdCacheServesFromBackend) {
 TEST_F(EconomyTest, CaseBPaymentIsUserBudgetAtChosenTime) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   ASSERT_TRUE(outcome.served);
   EXPECT_EQ(outcome.payment, Money::FromDollars(1000));
@@ -117,7 +117,7 @@ TEST_F(EconomyTest, ProfitIsCreditedToAccount) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
   const Money before = engine->account().credit();
-  const StepBudget budget = SnugBudget(q);
+  const BudgetFunction budget = SnugBudget(q);
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   ASSERT_TRUE(outcome.served);
   EXPECT_TRUE(outcome.investments.empty());
@@ -128,7 +128,8 @@ TEST_F(EconomyTest, ProfitIsCreditedToAccount) {
 TEST_F(EconomyTest, UnaffordableBudgetIsCaseA) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromMicros(1), 1e6);  // Far below any price.
+  // Far below any price.
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseA);
   // The paper's user accepts the (backend) offer at its quoted price.
@@ -142,7 +143,7 @@ TEST_F(EconomyTest, CaseARejectedWhenUserDeclines) {
   options.user_accepts_above_budget = false;
   auto engine = MakeEngine(options);
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_FALSE(outcome.served);
   EXPECT_TRUE(outcome.payment.IsZero());
@@ -153,7 +154,8 @@ TEST_F(EconomyTest, TightDeadlineExcludesSlowPlans) {
   const Query q = testing::MakeTinyQuery(catalog_);
   // Generous money but a deadline far below the backend response time
   // leaves no executable plan affordable: case A.
-  StepBudget budget(Money::FromDollars(1000), BackendTime(q) * 1e-6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000),
+                        BackendTime(q) * 1e-6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseA);
 }
@@ -161,7 +163,7 @@ TEST_F(EconomyTest, TightDeadlineExcludesSlowPlans) {
 TEST_F(EconomyTest, CaseARegretAccumulatesOnCheaperHypotheticals) {
   auto engine = MakeEngine(InvestingOptions());
   const Query q = HeavyQuery();
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseA);
   // Result-heavy query: serving from cached columns would be cheaper than
@@ -177,7 +179,7 @@ TEST_F(EconomyTest, RegretConservation) {
   Money last_total;
   for (int i = 0; i < 10; ++i) {
     const Query q = testing::MakeTinyQuery(catalog_, 0.01, i);
-    StepBudget budget(Money::FromMicros(1), 1e6);
+    BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
     engine->OnQuery(q, budget, static_cast<double>(i));
     const Money total = engine->regret().Total();
     EXPECT_GE(total, last_total);
@@ -187,7 +189,7 @@ TEST_F(EconomyTest, RegretConservation) {
 
 TEST_F(EconomyTest, RegretTriggersInvestment) {
   auto engine = MakeEngine(InvestingOptions());
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   bool invested = false;
   for (int i = 0; i < 50 && !invested; ++i) {
     invested = !engine->OnQuery(HeavyQuery(i), budget, i).investments.empty();
@@ -197,7 +199,7 @@ TEST_F(EconomyTest, RegretTriggersInvestment) {
 
 TEST_F(EconomyTest, InvestmentsDebitTheAccount) {
   auto engine = MakeEngine(InvestingOptions());
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   for (int i = 0; i < 50; ++i) {
     engine->OnQuery(HeavyQuery(i), budget, i);
   }
@@ -212,7 +214,7 @@ TEST_F(EconomyTest, InvestmentsDebitTheAccount) {
 
 TEST_F(EconomyTest, InvestedStructureBecomesResident) {
   auto engine = MakeEngine(InvestingOptions());
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   std::vector<StructureId> investments;
   for (int i = 0; i < 50 && investments.empty(); ++i) {
     investments = engine->OnQuery(HeavyQuery(i), budget, i).investments;
@@ -225,12 +227,12 @@ TEST_F(EconomyTest, InvestedStructureBecomesResident) {
 
 TEST_F(EconomyTest, CacheHitAfterInvestment) {
   auto engine = MakeEngine(InvestingOptions());
-  StepBudget poor(Money::FromMicros(1), 1e6);
+  BudgetFunction poor{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   for (int i = 0; i < 80; ++i) {
     engine->OnQuery(HeavyQuery(i), poor, i);
   }
   // Once enough structures exist, a generous query executes in the cache.
-  StepBudget rich(Money::FromDollars(1000), 1e6);
+  BudgetFunction rich{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome =
       engine->OnQuery(HeavyQuery(999), rich, 100.0);
   ASSERT_TRUE(outcome.served);
@@ -247,7 +249,7 @@ TEST_F(EconomyTest, ConservativeProviderWaitsForProfit) {
   auto engine = MakeEngine(options);
   // Case-A queries generate regret but zero profit; with an empty account
   // the conservative provider can never cover a build.
-  StepBudget poor(Money::FromMicros(1), 1e6);
+  BudgetFunction poor{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   for (int i = 0; i < 50; ++i) {
     const QueryOutcome outcome = engine->OnQuery(HeavyQuery(i), poor, i);
     EXPECT_TRUE(outcome.investments.empty());
@@ -259,7 +261,7 @@ TEST_F(EconomyTest, BuildLatencyDelaysResidency) {
   EconomyOptions options = InvestingOptions();
   options.model_build_latency = true;
   auto engine = MakeEngine(options);
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   std::vector<StructureId> investments;
   double t = 0;
   for (int i = 0; i < 50 && investments.empty(); ++i, t += 1.0) {
@@ -334,7 +336,7 @@ TEST_F(EconomyTest, UsedStructuresSurviveMaintenance) {
   // *used* columns must survive.)
   for (int i = 1; i <= 20; ++i) {
     const Query heavy = HeavyQuery(i);
-    const StepBudget budget = SnugBudget(heavy, 1.1);
+    const BudgetFunction budget = SnugBudget(heavy, 1.1);
     const QueryOutcome outcome =
         engine->OnQuery(heavy, budget, i * (kMonth / 100));
     for (StructureId evicted : outcome.evictions) {
@@ -354,7 +356,7 @@ TEST_F(EconomyTest, SelectedPlanPaysMaintenance) {
   for (ColumnId col : q.AccessedColumns()) {
     ASSERT_TRUE(engine->ForceBuild(ColumnKey(catalog_, col), 0.0).ok());
   }
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome =
       engine->OnQuery(testing::MakeTinyQuery(catalog_, 0.01, 1), budget,
                       kMonth / 10);
@@ -378,7 +380,7 @@ TEST_F(EconomyTest, AmortizationCollectedOverHorizon) {
   Money collected;
   for (int i = 1; i <= 10; ++i) {
     const Query heavy = HeavyQuery(i);
-    const StepBudget budget = SnugBudget(heavy, 3.0);
+    const BudgetFunction budget = SnugBudget(heavy, 3.0);
     const QueryOutcome outcome = engine->OnQuery(heavy, budget, i);
     collected += outcome.amortization_collected;
   }
@@ -409,7 +411,7 @@ TEST_F(EconomyTest, FastestSelectionPrefersSpeed) {
   build_all(*fast_engine);
 
   const Query q = testing::MakeTinyQuery(catalog_, 0.01, 42);
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome cheap = cheap_engine->OnQuery(q, budget, 1.0);
   const QueryOutcome fast = fast_engine->OnQuery(q, budget, 1.0);
   ASSERT_TRUE(cheap.served);
@@ -426,7 +428,7 @@ TEST_F(EconomyTest, MinProfitSelectionMinimizesGain) {
   for (ColumnId col : q.AccessedColumns()) {
     ASSERT_TRUE(engine->ForceBuild(ColumnKey(catalog_, col), 0.0).ok());
   }
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome =
       engine->OnQuery(testing::MakeTinyQuery(catalog_, 0.01, 1), budget, 1);
   ASSERT_TRUE(outcome.served);
@@ -459,11 +461,11 @@ TEST_F(EconomyTest, MixedAffordabilityIsCaseC) {
     ASSERT_TRUE(
         probe_engine->ForceBuild(ColumnKey(catalog_, col), 0.0).ok());
   }
-  StepBudget huge(Money::FromDollars(1e6), 1e6);
+  BudgetFunction huge{BudgetShape::kStep, Money::FromDollars(1e6), 1e6};
   const QueryOutcome probe = probe_engine->OnQuery(q, huge, 1.0);
   ASSERT_TRUE(probe.served);
 
-  StepBudget snug(probe.chosen.price * 1.3, 1e6);
+  BudgetFunction snug{BudgetShape::kStep, probe.chosen.price * 1.3, 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, snug, 1.0);
   EXPECT_EQ(outcome.budget_case, BudgetCase::kCaseC);
   ASSERT_TRUE(outcome.served);
@@ -474,7 +476,7 @@ TEST_F(EconomyTest, MixedAffordabilityIsCaseC) {
 TEST_F(EconomyTest, OutcomeCountsPlans) {
   auto engine = MakeEngine(DefaultOptions());
   const Query q = testing::MakeTinyQuery(catalog_);
-  StepBudget budget(Money::FromDollars(1000), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(1000), 1e6};
   const QueryOutcome outcome = engine->OnQuery(q, budget, 0.0);
   EXPECT_GE(outcome.num_plans, outcome.num_existing);
   EXPECT_GE(outcome.num_existing, 1u);
@@ -485,7 +487,7 @@ TEST_F(EconomyTest, CandidatePoolEvictionForfeitsRegret) {
   EconomyOptions options = DefaultOptions();
   options.candidate_pool_capacity = 1;  // Pathologically small.
   auto engine = MakeEngine(options);
-  StepBudget budget(Money::FromMicros(1), 1e6);
+  BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   for (int i = 0; i < 5; ++i) {
     engine->OnQuery(testing::MakeTinyQuery(catalog_, 0.01, i), budget, i);
   }
@@ -504,7 +506,7 @@ TEST_F(EconomyTest, DeterministicAcrossRuns) {
                          options);
     const ColumnId date = *catalog_.FindColumn("fact.f_date");
     engine.SetIndexCandidates({IndexKey(catalog_, {date})});
-    StepBudget budget(Money::FromDollars(0.002), 1e6);
+    BudgetFunction budget{BudgetShape::kStep, Money::FromDollars(0.002), 1e6};
     Money credit;
     for (int i = 0; i < 60; ++i) {
       engine.OnQuery(testing::MakeTinyQuery(catalog_, 0.01, i), budget, i);
@@ -524,7 +526,7 @@ TEST_F(EconomyTest, TenantRegretPartitionsGlobalLedger) {
   // and the serving tenant's, so at any instant — including right after
   // an investment clears entries from both — the tenant ledgers sum to
   // the global one.
-  const StepBudget budget(Money::FromMicros(1), 1e6);
+  const BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   bool saw_regret = false;
   for (uint64_t i = 0; i < 30; ++i) {
     Query q = HeavyQuery(i);
@@ -549,7 +551,7 @@ TEST_F(EconomyTest, TenantRegretClearedWhenStructureIsBuilt) {
   // Run tenant 1's queries until an investment fires; the built
   // structures' regret must vanish from the tenant ledgers along with the
   // global entries (partition preserved through MaybeInvest's clears).
-  const StepBudget budget(Money::FromMicros(1), 1e6);
+  const BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   bool invested = false;
   for (uint64_t i = 0; i < 200 && !invested; ++i) {
     Query q = HeavyQuery(i);
@@ -579,7 +581,7 @@ TEST_F(EconomyTest, TenantRegretDisabledByDefault) {
   EXPECT_EQ(engine->tenant_count(), 0u);
   Query q = HeavyQuery(0);
   q.tenant_id = 7;  // Out-of-range tenant on a non-attributing engine.
-  const StepBudget budget(Money::FromMicros(1), 1e6);
+  const BudgetFunction budget{BudgetShape::kStep, Money::FromMicros(1), 1e6};
   engine->OnQuery(q, budget, 0.0);
   // No attribution, and asking is safe.
   EXPECT_EQ(engine->TenantRegretTotal(7).micros(), 0);

@@ -102,7 +102,8 @@ class FailureScanEquivalenceTest : public ::testing::TestWithParam<Param> {
     PlanSpec backend;
     backend.access = PlanSpec::Access::kBackend;
     const ExecutionEstimate quote = model_.EstimateExecution(query, backend);
-    const StepBudget budget(quote.cost * 1.5, quote.time_seconds * 2.0);
+    const BudgetFunction budget{BudgetShape::kStep, quote.cost * 1.5,
+                                quote.time_seconds * 2.0};
     const QueryOutcome outcome = engine_->OnQuery(query, budget, now);
     ASSERT_EQ(outcome.evictions, expected_) << "query " << query.id;
     expected_.clear();

@@ -19,6 +19,7 @@
 #include "src/sim/experiment.h"
 #include "src/structure/index_advisor.h"
 #include "src/workload/trace.h"
+#include "tests/testing/budget_monotone.h"
 #include "tests/testing/fixtures.h"
 #include "tests/testing/plan_sets.h"
 
@@ -284,9 +285,9 @@ TEST_P(EconomyInvariants, BooksBalanceUnderRandomTraffic) {
     now += rng.NextExponential(20.0);
     const Query q = testing::MakeTinyQuery(
         catalog, rng.NextUniform(0.001, 0.4), static_cast<uint64_t>(i));
-    StepBudget budget(
-        Money::FromDollars(rng.NextUniform(0.00001, 0.01)),
-        rng.NextUniform(0.01, 1000.0));
+    const BudgetFunction budget{
+        BudgetShape::kStep, Money::FromDollars(rng.NextUniform(0.00001, 0.01)),
+        rng.NextUniform(0.01, 1000.0)};
     const QueryOutcome outcome = engine.OnQuery(q, budget, now);
 
     // Identity: credit == initial + revenue - expenditure - investment.
@@ -451,24 +452,20 @@ TEST_P(BudgetProperty, AllShapesMonotoneAndBounded) {
   Rng rng(GetParam());
   const Money amount = Money::FromDollars(rng.NextUniform(0.001, 100.0));
   const double t_max = rng.NextUniform(0.01, 1000.0);
-  const StepBudget step(amount, t_max);
-  const LinearBudget linear(amount, t_max);
-  const ConvexBudget convex(amount, t_max);
-  const ConcaveBudget concave(amount, t_max);
-  const std::vector<const BudgetFunction*> all = {&step, &linear, &convex,
-                                                  &concave};
-  for (const BudgetFunction* budget : all) {
-    EXPECT_TRUE(budget->ValidateMonotone().ok());
+  for (BudgetShape shape : {BudgetShape::kStep, BudgetShape::kLinear,
+                            BudgetShape::kConvex, BudgetShape::kConcave}) {
+    const BudgetFunction budget{shape, amount, t_max};
+    EXPECT_TRUE(testing::ValidateMonotone(budget).ok());
     Money prev = amount + Money::FromMicros(1);
     for (int i = 1; i <= 32; ++i) {
       const double t = t_max * i / 32.0;
-      const Money value = budget->At(t);
+      const Money value = budget.At(t);
       EXPECT_LE(value, amount);      // Never above the headline amount.
       EXPECT_GE(value.micros(), 0);  // Never negative.
       EXPECT_LE(value, prev);        // Non-increasing.
       prev = value;
     }
-    EXPECT_TRUE(budget->At(t_max * 1.0001).IsZero());
+    EXPECT_TRUE(budget.At(t_max * 1.0001).IsZero());
   }
 }
 

@@ -94,16 +94,21 @@ TEST_F(PlanCacheEquivalenceTest, Fig4GridBitIdentical) {
 }
 
 TEST_F(PlanCacheEquivalenceTest, AblationVariantBitIdentical) {
-  // One A2-style ablation point: short amortization horizon and a linear
-  // budget shape stress different plan-pricing paths than the defaults.
-  ExperimentConfig config = ActiveConfig(SchemeKind::kEconCheap, 10.0);
-  const auto base_customize = config.customize_econ;
-  config.customize_econ = [base_customize](EconScheme::Config& econ) {
-    base_customize(econ);
-    econ.economy.amortization_horizon = 2'000;
-    econ.budget.shape = BudgetModelOptions::Shape::kLinear;
-  };
-  RunPair(*catalog_, *templates_, config);
+  // A2/A6-style ablation points: a short amortization horizon under each
+  // budget shape stresses different plan-pricing paths than the defaults,
+  // and pins every shape's B_Q by a whole run.
+  for (BudgetShape shape : {BudgetShape::kStep, BudgetShape::kLinear,
+                            BudgetShape::kConvex, BudgetShape::kConcave}) {
+    SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)));
+    ExperimentConfig config = ActiveConfig(SchemeKind::kEconCheap, 10.0);
+    const auto base_customize = config.customize_econ;
+    config.customize_econ = [base_customize, shape](EconScheme::Config& econ) {
+      base_customize(econ);
+      econ.economy.amortization_horizon = 2'000;
+      econ.budget.shape = shape;
+    };
+    RunPair(*catalog_, *templates_, config);
+  }
 }
 
 TEST_F(PlanCacheEquivalenceTest, BuildLatencyVariantBitIdentical) {

@@ -136,7 +136,8 @@ class PlanColumnsTest : public ::testing::TestWithParam<Param> {
     backend.access = PlanSpec::Access::kBackend;
     const ExecutionEstimate quote = model_.EstimateExecution(query, backend);
     // Generous enough that cache plans earn regret and investments fire.
-    const StepBudget budget(quote.cost * 1.5, quote.time_seconds * 2.0);
+    const BudgetFunction budget{BudgetShape::kStep, quote.cost * 1.5,
+                                quote.time_seconds * 2.0};
     const QueryOutcome outcome = engine_->OnQuery(query, budget, now);
     if (!outcome.served) return;
     const ExecutionEstimate single =
