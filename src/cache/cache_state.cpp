@@ -8,20 +8,12 @@ CacheState::CacheState(StructureRegistry* registry) : registry_(registry) {
   column_resident_.assign(registry->catalog().num_columns(), false);
 }
 
-void CacheState::EnsureSize(StructureId id) {
+Status CacheState::Add(StructureId id, SimTime now) {
+  CLOUDCACHE_CHECK_LT(id, registry_->size());
   if (id >= resident_.size()) {
     resident_.resize(id + 1, false);
     last_used_.resize(id + 1, 0);
   }
-}
-
-bool CacheState::IsResident(StructureId id) const {
-  return id < resident_.size() && resident_[id];
-}
-
-Status CacheState::Add(StructureId id, SimTime now) {
-  CLOUDCACHE_CHECK_LT(id, registry_->size());
-  EnsureSize(id);
   if (resident_[id]) {
     return Status::AlreadyExists(
         registry_->key(id).ToString(registry_->catalog()));

@@ -22,7 +22,9 @@ class CacheState {
   explicit CacheState(StructureRegistry* registry);
 
   /// True if `id` is built and usable.
-  bool IsResident(StructureId id) const;
+  bool IsResident(StructureId id) const {
+    return id < resident_.size() && resident_[id];
+  }
 
   /// Marks `id` resident. Fails with AlreadyExists if it already is.
   Status Add(StructureId id, SimTime now);
@@ -82,8 +84,6 @@ class CacheState {
   Status RestoreState(persist::Decoder* dec);
 
  private:
-  void EnsureSize(StructureId id);
-
   StructureRegistry* registry_;
   std::vector<bool> resident_;
   std::vector<SimTime> last_used_;

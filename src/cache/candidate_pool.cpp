@@ -1,8 +1,5 @@
 #include "src/cache/candidate_pool.h"
 
-#include <algorithm>
-#include <iterator>
-
 #include "src/util/logging.h"
 
 namespace cloudcache {
@@ -17,78 +14,89 @@ void CandidatePool::SetVictimScorer(
   victim_window_ = window == 0 ? 1 : window;
 }
 
+void CandidatePool::Link(StructureId id, StructureId prev, StructureId next) {
+  nodes_[id].prev = prev;
+  nodes_[id].next = next;
+  (prev != kNone ? nodes_[prev].next : head_) = id;
+  (next != kNone ? nodes_[next].prev : tail_) = id;
+}
+
+void CandidatePool::Unlink(StructureId id) {
+  const Node& node = nodes_[id];
+  (node.prev != kNone ? nodes_[node.prev].next : head_) = node.next;
+  (node.next != kNone ? nodes_[node.next].prev : tail_) = node.prev;
+}
+
+void CandidatePool::Insert(StructureId id, SimTime last_touch) {
+  if (id >= nodes_.size()) nodes_.resize(id + 1);
+  nodes_[id].present = true;
+  nodes_[id].last_touch = last_touch;
+  ++size_;
+}
+
+void CandidatePool::Remove(StructureId id) {
+  Unlink(id);
+  nodes_[id].present = false;
+  --size_;
+}
+
 StructureId CandidatePool::PopVictim() {
   // Classic LRU: the coldest entry. With a scorer, search the cold tail
   // for the lowest score; a tie keeps the colder entry so that equal
-  // scores reproduce LRU exactly. The front entry — the candidate whose
+  // scores reproduce LRU exactly. The head entry — the candidate whose
   // Touch caused this overflow — is never a victim.
-  auto victim = std::prev(entries_.end());
-  if (victim_scorer_ && victim != entries_.begin()) {
-    double best = victim_scorer_(victim->id);
-    auto it = victim;
+  StructureId victim = tail_;
+  if (victim_scorer_ && victim != head_) {
+    double best = victim_scorer_(victim);
+    StructureId it = victim;
     for (size_t seen = 1; seen < victim_window_; ++seen) {
-      --it;
-      if (it == entries_.begin()) break;
-      const double score = victim_scorer_(it->id);
+      it = nodes_[it].prev;
+      if (it == head_) break;
+      const double score = victim_scorer_(it);
       if (score < best) {
         best = score;
         victim = it;
       }
     }
   }
-  const StructureId id = victim->id;
-  present_[id] = 0;
-  entries_.erase(victim);
-  return id;
+  Remove(victim);
+  return victim;
 }
 
 const std::vector<StructureId>& CandidatePool::Touch(StructureId id,
                                                     SimTime now) {
   evicted_.clear();
   if (Contains(id)) {
-    const auto it = index_[id];
-    it->last_touch = now;
-    entries_.splice(entries_.begin(), entries_, it);
+    nodes_[id].last_touch = now;
+    if (head_ != id) {
+      Unlink(id);
+      Link(id, kNone, head_);
+    }
     return evicted_;
   }
-  entries_.push_front(Entry{id, now});
-  if (id >= present_.size()) {
-    present_.resize(id + 1, 0);
-    index_.resize(id + 1);
-  }
-  present_[id] = 1;
-  index_[id] = entries_.begin();
-  while (entries_.size() > capacity_) {
-    if (!victim_scorer_) {
-      // Classic strict LRU stays on the original tight path.
-      const StructureId victim = entries_.back().id;
-      evicted_.push_back(victim);
-      present_[victim] = 0;
-      entries_.pop_back();
-    } else {
-      evicted_.push_back(PopVictim());
-    }
-  }
+  Insert(id, now);
+  Link(id, kNone, head_);
+  while (size_ > capacity_) evicted_.push_back(PopVictim());
   return evicted_;
 }
 
 void CandidatePool::Erase(StructureId id) {
-  if (!Contains(id)) return;
-  entries_.erase(index_[id]);
-  present_[id] = 0;
+  if (Contains(id)) Remove(id);
 }
 
 void CandidatePool::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(entries_.size());
-  for (const Entry& entry : entries_) {
-    enc->PutU32(entry.id);
-    enc->PutDouble(entry.last_touch);
+  enc->PutU64(size_);
+  for (StructureId id = head_; id != kNone; id = nodes_[id].next) {
+    enc->PutU32(id);
+    enc->PutDouble(nodes_[id].last_touch);
   }
 }
 
-Status CandidatePool::RestoreState(persist::Decoder* dec) {
-  entries_.clear();
-  std::fill(present_.begin(), present_.end(), 0);
+Status CandidatePool::RestoreState(persist::Decoder* dec,
+                                   const StructureRegistry& registry) {
+  nodes_.clear();
+  head_ = tail_ = kNone;
+  size_ = 0;
   uint64_t count = 0;
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
   if (count > capacity_) {
@@ -100,19 +108,18 @@ Status CandidatePool::RestoreState(persist::Decoder* dec) {
     double last_touch = 0;
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&last_touch));
-    if (id >= present_.size()) {
-      present_.resize(id + 1, 0);
-      index_.resize(id + 1);
+    if (id >= registry.size()) {
+      return Status::InvalidArgument(
+          "snapshot candidate pool references an unknown structure");
     }
-    if (present_[id]) {
+    if (Contains(id)) {
       return Status::InvalidArgument(
           "snapshot candidate pool repeats structure id " +
           std::to_string(id));
     }
-    // Entries arrive in MRU-first order; appending keeps that order.
-    entries_.push_back(Entry{id, last_touch});
-    present_[id] = 1;
-    index_[id] = std::prev(entries_.end());
+    // Entries arrive in MRU-first order; appending at the tail keeps it.
+    Insert(id, last_touch);
+    Link(id, tail_, kNone);
   }
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <list>
 #include <vector>
 
 #include "src/persist/codec.h"
@@ -55,34 +54,46 @@ class CandidatePool {
   void Erase(StructureId id);
 
   bool Contains(StructureId id) const {
-    return id < present_.size() && present_[id];
+    return id < nodes_.size() && nodes_[id].present;
   }
-  size_t size() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return size_; }
 
   /// Checkpoint support: saves the (id, last_touch) entries in exact MRU
-  /// order; restore rebuilds the handle map. Capacity and the victim
-  /// scorer are configuration, re-established by reconstruction.
+  /// order; restore relinks them, refusing ids `registry` has not
+  /// interned. Capacity and the victim scorer are configuration,
+  /// re-established by reconstruction.
   void SaveState(persist::Encoder* enc) const;
-  Status RestoreState(persist::Decoder* dec);
+  Status RestoreState(persist::Decoder* dec,
+                      const StructureRegistry& registry);
 
  private:
-  struct Entry {
-    StructureId id;
-    SimTime last_touch;
+  static constexpr StructureId kNone = ~StructureId{0};
+
+  /// One id's place in the recency list (kNone: an end), while present.
+  struct Node {
+    StructureId prev = kNone;
+    StructureId next = kNone;
+    SimTime last_touch = 0;
+    bool present = false;
   };
 
   /// Removes and returns the overflow victim per the active policy.
   StructureId PopVictim();
+  /// Links `id` between `prev` and `next` (kNone: the list's end).
+  void Link(StructureId id, StructureId prev, StructureId next);
+  void Unlink(StructureId id);
+  /// Marks `id` present, unlinked; Remove unlinks it and marks it absent.
+  void Insert(StructureId id, SimTime last_touch);
+  void Remove(StructureId id);
 
   size_t capacity_;
-  std::list<Entry> entries_;  // Front = most recently used.
-  /// Flat id-indexed handle map (StructureIds are small dense integers):
-  /// index_[id] is valid iff present_[id]. The per-query Touch of an
-  /// already-tracked candidate — the hot path — is then one array load
-  /// plus a splice, with no hashing.
-  std::vector<std::list<Entry>::iterator> index_;
-  std::vector<char> present_;
+  /// Recency list linked through id-indexed nodes (StructureIds are small
+  /// dense integers): the per-query Touch of a tracked candidate is a few
+  /// array writes. Head = most recently used.
+  std::vector<Node> nodes_;
+  StructureId head_ = kNone;
+  StructureId tail_ = kNone;
+  size_t size_ = 0;
   std::vector<StructureId> evicted_;  // Touch's reused out-buffer.
   /// Tenant-aware aging (null = classic strict LRU).
   std::function<double(StructureId)> victim_scorer_;

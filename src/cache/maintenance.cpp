@@ -23,20 +23,21 @@ void MaintenanceLedger::Register(StructureId id, const StructureKey& key,
   CLOUDCACHE_CHECK(!IsTracked(id));
   CLOUDCACHE_CHECK_GE(failure_scale, 1.0);
   Clock clock;
-  clock.id = id;
-  clock.key = key;
+  clock.type = key.type;
   clock.paid_until = now;
   clock.build_cost = build_cost;
   clock.failure_scale = failure_scale;
   clock.bytes = StructureBytes(model_->catalog(), key);
-  Track(std::move(clock));
+  Track(id, clock);
 }
 
-void MaintenanceLedger::Track(Clock clock) {
-  const StructureId id = clock.id;
-  Clock& tracked = clocks_.emplace(id, std::move(clock)).first->second;
+void MaintenanceLedger::Track(StructureId id, const Clock& clock) {
+  if (id >= clocks_.size()) clocks_.resize(id + 1);
+  Clock& tracked = clocks_[id];
+  tracked = clock;
+  tracked.tracked = true;
   tracked.heap_pos = heap_.size();
-  heap_.push_back(&tracked);
+  heap_.push_back(id);
   if (tracked.build_cost.IsZero()) {
     // Judged by a rebuild cost this ledger cannot see yet: a zero safe gap
     // (rent over no time is zero, so it never fails) until CollectDue
@@ -51,50 +52,37 @@ void MaintenanceLedger::Track(Clock clock) {
 }
 
 double MaintenanceLedger::FailureScale(StructureId id) const {
-  auto it = clocks_.find(id);
-  return it == clocks_.end() ? 1.0 : it->second.failure_scale;
+  return IsTracked(id) ? clocks_[id].failure_scale : 1.0;
 }
 
 Money MaintenanceLedger::BuildCostOf(StructureId id) const {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
-  return it->second.build_cost;
+  return At(id).build_cost;
 }
 
 Money MaintenanceLedger::Unregister(StructureId id, SimTime now) {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
+  Clock& clock = At(id);
   const Money written_off =
-      PriceGap(it->second, std::max(0.0, now - it->second.paid_until));
-  HeapErase(it->second.heap_pos);
-  if (it->second.build_cost.IsZero()) {
+      PriceGap(clock, std::max(0.0, now - clock.paid_until));
+  HeapErase(clock.heap_pos);
+  if (clock.build_cost.IsZero()) {
     auto pos = std::find(floating_.begin(), floating_.end(), id);
     *pos = floating_.back();
     floating_.pop_back();
   }
-  clocks_.erase(it);
+  clock.tracked = false;
   return written_off;
-}
-
-Money MaintenanceLedger::Owed(StructureId id, SimTime now) const {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
-  return PriceGap(it->second, std::max(0.0, now - it->second.paid_until));
 }
 
 Money MaintenanceLedger::OwedCapped(StructureId id, SimTime now,
                                     double cap_seconds) const {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
-  const double gap = std::max(0.0, now - it->second.paid_until);
-  return PriceGap(it->second, std::min(gap, cap_seconds));
+  const Clock& clock = At(id);
+  const double gap = std::max(0.0, now - clock.paid_until);
+  return PriceGap(clock, std::min(gap, cap_seconds));
 }
 
 Money MaintenanceLedger::Pay(StructureId id, SimTime now,
                              double cap_seconds) {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
-  Clock& clock = it->second;
+  Clock& clock = At(id);
   const double gap = std::max(0.0, now - clock.paid_until);
   const double covered = std::min(gap, cap_seconds);
   const Money collected = PriceGap(clock, covered);
@@ -105,9 +93,7 @@ Money MaintenanceLedger::Pay(StructureId id, SimTime now,
 
 bool MaintenanceLedger::Fails(StructureId id, SimTime now, Money build_cost,
                               Money* owed, Money* threshold) {
-  auto it = clocks_.find(id);
-  CLOUDCACHE_CHECK(it != clocks_.end());
-  Clock& clock = it->second;
+  Clock& clock = At(id);
   *owed = PriceGap(clock, std::max(0.0, now - clock.paid_until));
   *threshold = Threshold(clock, build_cost);
   if (!owed->IsZero() && *owed > *threshold) return true;
@@ -139,7 +125,7 @@ double MaintenanceLedger::SafeGap(const Clock& clock, Money threshold) const {
   // Owed rent is never negative, so a clock survives every gap whose rent
   // is at most max(threshold, 0). A zero gap always qualifies.
   const Money limit = Money::Max(threshold, Money());
-  const double rate = model_->MaintenanceRate(clock.key, clock.bytes);
+  const double rate = model_->MaintenanceRate(clock.type, clock.bytes);
   if (!(rate > 0.0)) return 0.0;
   const double estimate = std::min(limit.ToDollars() / rate, kMaxSafeGap);
   if (PriceGap(clock, estimate) <= limit) return estimate;
@@ -179,10 +165,8 @@ void MaintenanceLedger::GatherDue(SimTime now, int64_t after,
   while (!gather_stack_.empty()) {
     const size_t pos = gather_stack_.back();
     gather_stack_.pop_back();
-    if (pos >= heap_.size() || heap_[pos]->deadline > now) continue;
-    if (static_cast<int64_t>(heap_[pos]->id) > after) {
-      due->push_back(heap_[pos]->id);
-    }
+    if (pos >= heap_.size() || clocks_[heap_[pos]].deadline > now) continue;
+    if (static_cast<int64_t>(heap_[pos]) > after) due->push_back(heap_[pos]);
     gather_stack_.push_back(2 * pos + 1);
     gather_stack_.push_back(2 * pos + 2);
   }
@@ -191,14 +175,17 @@ void MaintenanceLedger::GatherDue(SimTime now, int64_t after,
 
 void MaintenanceLedger::HeapSwap(size_t a, size_t b) {
   std::swap(heap_[a], heap_[b]);
-  heap_[a]->heap_pos = a;
-  heap_[b]->heap_pos = b;
+  clocks_[heap_[a]].heap_pos = a;
+  clocks_[heap_[b]].heap_pos = b;
 }
 
 void MaintenanceLedger::HeapFix(size_t pos) {
+  const auto deadline = [this](size_t p) {
+    return clocks_[heap_[p]].deadline;
+  };
   while (pos > 0) {
     const size_t parent = (pos - 1) / 2;
-    if (!(heap_[pos]->deadline < heap_[parent]->deadline)) break;
+    if (!(deadline(pos) < deadline(parent))) break;
     HeapSwap(pos, parent);
     pos = parent;
   }
@@ -207,11 +194,10 @@ void MaintenanceLedger::HeapFix(size_t pos) {
     if (left >= heap_.size()) break;
     size_t least = left;
     const size_t right = left + 1;
-    if (right < heap_.size() &&
-        heap_[right]->deadline < heap_[left]->deadline) {
+    if (right < heap_.size() && deadline(right) < deadline(left)) {
       least = right;
     }
-    if (!(heap_[least]->deadline < heap_[pos]->deadline)) break;
+    if (!(deadline(least) < deadline(pos))) break;
     HeapSwap(pos, least);
     pos = least;
   }
@@ -225,13 +211,10 @@ void MaintenanceLedger::HeapErase(size_t pos) {
 }
 
 void MaintenanceLedger::SaveState(persist::Encoder* enc) const {
-  std::vector<StructureId> ids;
-  ids.reserve(clocks_.size());
-  for (const auto& [id, clock] : clocks_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  enc->PutU64(ids.size());
-  for (StructureId id : ids) {
-    const Clock& clock = clocks_.at(id);
+  enc->PutU64(heap_.size());
+  for (StructureId id = 0; id < clocks_.size(); ++id) {
+    const Clock& clock = clocks_[id];
+    if (!clock.tracked) continue;
     enc->PutU32(id);
     enc->PutDouble(clock.paid_until);
     enc->PutMoney(clock.build_cost);
@@ -254,14 +237,13 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
       return Status::InvalidArgument(
           "snapshot maintenance clock references an unknown structure");
     }
-    if (clocks_.count(id) > 0) {
+    if (IsTracked(id)) {
       return Status::InvalidArgument(
           "snapshot maintenance ledger repeats structure id " +
           std::to_string(id));
     }
     Clock clock;
-    clock.id = id;
-    clock.key = registry.key(id);
+    clock.type = registry.key(id).type;
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&clock.paid_until));
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&clock.build_cost));
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&clock.failure_scale));
@@ -272,7 +254,7 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
     clock.bytes = registry.bytes(id);
     // The deadline heap is rebuilt from the restored clocks, exactly as
     // Register would have built it.
-    Track(std::move(clock));
+    Track(id, clock);
   }
   return Status::OK();
 }

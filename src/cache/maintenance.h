@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cost/cost_model.h"
 #include "src/persist/codec.h"
 #include "src/structure/structure.h"
+#include "src/util/logging.h"
 #include "src/util/money.h"
 #include "src/util/units.h"
 
@@ -90,7 +90,9 @@ class MaintenanceLedger {
   Money Unregister(StructureId id, SimTime now);
 
   /// Rent accrued since the last payment, priced by the decision model.
-  Money Owed(StructureId id, SimTime now) const;
+  Money Owed(StructureId id, SimTime now) const {
+    return OwedCapped(id, now, kNoCapSeconds);
+  }
 
   /// Rent owed, capped at `cap_seconds` worth of rent. This is what one
   /// selected plan is surcharged: recovering an arbitrarily long idle
@@ -107,7 +109,9 @@ class MaintenanceLedger {
 
   static constexpr double kNoCapSeconds = 1e300;
 
-  bool IsTracked(StructureId id) const { return clocks_.count(id) > 0; }
+  bool IsTracked(StructureId id) const {
+    return id < clocks_.size() && clocks_[id].tracked;
+  }
 
   /// Footnote 3's exact failure test for tracked `id` at `now`: fills the
   /// owed rent and the threshold (`build_cost` times the failure fraction,
@@ -129,36 +133,35 @@ class MaintenanceLedger {
                   std::vector<StructureId>* due, int64_t after = -1) {
     if (!floating_.empty() && floating_stamp_ != epoch + 1) {
       for (StructureId id : floating_) {
-        Clock& clock = clocks_.at(id);
+        Clock& clock = clocks_[id];
         SetThreshold(&clock, Threshold(clock, build_cost_now(id)));
       }
       floating_stamp_ = epoch + 1;
     }
     due->clear();
-    if (heap_.empty() || heap_.front()->deadline > now) return;
+    if (heap_.empty() || clocks_[heap_.front()].deadline > now) return;
     GatherDue(now, after, due);
   }
 
-  /// Checkpoint support: clocks are saved sorted by id (the map itself has
-  /// no deterministic order); restore rederives each clock's key and byte
-  /// footprint from the registry, so a snapshot can never resurrect a
-  /// clock for a structure this run does not know. Deadlines are not
-  /// saved: restore recomputes them.
+  /// Checkpoint support: clocks are saved in ascending id order; restore
+  /// rederives each clock's type and byte footprint from the registry, so
+  /// a snapshot can never resurrect a clock for a structure this run does
+  /// not know. Deadlines are not saved: restore recomputes them.
   void SaveState(persist::Encoder* enc) const;
   Status RestoreState(persist::Decoder* dec,
                       const StructureRegistry& registry);
 
  private:
   struct Clock {
-    StructureId id = 0;
-    StructureKey key;
+    bool tracked = false;  // Between Track and Unregister.
+    /// All of the key the rent pricers read: its type and StructureBytes,
+    /// computed once at Register (a registered structure's footprint never
+    /// changes), so pricing skips the catalog walk and no key is copied.
+    StructureType type = StructureType::kColumn;
+    uint64_t bytes = 0;
     SimTime paid_until = 0;
     Money build_cost;
     double failure_scale = 1.0;
-    /// StructureBytes(catalog, key), computed once at Register so the
-    /// per-query rent pricers skip the catalog walk (the footprint of a
-    /// registered structure never changes).
-    uint64_t bytes = 0;
     /// The threshold the deadline stands for: fixed at Register for a
     /// recorded build cost, refreshed per epoch for a zero one.
     Money threshold;
@@ -172,7 +175,7 @@ class MaintenanceLedger {
 
   /// Rent accrued over `gap` seconds, priced through the cached footprint.
   Money PriceGap(const Clock& clock, double gap) const {
-    return model_->MaintenanceCostSized(clock.key, clock.bytes, gap);
+    return model_->MaintenanceCostSized(clock.type, clock.bytes, gap);
   }
 
   /// The failure threshold of `clock` for reference cost `build_cost`.
@@ -183,13 +186,21 @@ class MaintenanceLedger {
   void SetThreshold(Clock* clock, Money threshold);
   /// Re-derives the deadline from paid_until and the safe gap.
   void ResetDeadline(Clock* clock);
-  /// Adds a freshly filled clock to the map, the heap and, for a zero
-  /// build cost, the floating set.
-  void Track(Clock clock);
+  /// The tracked clock of `id` (checked).
+  const Clock& At(StructureId id) const {
+    CLOUDCACHE_CHECK(IsTracked(id));
+    return clocks_[id];
+  }
+  Clock& At(StructureId id) {
+    const MaintenanceLedger& self = *this;
+    return const_cast<Clock&>(self.At(id));
+  }
+  /// Stores a freshly filled clock at `id`, adds it to the heap and, for a
+  /// zero build cost, to the floating set.
+  void Track(StructureId id, const Clock& clock);
   void GatherDue(SimTime now, int64_t after, std::vector<StructureId>* due);
 
-  // Min-heap of clocks by deadline. Clock pointers are stable: the map
-  // never moves its nodes.
+  // Min-heap of clock ids by deadline.
   void HeapFix(size_t pos);
   void HeapSwap(size_t a, size_t b);
   void HeapErase(size_t pos);
@@ -197,8 +208,8 @@ class MaintenanceLedger {
   const CostModel* model_;
   double failure_fraction_;
   bool scale_thresholds_;
-  std::unordered_map<StructureId, Clock> clocks_;
-  std::vector<Clock*> heap_;
+  std::vector<Clock> clocks_;  // Indexed by StructureId; tracked ones heaped.
+  std::vector<StructureId> heap_;
   /// Clocks registered at zero build cost, whose threshold follows the
   /// residency epoch; refreshed by CollectDue when the epoch moves. The
   /// stamp is the epoch of the last refresh + 1; 0 means "refresh".

@@ -338,13 +338,14 @@ BuildUsage CostModel::EstimateBuildUsage(
 
 Money CostModel::MaintenanceCost(const StructureKey& key,
                                  double seconds) const {
-  return MaintenanceCostSized(key, StructureBytes(*catalog_, key), seconds);
+  return MaintenanceCostSized(key.type, StructureBytes(*catalog_, key),
+                              seconds);
 }
 
-Money CostModel::MaintenanceCostSized(const StructureKey& key,
-                                      uint64_t bytes, double seconds) const {
+Money CostModel::MaintenanceCostSized(StructureType type, uint64_t bytes,
+                                      double seconds) const {
   CLOUDCACHE_CHECK_GE(seconds, 0.0);
-  switch (key.type) {
+  switch (type) {
     case StructureType::kCpuNode:
       // Eq. 11: MaintN = c per unit time (reservation rate).
       return Money::FromDollars(seconds * prices_->cpu_second_dollars *
@@ -357,9 +358,8 @@ Money CostModel::MaintenanceCostSized(const StructureKey& key,
   return Money();
 }
 
-double CostModel::MaintenanceRate(const StructureKey& key,
-                                  uint64_t bytes) const {
-  switch (key.type) {
+double CostModel::MaintenanceRate(StructureType type, uint64_t bytes) const {
+  switch (type) {
     case StructureType::kCpuNode:
       return prices_->cpu_second_dollars * prices_->cpu_reserve_fraction;
     case StructureType::kColumn:

@@ -190,17 +190,18 @@ class CostModel {
   Money MaintenanceCost(const StructureKey& key, double seconds) const;
 
   /// MaintenanceCost with the structure's disk footprint already in hand.
-  /// `bytes` must equal StructureBytes(catalog, key); callers on the
-  /// per-query rent path (the maintenance ledger) cache it once at
-  /// registration instead of re-walking the catalog per pricing call.
-  Money MaintenanceCostSized(const StructureKey& key, uint64_t bytes,
+  /// `type` is the key's type and `bytes` must equal StructureBytes(catalog,
+  /// key); callers on the per-query rent path (the maintenance ledger)
+  /// cache both once at registration instead of re-walking the catalog per
+  /// pricing call.
+  Money MaintenanceCostSized(StructureType type, uint64_t bytes,
                              double seconds) const;
 
   /// Dollars of rent per second that MaintenanceCostSized charges before
   /// rounding: its result is Money::FromDollars(seconds x this), up to
   /// the order of the float products. The maintenance ledger estimates
   /// failure deadlines from it (and verifies them by pricing).
-  double MaintenanceRate(const StructureKey& key, uint64_t bytes) const;
+  double MaintenanceRate(StructureType type, uint64_t bytes) const;
 
   /// The synthetic sort query whose execution cost approximates index
   /// construction ("select <keys> from T order by <keys>", Section V-C).

@@ -1,7 +1,6 @@
 #include "src/econ/amortizer.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "src/util/logging.h"
 
@@ -13,53 +12,47 @@ Amortizer::Amortizer(int64_t horizon) : horizon_(horizon) {
 
 void Amortizer::RegisterBuild(StructureId id, Money build_cost) {
   CLOUDCACHE_CHECK_GE(build_cost.micros(), 0);
-  schedules_[id] = Schedule{build_cost, 0};
+  if (id >= schedules_.size()) schedules_.resize(id + 1);
+  schedules_[id] = Schedule{build_cost, 0, true};
 }
 
 Money Amortizer::PendingShare(StructureId id) const {
-  auto it = schedules_.find(id);
-  if (it == schedules_.end()) return Money();
-  const Schedule& s = it->second;
-  if (s.shares_charged >= horizon_) return Money();
+  if (!Active(id)) return Money();
+  const Schedule& s = schedules_[id];
   return EvenShare(s.build_cost, horizon_, s.shares_charged);
 }
 
 Money Amortizer::ChargeShare(StructureId id) {
-  auto it = schedules_.find(id);
-  if (it == schedules_.end()) return Money();
-  Schedule& s = it->second;
-  if (s.shares_charged >= horizon_) return Money();
+  if (!Active(id)) return Money();
+  Schedule& s = schedules_[id];
   const Money share = EvenShare(s.build_cost, horizon_, s.shares_charged);
   ++s.shares_charged;
-  if (s.shares_charged >= horizon_) schedules_.erase(it);
+  if (s.shares_charged >= horizon_) s.active = false;
   return share;
 }
 
 Money Amortizer::Cancel(StructureId id) {
-  auto it = schedules_.find(id);
-  if (it == schedules_.end()) return Money();
-  const Schedule& s = it->second;
-  const Money remaining =
-      EvenShareTail(s.build_cost, horizon_, s.shares_charged);
-  schedules_.erase(it);
-  return remaining;
+  if (!Active(id)) return Money();
+  Schedule& s = schedules_[id];
+  s.active = false;
+  return EvenShareTail(s.build_cost, horizon_, s.shares_charged);
 }
 
 void Amortizer::SaveState(persist::Encoder* enc) const {
-  std::vector<StructureId> ids;
-  ids.reserve(schedules_.size());
-  for (const auto& [id, schedule] : schedules_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  enc->PutU64(ids.size());
-  for (StructureId id : ids) {
-    const Schedule& schedule = schedules_.at(id);
+  enc->PutU64(static_cast<uint64_t>(
+      std::count_if(schedules_.begin(), schedules_.end(),
+                    [](const Schedule& s) { return s.active; })));
+  for (StructureId id = 0; id < schedules_.size(); ++id) {
+    const Schedule& schedule = schedules_[id];
+    if (!schedule.active) continue;
     enc->PutU32(id);
     enc->PutMoney(schedule.build_cost);
     enc->PutI64(schedule.shares_charged);
   }
 }
 
-Status Amortizer::RestoreState(persist::Decoder* dec) {
+Status Amortizer::RestoreState(persist::Decoder* dec,
+                               const StructureRegistry& registry) {
   schedules_.clear();
   uint64_t count = 0;
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
@@ -69,15 +62,21 @@ Status Amortizer::RestoreState(persist::Decoder* dec) {
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&schedule.build_cost));
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&schedule.shares_charged));
+    if (id >= registry.size()) {
+      return Status::InvalidArgument(
+          "snapshot amortization schedule references an unknown structure");
+    }
     if (schedule.build_cost.micros() < 0 || schedule.shares_charged < 0 ||
         schedule.shares_charged >= horizon_) {
       return Status::InvalidArgument(
           "snapshot amortization schedule is out of range");
     }
-    if (!schedules_.emplace(id, schedule).second) {
+    if (Active(id)) {
       return Status::InvalidArgument(
           "snapshot amortizer repeats structure id " + std::to_string(id));
     }
+    RegisterBuild(id, schedule.build_cost);
+    schedules_[id].shares_charged = schedule.shares_charged;
   }
   return Status::OK();
 }

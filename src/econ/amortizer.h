@@ -1,6 +1,6 @@
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "src/persist/codec.h"
 #include "src/structure/structure.h"
@@ -42,21 +42,26 @@ class Amortizer {
   /// structures.
   Money Cancel(StructureId id);
 
-  int64_t horizon() const { return horizon_; }
-
-  /// Checkpoint support: schedules saved sorted by id (the map itself has
-  /// no deterministic order). The horizon is configuration.
+  /// Checkpoint support: schedules saved in ascending id order; restore
+  /// refuses ids `registry` has not interned. The horizon is
+  /// configuration.
   void SaveState(persist::Encoder* enc) const;
-  Status RestoreState(persist::Decoder* dec);
+  Status RestoreState(persist::Decoder* dec,
+                      const StructureRegistry& registry);
 
  private:
   struct Schedule {
     Money build_cost;
     int64_t shares_charged = 0;
+    bool active = false;  // False once repaid or cancelled.
   };
 
+  bool Active(StructureId id) const {
+    return id < schedules_.size() && schedules_[id].active;
+  }
+
   int64_t horizon_;
-  std::unordered_map<StructureId, Schedule> schedules_;
+  std::vector<Schedule> schedules_;  // Indexed by StructureId.
 };
 
 }  // namespace cloudcache

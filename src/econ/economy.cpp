@@ -84,6 +84,7 @@ Money EconomyEngine::TenantRegretTotal(size_t t) const {
 
 void EconomyEngine::ClearRegretEverywhere(StructureId id) {
   regret_.Clear(id);
+  investable_stamp_ = 0;
   for (RegretLedger& ledger : tenant_regret_) ledger.Clear(id);
 }
 
@@ -105,6 +106,7 @@ void EconomyEngine::ForfeitTenantRegret(uint32_t tenant) {
     regret_.Subtract(id, amount);
   });
   ledger = RegretLedger();
+  investable_stamp_ = 0;
 }
 
 void EconomyEngine::ActivatePending(SimTime now) {
@@ -138,6 +140,18 @@ const EconomyEngine::BuildCostMemo& EconomyEngine::MemoBuildCost(
   }
   memo.stamp = stamp;
   return memo;
+}
+
+Money EconomyEngine::InvestableMax() const {
+  const uint64_t stamp = cache_.epoch() + 1;
+  if (investable_stamp_ != stamp) {
+    investable_max_ = Money();
+    regret_.ForEachNonZero([this](StructureId id, Money amount) {
+      if (amount > investable_max_ && Investable(id)) investable_max_ = amount;
+    });
+    investable_stamp_ = stamp;
+  }
+  return investable_max_;
 }
 
 Money EconomyEngine::CarriedCharge(StructureId id, SimTime now) const {
@@ -275,6 +289,14 @@ void EconomyEngine::AccumulateRegret(const PlanSet& set, size_t chosen_index,
       const std::vector<StructureId>& structures =
           set.records[s.index].structures;
       regret_.Distribute(structures, amount);
+      // Only these entries grew, so a valid investable max stays exact.
+      if (investable_stamp_ == cache_.epoch() + 1) {
+        for (StructureId id : structures) {
+          if (Investable(id)) {
+            investable_max_ = Money::Max(investable_max_, regret_.Get(id));
+          }
+        }
+      }
       // The same EvenShare split lands in the serving tenant's ledger, so
       // tenant ledgers always partition the global one exactly.
       if (active_tenant_regret_ != nullptr) {
@@ -312,36 +334,26 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
   if (!credit.IsPositive()) return;
   Money scaled_credit = credit * options_.regret_fraction_a;
 
-  // Eligibility for Eq. 3 at the current credit: not resident or pending,
-  // CPU nodes booted in ordinal order (so multi-node plans become
-  // executable), InvestIn(S) = round(regret_S / (a * CR)) >= 1, and, for a
-  // conservative provider, a build cost CR fully covers (never gamble
-  // credit the cloud does not have).
+  // Eligibility for Eq. 3 at the current credit: Investable, InvestIn(S) =
+  // round(regret_S / (a * CR)) >= 1, and a build cost CR covers ("the
+  // cache provider is conservative", Section VII-A). The account refuses
+  // the same overdrafts, so the cost test decides nothing, but it keeps an
+  // unaffordable candidate from forcing the sorted pass below.
   const auto eligible = [&](StructureId id, Money regret_value) {
-    if (cache_.IsResident(id)) return false;
-    if (id < pending_flag_.size() && pending_flag_[id]) return false;
-    const StructureKey& key = registry_->key(id);
-    if (key.type == StructureType::kCpuNode &&
-        key.ordinal > cache_.extra_cpu_nodes()) {
-      return false;
-    }
-    if (std::llround(regret_value.Ratio(scaled_credit)) < 1) return false;
-    return !options_.conservative_provider ||
+    return Investable(id) &&
+           std::llround(regret_value.Ratio(scaled_credit)) >= 1 &&
            credit >= MemoBuildCost(id).cost;
   };
 
-  // Fast path: one flat ledger scan decides whether anything is eligible
-  // before paying for the sorted descending view below. Skipping the full
-  // pass when nothing qualifies is bit-identical: with no investment the
-  // credit never changes across the loop, so every iteration would just
-  // `continue` with no side effects. The build-cost memo is read at the
-  // same epoch, so the guard sees the same bits in both passes; without
-  // the guard, one standing high-regret-but-unaffordable candidate would
-  // force the full sorted pass on every query. Before that scan, an O(1)
-  // exit: Ratio and llround are monotone in the numerator, so if the
-  // largest entry misses Eq. 3, every entry does.
+  // O(1) exit: Ratio and llround are monotone in the numerator and a
+  // non-Investable entry fails `eligible` at any amount, so if the largest
+  // Investable entry misses Eq. 3, none is eligible. Then one flat scan
+  // decides whether any entry is, before the sorted view below. Skipping
+  // the full pass is bit-identical: with no investment the credit never
+  // changes, so every iteration would just `continue` (the memo is read at
+  // the same epoch, so the cost test sees the same bits in both passes).
   if (scaled_credit.IsPositive() &&
-      std::llround(regret_.MaxAmount().Ratio(scaled_credit)) < 1) {
+      std::llround(InvestableMax().Ratio(scaled_credit)) < 1) {
     return;
   }
   if (!regret_.AnyNonZero(eligible)) return;
@@ -355,22 +367,8 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
     credit = account_.credit();
     scaled_credit = credit * options_.regret_fraction_a;
 
+    const std::vector<StructureId> built = BuildSet(id);
     const StructureKey& key = registry_->key(id);
-    // Building an index also ships its absent key columns into the cache
-    // (their BuildT is inside Eq. 14), so they materialize alongside it.
-    std::vector<StructureId> built = {id};
-    if (key.type == StructureType::kIndex) {
-      for (ColumnId col : key.columns) {
-        if (!cache_.ColumnResident(col)) {
-          const StructureId col_id =
-              registry_->Intern(ColumnKey(*catalog_, col));
-          if (!cache_.IsResident(col_id) &&
-              !(col_id < pending_flag_.size() && pending_flag_[col_id])) {
-            built.push_back(col_id);
-          }
-        }
-      }
-    }
 
     const double ready_at =
         options_.model_build_latency
@@ -392,6 +390,7 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
           pending_flag_.resize(built_id + 1, false);
         }
         pending_flag_[built_id] = true;
+        investable_stamp_ = 0;
         pending_.push_back(PendingBuild{ready_at, built_id});
       } else {
         CLOUDCACHE_CHECK(cache_.Add(built_id, now).ok());
@@ -484,28 +483,33 @@ void EconomyEngine::OnTick(SimTime now) {
   EvictFailedStructures(now, nullptr);
 }
 
+std::vector<StructureId> EconomyEngine::BuildSet(StructureId id) {
+  std::vector<StructureId> built = {id};
+  if (registry_->key(id).type != StructureType::kIndex) return built;
+  // Building an index also ships its absent key columns into the cache
+  // (their BuildT is inside Eq. 14), so they materialize alongside it.
+  // Intern may grow the registry, so the key is re-read per column.
+  for (size_t k = 0; k < registry_->key(id).columns.size(); ++k) {
+    const ColumnId col = registry_->key(id).columns[k];
+    if (cache_.ColumnResident(col)) continue;
+    const StructureId col_id = registry_->Intern(ColumnKey(*catalog_, col));
+    if (!cache_.IsResident(col_id) && !IsPending(col_id)) {
+      built.push_back(col_id);
+    }
+  }
+  return built;
+}
+
 Status EconomyEngine::ForceBuild(const StructureKey& key, SimTime now) {
   const StructureId id = registry_->Intern(key);
-  const auto pending = [this](StructureId sid) {
-    return sid < pending_flag_.size() && pending_flag_[sid];
-  };
   // A structure under construction already has its clock and will join
   // the cache when its build completes.
-  if (cache_.IsResident(id) || pending(id)) {
+  if (cache_.IsResident(id) || IsPending(id)) {
     return Status::AlreadyExists(key.ToString(*catalog_));
   }
   const Money build_cost = model_->BuildCost(key, cache_.column_residency());
   CLOUDCACHE_RETURN_IF_ERROR(account_.WithdrawInvestment(build_cost));
-  std::vector<StructureId> built = {id};
-  if (key.type == StructureType::kIndex) {
-    for (ColumnId col : key.columns) {
-      if (!cache_.ColumnResident(col)) {
-        built.push_back(registry_->Intern(ColumnKey(*catalog_, col)));
-      }
-    }
-  }
-  for (StructureId built_id : built) {
-    if (cache_.IsResident(built_id) || pending(built_id)) continue;
+  for (StructureId built_id : BuildSet(id)) {
     CLOUDCACHE_RETURN_IF_ERROR(cache_.Add(built_id, now));
     maintenance_.Register(built_id, registry_->key(built_id), now,
                           built_id == id ? build_cost : Money());
@@ -684,7 +688,7 @@ void EconomyEngine::SaveState(persist::Encoder* enc) const {
 
 Status EconomyEngine::RestoreState(persist::Decoder* dec) {
   CLOUDCACHE_RETURN_IF_ERROR(cache_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(pool_.RestoreState(dec));
+  CLOUDCACHE_RETURN_IF_ERROR(pool_.RestoreState(dec, *registry_));
   CLOUDCACHE_RETURN_IF_ERROR(maintenance_.RestoreState(dec, *registry_));
   CLOUDCACHE_RETURN_IF_ERROR(account_.RestoreState(dec));
   CLOUDCACHE_RETURN_IF_ERROR(regret_.RestoreState(dec));
@@ -709,7 +713,7 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
         "snapshot tenant regret ledgers do not partition the global ledger");
   }
   CLOUDCACHE_RETURN_IF_ERROR(admission_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(amortizer_.RestoreState(dec));
+  CLOUDCACHE_RETURN_IF_ERROR(amortizer_.RestoreState(dec, *registry_));
 
   pending_.clear();
   pending_flag_.assign(registry_->size(), false);
@@ -753,6 +757,7 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
   charge_stamp_.clear();
   charge_value_.clear();
   build_costs_.clear();
+  investable_stamp_ = 0;
   active_tenant_regret_ = nullptr;
   active_tenant_ = 0;
   suppress_regret_ = false;

@@ -55,12 +55,6 @@ struct EconomyOptions {
   /// undercuts the back-end price at horizons of this order (the paper
   /// defers choosing n to future work; ablation A2 sweeps it).
   int64_t amortization_horizon = 50'000;
-  /// "The cache provider is conservative and builds structures only when
-  /// her profit exceeds the cost of building them" (Section VII-A): an
-  /// investment requires the accumulated credit CR to fully cover the
-  /// build cost (the account refuses overdrafts regardless; this guard
-  /// refuses to spend credit the cloud does not have *now*).
-  bool conservative_provider = true;
   /// A structure fails (is evicted) when its unpaid maintenance exceeds
   /// this fraction of its build cost (footnote 3's "structure failure").
   double maintenance_failure_fraction = 0.25;
@@ -235,7 +229,6 @@ class EconomyEngine {
   const CloudAccount& account() const { return account_; }
   CloudAccount& mutable_account() { return account_; }
   const RegretLedger& regret() const { return regret_; }
-  const Amortizer& amortizer() const { return amortizer_; }
   const EconomyOptions& options() const { return options_; }
   const PlanEnumerator& enumerator() const { return enumerator_; }
   const CostModel& decision_model() const { return *model_; }
@@ -263,7 +256,8 @@ class EconomyEngine {
   Status RestoreState(persist::Decoder* dec);
 
  private:
-  /// Test-only reader of the build-cost memo (tests/testing/).
+  /// Test-only reader of the build-cost memo and the investable max
+  /// (tests/testing/).
   friend class EconomyEnginePeer;
 
   struct PendingBuild {
@@ -299,6 +293,22 @@ class EconomyEngine {
                         BudgetCase budget_case);
   /// Checks Eq. 3 over all candidates and builds what qualifies.
   void MaybeInvest(SimTime now, QueryOutcome* outcome);
+  /// `id` followed by the companions a build of it ships: an index's
+  /// absent key columns that are not already under construction.
+  std::vector<StructureId> BuildSet(StructureId id);
+  /// True iff Eq. 3 could pick `id` at the current residency: not resident
+  /// or under construction, and not a CPU node past the next to boot.
+  bool Investable(StructureId id) const {
+    if (cache_.IsResident(id) || IsPending(id)) return false;
+    const StructureKey& key = registry_->key(id);
+    return key.type != StructureType::kCpuNode ||
+           key.ordinal <= cache_.extra_cpu_nodes();
+  }
+  bool IsPending(StructureId id) const {
+    return id < pending_flag_.size() && pending_flag_[id];
+  }
+  /// The largest global regret over Investable entries (zero if none).
+  Money InvestableMax() const;
   /// Evicts structures whose unpaid maintenance exceeds the failure
   /// threshold.
   void EvictFailedStructures(SimTime now, QueryOutcome* outcome);
@@ -394,6 +404,12 @@ class EconomyEngine {
   mutable std::vector<Money> charge_value_;
   /// MemoBuildCost's entries, indexed by StructureId.
   mutable std::vector<BuildCostMemo> build_costs_;
+  /// Eq. 3's O(1) exit: the largest global regret among Investable
+  /// entries while investable_stamp_ is the residency epoch + 1 (0: rescan
+  /// on the next read). AccumulateRegret raises it; a pending flag, a
+  /// global Clear or Subtract, and restore must zero the stamp.
+  mutable Money investable_max_;
+  mutable uint64_t investable_stamp_ = 0;
 };
 
 }  // namespace cloudcache

@@ -13,8 +13,6 @@ void RegretLedger::Add(StructureId id, Money amount) {
   if (amounts_[id].IsZero()) ++nonzero_;
   amounts_[id] += amount;
   total_ += amount;
-  sorted_stale_ = true;
-  if (!max_stale_) max_ = Money::Max(max_, amounts_[id]);
 }
 
 void RegretLedger::Distribute(const std::vector<StructureId>& structures,
@@ -36,8 +34,6 @@ Money RegretLedger::Clear(StructureId id) {
   amounts_[id] = Money();
   --nonzero_;
   total_ -= forfeited;
-  sorted_stale_ = true;
-  max_stale_ |= forfeited == max_;
   return forfeited;
 }
 
@@ -46,11 +42,9 @@ void RegretLedger::Subtract(StructureId id, Money amount) {
   if (amount.IsZero()) return;
   CLOUDCACHE_CHECK_LT(id, amounts_.size());
   CLOUDCACHE_CHECK_GE(amounts_[id].micros(), amount.micros());
-  max_stale_ |= amounts_[id] == max_;
   amounts_[id] -= amount;
   if (amounts_[id].IsZero()) --nonzero_;
   total_ -= amount;
-  sorted_stale_ = true;
 }
 
 void RegretLedger::SaveState(persist::Encoder* enc) const {
@@ -85,29 +79,16 @@ Status RegretLedger::RestoreState(persist::Decoder* dec) {
   return Status::OK();
 }
 
-Money RegretLedger::MaxAmount() const {
-  if (max_stale_) {
-    max_ = Money();
-    for (Money amount : amounts_) max_ = Money::Max(max_, amount);
-    max_stale_ = false;
-  }
-  return max_;
-}
-
 const std::vector<std::pair<StructureId, Money>>&
 RegretLedger::NonZeroDescending() const {
-  if (sorted_stale_) {
-    sorted_.clear();
-    ForEachNonZero([this](StructureId id, Money amount) {
-      sorted_.emplace_back(id, amount);
-    });
-    std::sort(sorted_.begin(), sorted_.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    sorted_stale_ = false;
-  }
+  sorted_.clear();
+  ForEachNonZero([this](StructureId id, Money amount) {
+    sorted_.emplace_back(id, amount);
+  });
+  std::sort(sorted_.begin(), sorted_.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
   return sorted_;
 }
 

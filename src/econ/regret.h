@@ -75,26 +75,18 @@ class RegretLedger {
   /// Sum over all structures (maintained incrementally; O(1)).
   Money Total() const { return total_; }
 
-  /// The largest entry (zero when empty): Add raises it, a Clear or
-  /// Subtract of it marks it stale for one rescan on the next call.
-  Money MaxAmount() const;
-
-  /// All entries with non-zero regret, descending by amount (ties by id).
-  ///
-  /// Maintained incrementally: the sorted view is rebuilt (into a reused
-  /// scratch vector) only when a mutation dirtied it since the last call —
-  /// MaybeInvest runs once per query, so quiet stretches pay nothing. The
-  /// reference is a snapshot: mutating the ledger (Add/Clear) marks it
-  /// stale for the *next* call but leaves the returned storage untouched,
-  /// so the investment loop may Clear entries while iterating it.
+  /// All entries with non-zero regret, descending by amount (ties by id),
+  /// sorted into a reused scratch vector on each call. The reference is a
+  /// snapshot: mutating the ledger leaves the returned storage untouched
+  /// until the next call, so the investment loop may Clear entries while
+  /// iterating it.
   const std::vector<std::pair<StructureId, Money>>& NonZeroDescending() const;
 
   /// Number of structures with non-zero regret.
   size_t size() const { return nonzero_; }
 
   /// Checkpoint support: saves the sparse non-zero entries in ascending id
-  /// order; restore replays them through Add into an empty ledger,
-  /// leaving the sorted view stale (it is a cache).
+  /// order; restore replays them through Add into an empty ledger.
   void SaveState(persist::Encoder* enc) const;
   Status RestoreState(persist::Decoder* dec);
 
@@ -103,11 +95,8 @@ class RegretLedger {
   std::vector<Money> amounts_;
   Money total_;
   size_t nonzero_ = 0;
-  /// Cached NonZeroDescending view (lazily rebuilt; see above).
+  /// NonZeroDescending's scratch.
   mutable std::vector<std::pair<StructureId, Money>> sorted_;
-  mutable bool sorted_stale_ = true;
-  mutable Money max_;
-  mutable bool max_stale_ = false;
 };
 
 }  // namespace cloudcache

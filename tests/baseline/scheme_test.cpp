@@ -246,7 +246,6 @@ TEST_F(SchemeTest, ProvisionedSingleTenantMatchesClassicScheme) {
 TEST_F(SchemeTest, TenantRegretExposedThroughSchemeInterface) {
   EconScheme::Config config = EconScheme::EconCheapConfig();
   config.tenants = 2;
-  config.economy.conservative_provider = false;
   config.economy.initial_credit = Money::FromDollars(2);
   config.economy.amortization_horizon = 100;
   config.economy.regret_fraction_a = 0.001;

@@ -28,7 +28,6 @@ class ClusterSchemeTest : public ::testing::Test {
       EconScheme::Config config = EconScheme::EconCheapConfig();
       config.seed = 7 + ordinal;
       config.economy.initial_credit = Money::FromDollars(50);
-      config.economy.conservative_provider = false;
       config.economy.model_build_latency = false;
       return std::make_unique<EconScheme>(&catalog_, &prices_,
                                           std::vector<StructureKey>{},

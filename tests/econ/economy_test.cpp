@@ -18,7 +18,6 @@ class EconomyTest : public ::testing::Test {
   EconomyOptions DefaultOptions() {
     EconomyOptions options;
     options.model_build_latency = false;   // Deterministic residency.
-    options.conservative_provider = false; // Allow spending seed capital.
     options.initial_credit = Money::FromDollars(100);
     options.amortization_horizon = 10;
     options.regret_fraction_a = 0.1;
@@ -241,7 +240,6 @@ TEST_F(EconomyTest, CacheHitAfterInvestment) {
 
 TEST_F(EconomyTest, ConservativeProviderWaitsForProfit) {
   EconomyOptions options = InvestingOptions();
-  options.conservative_provider = true;
   options.initial_credit = Money();  // No seed capital at all.
   // Users decline offers above budget, so there is no pass-through
   // revenue either: the account must stay at zero.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/rng.h"
+#include <vector>
 
 namespace cloudcache {
 namespace {
@@ -166,92 +166,6 @@ TEST(RegretLedgerTest, ForEachNonZeroMatchesTotal) {
   ASSERT_EQ(visited.size(), 2u);  // Ascending id order.
   EXPECT_EQ(visited[0], 1u);
   EXPECT_EQ(visited[1], 2u);
-}
-
-/// The largest entry, the slow way.
-Money ScannedMax(const RegretLedger& ledger) {
-  Money max;
-  ledger.ForEachNonZero(
-      [&](StructureId, Money amount) { max = Money::Max(max, amount); });
-  return max;
-}
-
-TEST(RegretLedgerTest, MaxAmountTracksEveryMutation) {
-  RegretLedger ledger;
-  EXPECT_TRUE(ledger.MaxAmount().IsZero());
-  ledger.Add(2, Money::FromMicros(500));
-  ledger.Add(7, Money::FromMicros(300));
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(500));
-  ledger.Add(7, Money::FromMicros(300));  // 600 overtakes.
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(600));
-  ledger.Distribute({1, 2, 3}, Money::FromMicros(301));  // 101, 100, 100.
-  EXPECT_EQ(ledger.Get(2), Money::FromMicros(600));
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(600));
-
-  // Subtracting from the largest entry (a tied one) rescans.
-  ledger.Subtract(7, Money::FromMicros(250));
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(600));
-  ledger.Subtract(2, Money::FromMicros(100));
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(500));
-  // Clearing a smaller entry keeps it; clearing the largest rescans.
-  ledger.Clear(7);
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(500));
-  ledger.Clear(2);
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(101));
-  // Adds while stale are folded in by the rescan.
-  ledger.Clear(1);
-  ledger.Add(9, Money::FromMicros(40));
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(100));
-  ledger.Clear(3);
-  EXPECT_EQ(ledger.MaxAmount(), Money::FromMicros(40));
-  ledger.Clear(9);
-  EXPECT_TRUE(ledger.MaxAmount().IsZero());
-}
-
-TEST(RegretLedgerTest, MaxAmountMatchesScanUnderRandomMutations) {
-  Rng rng(5);
-  RegretLedger ledger;
-  for (int step = 0; step < 2000; ++step) {
-    const auto id = static_cast<StructureId>(rng.NextInt(0, 15));
-    switch (rng.NextInt(0, 3)) {
-      case 0:
-        ledger.Add(id, Money::FromMicros(rng.NextInt(0, 1000)));
-        break;
-      case 1:
-        ledger.Distribute({id, id + 1, id + 2},
-                          Money::FromMicros(rng.NextInt(0, 3000)));
-        break;
-      case 2:
-        ledger.Clear(id);
-        break;
-      case 3:
-        ledger.Subtract(
-            id, Money::FromMicros(rng.NextInt(0, ledger.Get(id).micros())));
-        break;
-    }
-    // Reading only every other step leaves several mutations stale.
-    if (step % 2 == 0) {
-      ASSERT_EQ(ledger.MaxAmount(), ScannedMax(ledger)) << "step " << step;
-    }
-  }
-}
-
-TEST(RegretLedgerTest, MaxAmountSurvivesRestore) {
-  RegretLedger ledger;
-  ledger.Add(4, Money::FromMicros(900));
-  ledger.Add(6, Money::FromMicros(200));
-  persist::Encoder enc;
-  ledger.SaveState(&enc);
-
-  // Restore over a ledger holding a larger, stale maximum.
-  RegretLedger restored;
-  restored.Add(1, Money::FromMicros(5000));
-  restored.Clear(1);
-  persist::Decoder dec(enc.buffer().data(), enc.size());
-  ASSERT_TRUE(restored.RestoreState(&dec).ok());
-  EXPECT_EQ(restored.MaxAmount(), Money::FromMicros(900));
-  restored.Clear(4);
-  EXPECT_EQ(restored.MaxAmount(), Money::FromMicros(200));
 }
 
 }  // namespace

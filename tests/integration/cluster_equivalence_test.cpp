@@ -59,7 +59,6 @@ class ClusterEquivalenceTest : public ::testing::Test {
     config.sim.num_queries = 1'500;
     config.customize_econ = [](EconScheme::Config& econ) {
       econ.economy.regret_fraction_a = 0.001;
-      econ.economy.conservative_provider = false;
       econ.economy.initial_credit = Money::FromDollars(20);
       econ.economy.model_build_latency = false;
     };

@@ -37,7 +37,6 @@ class EndToEndTest : public ::testing::Test {
   /// either scheme to act at all within the run.
   static void EagerEcon(EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(20);
     econ.economy.model_build_latency = false;
   }

@@ -269,7 +269,6 @@ TEST_P(EconomyInvariants, BooksBalanceUnderRandomTraffic) {
   options.initial_credit = Money::FromDollars(rng.NextUniform(0.1, 20));
   options.regret_fraction_a = rng.NextUniform(0.001, 0.5);
   options.amortization_horizon = rng.NextInt(1, 500);
-  options.conservative_provider = rng.NextBernoulli(0.5);
   options.model_build_latency = rng.NextBernoulli(0.5);
   options.maintenance_failure_fraction = rng.NextUniform(0.01, 0.9);
   options.selection = static_cast<PlanSelection>(rng.NextInt(0, 2));
@@ -356,7 +355,6 @@ TEST_P(SimulatorInvariants, MetricsAreStructurallyConsistent) {
   config.sim.num_queries = 1200;
   config.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.005;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(30);
     econ.economy.model_build_latency = false;
   };
@@ -422,7 +420,6 @@ TEST(TraceReplayInvariant, ReplayedStreamDrivesIdenticalDecisions) {
   auto make_scheme = [&]() {
     EconScheme::Config config = EconScheme::EconCheapConfig();
     config.economy.regret_fraction_a = 0.005;
-    config.economy.conservative_provider = false;
     config.economy.initial_credit = Money::FromDollars(30);
     config.economy.model_build_latency = false;
     config.seed = 5;

@@ -27,7 +27,6 @@ class PaperPropertiesTest : public ::testing::Test {
       config.sim.num_queries = 8000;
       config.customize_econ = [](EconScheme::Config& econ) {
         econ.economy.regret_fraction_a = 0.001;
-        econ.economy.conservative_provider = false;
         econ.economy.initial_credit = Money::FromDollars(20);
         econ.economy.model_build_latency = false;
       };
@@ -146,7 +145,6 @@ TEST_F(PaperPropertiesTest, SameSeedReplaysByteIdenticalCostTimeline) {
   config.sim.num_queries = 2000;
   config.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(20);
     econ.economy.model_build_latency = false;
   };

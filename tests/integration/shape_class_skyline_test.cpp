@@ -52,7 +52,6 @@ class ShapeClassSurvivorsTest : public ::testing::Test {
     config.sim.num_queries = queries;
     config.customize_econ = [](EconScheme::Config& econ) {
       econ.economy.regret_fraction_a = 0.001;
-      econ.economy.conservative_provider = false;
       econ.economy.initial_credit = Money::FromDollars(20);
     };
     return config;

@@ -75,7 +75,6 @@ class TraceGoldenTest : public ::testing::Test {
     config.sim.num_queries = 1'500;
     config.customize_econ = [](EconScheme::Config& econ) {
       econ.economy.regret_fraction_a = 0.001;
-      econ.economy.conservative_provider = false;
       econ.economy.initial_credit = Money::FromDollars(20);
       econ.economy.model_build_latency = false;
     };
@@ -151,7 +150,6 @@ TEST_F(TraceGoldenTest, ThrottleEventsMatchAdmissionMetrics) {
   config.sim.num_queries = 3'000;
   config.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(20);
     econ.economy.model_build_latency = false;
     econ.economy.admission.throttle_ratio = 0.5;

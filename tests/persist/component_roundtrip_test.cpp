@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/cache/maintenance.h"
@@ -13,6 +15,7 @@
 #include "src/cluster/elasticity.h"
 #include "src/cost/cost_model.h"
 #include "src/econ/account.h"
+#include "src/econ/amortizer.h"
 #include "src/econ/regret.h"
 #include "src/persist/codec.h"
 #include "src/persist/util_io.h"
@@ -154,6 +157,142 @@ TEST(MaintenanceLedgerPersistTest, UnknownStructureIdIsRejected) {
   MaintenanceLedger twin(&model, 0.25, true);
   Decoder dec(enc.buffer().data(), enc.size());
   EXPECT_FALSE(twin.RestoreState(&dec, empty).ok());
+}
+
+std::string Hex(const Encoder& enc) {
+  std::string hex;
+  char byte[3];
+  for (uint8_t b : enc.buffer()) {
+    std::snprintf(byte, sizeof(byte), "%02x", b);
+    hex += byte;
+  }
+  return hex;
+}
+
+/// A TPC-H registry with columns 0-7 at ids 0-7 and CPU node 1 at id 8.
+StructureRegistry GoldenRegistry(const Catalog& catalog) {
+  StructureRegistry registry(&catalog);
+  for (ColumnId c = 0; c < 8; ++c) registry.Intern(ColumnKey(catalog, c));
+  registry.Intern(CpuNodeKey(1));
+  return registry;
+}
+
+// The golden strings below are snapshot format 4's sections for these
+// sequences: per-structure sections stay in ascending id order whatever
+// container holds them in memory.
+
+TEST(MaintenanceLedgerPersistTest, SectionBytesMatchGolden) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const PriceList prices = PriceList::AmazonEc2_2009();
+  const CostModel model(&catalog, &prices);
+  const StructureRegistry registry = GoldenRegistry(catalog);
+  const StructureId cpu = 8;
+  MaintenanceLedger ledger(&model, 0.25, true);
+  ledger.Register(6, registry.key(6), 10.0, Money::FromDollars(2.0), 1.0);
+  ledger.Register(1, registry.key(1), 20.0, Money(), 1.0);
+  ledger.Register(cpu, registry.key(cpu), 30.0, Money::FromDollars(0.5), 1.5);
+  ledger.Register(3, registry.key(3), 40.0, Money::FromDollars(1.25), 1.0);
+  ledger.Pay(6, 500.0, 100.0);
+  ledger.Pay(cpu, 1000.0);
+  ledger.Unregister(3, 600.0);
+  ledger.Register(0, registry.key(0), 700.0, Money::FromDollars(3.0), 2.0);
+  ledger.Pay(1, 800.0, 60.0);
+  Encoder enc;
+  ledger.SaveState(&enc);
+  const std::string golden =
+      "0400000000000000"
+      "000000000000000000e08540c0c62d00000000000000000000000040"
+      "0100000000000000000054400000000000000000000000000000f03f"
+      "060000000000000000805b4080841e0000000000000000000000f03f"
+      "080000000000000000408f4020a1070000000000000000000000f83f";
+  EXPECT_EQ(Hex(enc), golden);
+
+  // A restored twin writes the same bytes.
+  MaintenanceLedger twin(&model, 0.25, true);
+  Decoder dec(enc.buffer().data(), enc.size());
+  ASSERT_TRUE(twin.RestoreState(&dec, registry).ok());
+  Encoder again;
+  twin.SaveState(&again);
+  EXPECT_EQ(Hex(again), golden);
+}
+
+TEST(MaintenanceLedgerPersistTest, RepeatedIdIsRejected) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const PriceList prices = PriceList::AmazonEc2_2009();
+  const CostModel model(&catalog, &prices);
+  const StructureRegistry registry = GoldenRegistry(catalog);
+  Encoder enc;
+  enc.PutU64(2);
+  for (int i = 0; i < 2; ++i) {
+    enc.PutU32(5);
+    enc.PutDouble(10.0);
+    enc.PutMoney(Money::FromDollars(1.0));
+    enc.PutDouble(1.0);
+  }
+  MaintenanceLedger twin(&model, 0.25, true);
+  Decoder dec(enc.buffer().data(), enc.size());
+  const Status status = twin.RestoreState(&dec, registry);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("repeats structure id 5"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(AmortizerPersistTest, SectionBytesMatchGolden) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const StructureRegistry registry = GoldenRegistry(catalog);
+  Amortizer amortizer(4);
+  amortizer.RegisterBuild(5, Money::FromMicros(3'000'001));
+  amortizer.RegisterBuild(2, Money::FromMicros(1'500'000));
+  amortizer.RegisterBuild(7, Money::FromMicros(700'003));
+  amortizer.ChargeShare(5);
+  amortizer.ChargeShare(5);
+  for (int i = 0; i < 4; ++i) amortizer.ChargeShare(2);  // Fully repaid.
+  amortizer.Cancel(7);
+  amortizer.RegisterBuild(1, Money::FromMicros(2'000'000));
+  amortizer.ChargeShare(1);
+  amortizer.RegisterBuild(7, Money::FromMicros(10'000'000));  // Rebuilt.
+  Encoder enc;
+  amortizer.SaveState(&enc);
+  const std::string golden =
+      "0300000000000000"
+      "0100000080841e00000000000100000000000000"
+      "05000000c1c62d00000000000200000000000000"
+      "0700000080969800000000000000000000000000";
+  EXPECT_EQ(Hex(enc), golden);
+
+  Amortizer twin(4);
+  Decoder dec(enc.buffer().data(), enc.size());
+  ASSERT_TRUE(twin.RestoreState(&dec, registry).ok());
+  EXPECT_TRUE(dec.AtEnd());
+  for (StructureId id = 0; id < 9; ++id) {
+    EXPECT_EQ(twin.PendingShare(id), amortizer.PendingShare(id)) << id;
+  }
+  EXPECT_EQ(twin.Cancel(5), amortizer.Cancel(5));
+}
+
+TEST(AmortizerPersistTest, RepeatedOrUnknownIdIsRejected) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const StructureRegistry registry = GoldenRegistry(catalog);
+  const auto restore = [&](const std::vector<StructureId>& ids) {
+    Encoder enc;
+    enc.PutU64(ids.size());
+    for (StructureId id : ids) {
+      enc.PutU32(id);
+      enc.PutMoney(Money::FromDollars(1.0));
+      enc.PutI64(0);
+    }
+    Amortizer twin(4);
+    Decoder dec(enc.buffer().data(), enc.size());
+    return twin.RestoreState(&dec, registry);
+  };
+  EXPECT_TRUE(restore({3, 1}).ok());
+  const Status repeated = restore({3, 1, 3});
+  EXPECT_FALSE(repeated.ok());
+  EXPECT_NE(repeated.ToString().find("repeats structure id 3"),
+            std::string::npos)
+      << repeated.ToString();
+  EXPECT_FALSE(restore({9}).ok());  // Never interned.
 }
 
 TEST(ElasticityControllerPersistTest, StreaksAndCooldownSurviveRestore) {

@@ -50,7 +50,6 @@ TEST_F(ExperimentTest, IndexCandidateCountIsRespected) {
   config.sim.num_queries = 1500;
   config.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(50);
     econ.economy.model_build_latency = false;
   };

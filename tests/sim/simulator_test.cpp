@@ -168,7 +168,6 @@ TEST(SampleTimelinesTest, FullTimelineHalvesAndDoublesTheStride) {
 TEST_F(SimulatorTest, EconSchemeMetricsComplete) {
   EconScheme::Config config = EconScheme::EconCheapConfig();
   config.economy.initial_credit = Money::FromDollars(5);
-  config.economy.conservative_provider = false;
   config.economy.model_build_latency = false;
   config.economy.amortization_horizon = 100;
   config.economy.regret_fraction_a = 0.01;

@@ -162,7 +162,6 @@ TEST(RunSweepTest, Fig4GridBitIdenticalAcrossThreadCounts) {
   spec.base.sim.num_queries = 400;
   spec.base.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
-    econ.economy.conservative_provider = false;
     econ.economy.initial_credit = Money::FromDollars(20);
     econ.economy.model_build_latency = false;
   };

@@ -75,7 +75,6 @@ class TenantPolicyTest : public ::testing::Test {
     config.tenancy.traffic_skew = 1.0;
     config.customize_econ = [](EconScheme::Config& econ) {
       econ.economy.regret_fraction_a = 0.001;
-      econ.economy.conservative_provider = false;
       econ.economy.initial_credit = Money::FromDollars(20);
       econ.economy.model_build_latency = false;
       econ.economy.admission.throttle_ratio = 0.5;

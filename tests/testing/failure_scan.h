@@ -49,7 +49,7 @@ inline FailurePrediction PredictFailureEvictions(const EconomyEngine& engine,
   CacheState cache(registry);
   CLOUDCACHE_CHECK(cache.RestoreState(&dec).ok());
   CandidatePool pool(options.candidate_pool_capacity);
-  CLOUDCACHE_CHECK(pool.RestoreState(&dec).ok());
+  CLOUDCACHE_CHECK(pool.RestoreState(&dec, *registry).ok());
   MaintenanceLedger ledger(&model, options.maintenance_failure_fraction,
                            options.tenant_weighted_eviction);
   CLOUDCACHE_CHECK(ledger.RestoreState(&dec, *registry).ok());
@@ -67,7 +67,7 @@ inline FailurePrediction PredictFailureEvictions(const EconomyEngine& engine,
   admission.SetTenantCount(engine.admission().tenant_count());
   CLOUDCACHE_CHECK(admission.RestoreState(&dec).ok());
   Amortizer amortizer(options.amortization_horizon);
-  CLOUDCACHE_CHECK(amortizer.RestoreState(&dec).ok());
+  CLOUDCACHE_CHECK(amortizer.RestoreState(&dec, *registry).ok());
   uint64_t pending = 0;
   CLOUDCACHE_CHECK(dec.ReadLength(&pending).ok());
   for (uint64_t i = 0; i < pending; ++i) {
