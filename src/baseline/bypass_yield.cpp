@@ -121,28 +121,27 @@ ServedQuery BypassYieldScheme::OnQuery(const Query& query, SimTime now) {
   return out;
 }
 
+template <typename Codec, typename Self>
+void BypassYieldScheme::Fields(Codec& c, Self& self) {
+  c.Nested(self.registry_);
+  c.Nested(self.cache_);
+  c.Seq(self.accrued_, [&c](auto& accrued) { c.U64(accrued); });
+  c.U64(self.queries_seen_);
+}
+
 void BypassYieldScheme::SaveState(persist::Encoder* enc) const {
-  registry_.SaveState(enc);
-  cache_.SaveState(enc);
-  enc->PutU64(accrued_.size());
-  for (uint64_t accrued : accrued_) enc->PutU64(accrued);
-  enc->PutU64(queries_seen_);
+  Fields(*enc, *this);
 }
 
 Status BypassYieldScheme::RestoreState(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(registry_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(cache_.RestoreState(dec));
-  uint64_t column_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&column_count));
-  if (column_count != accrued_.size()) {
+  const size_t columns = accrued_.size();
+  Fields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  if (accrued_.size() != columns) {
     return Status::FailedPrecondition(
-        "snapshot tracks " + std::to_string(column_count) +
-        " columns but this catalog has " + std::to_string(accrued_.size()));
+        "snapshot tracks " + std::to_string(accrued_.size()) +
+        " columns but this catalog has " + std::to_string(columns));
   }
-  for (uint64_t& accrued : accrued_) {
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&accrued));
-  }
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&queries_seen_));
   return Status::OK();
 }
 

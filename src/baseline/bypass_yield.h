@@ -53,6 +53,9 @@ class BypassYieldScheme : public Scheme {
   Status RestoreState(persist::Decoder* dec) override;
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   /// Yield of a column = accrued / size.
   double YieldOf(ColumnId column) const;
   /// Tries to load `column`, displacing lower-yield residents if needed.

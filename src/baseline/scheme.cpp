@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/persist/util_io.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
@@ -150,30 +149,29 @@ void EconScheme::ChargeExpenditure(Money amount, SimTime now) {
   engine_->mutable_account().ChargeExpenditure(amount);
 }
 
+template <typename Codec, typename Self>
+void EconScheme::Fields(Codec& c, Self& self) {
+  // Registry first: the engine's ledgers validate structure ids against
+  // it, and interning order is part of the run's state.
+  c.Nested(self.registry_);
+  c.Nested(*self.engine_);
+  Rng::Fields(c, self.rng_);
+  c.Seq(self.tenant_rngs_, [&c](auto& rng) { Rng::Fields(c, rng); });
+}
+
 void EconScheme::SaveState(persist::Encoder* enc) const {
-  registry_.SaveState(enc);
-  engine_->SaveState(enc);
-  persist::SaveRng(rng_, enc);
-  enc->PutU64(tenant_rngs_.size());
-  for (const Rng& rng : tenant_rngs_) persist::SaveRng(rng, enc);
+  Fields(*enc, *this);
 }
 
 Status EconScheme::RestoreState(persist::Decoder* dec) {
-  // Registry first: the engine's ledgers validate structure ids against
-  // it, and interning order is part of the run's state.
-  CLOUDCACHE_RETURN_IF_ERROR(registry_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(engine_->RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(persist::RestoreRng(dec, &rng_));
-  uint64_t rng_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&rng_count));
-  if (rng_count != tenant_rngs_.size()) {
+  const size_t streams = tenant_rngs_.size();
+  Fields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  if (tenant_rngs_.size() != streams) {
     return Status::FailedPrecondition(
-        "snapshot has " + std::to_string(rng_count) +
+        "snapshot has " + std::to_string(tenant_rngs_.size()) +
         " tenant budget streams but this run provisioned " +
-        std::to_string(tenant_rngs_.size()));
-  }
-  for (Rng& rng : tenant_rngs_) {
-    CLOUDCACHE_RETURN_IF_ERROR(persist::RestoreRng(dec, &rng));
+        std::to_string(streams));
   }
   return Status::OK();
 }

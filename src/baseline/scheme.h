@@ -281,6 +281,9 @@ class EconScheme : public Scheme {
   const EconomyEngine& engine() const { return *engine_; }
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   Config config_;
   StructureRegistry registry_;
   CostModel model_;

@@ -72,21 +72,22 @@ std::vector<StructureId> CacheState::Residents() const {
 }
 
 void CacheState::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(resident_.size());
+  enc->Length(resident_.size());
   for (size_t id = 0; id < resident_.size(); ++id) {
-    enc->PutBool(resident_[id]);
-    enc->PutDouble(last_used_[id]);
+    enc->Bool(resident_[id]);
+    enc->F64(last_used_[id]);
   }
-  enc->PutU64(column_resident_.size());
-  for (bool resident : column_resident_) enc->PutBool(resident);
-  enc->PutU64(resident_bytes_);
-  enc->PutU32(extra_cpu_nodes_);
-  enc->PutU64(epoch_);
+  enc->Length(column_resident_.size());
+  for (bool resident : column_resident_) enc->Bool(resident);
+  enc->U64(resident_bytes_);
+  enc->U32(extra_cpu_nodes_);
+  enc->U64(epoch_);
 }
 
 Status CacheState::RestoreState(persist::Decoder* dec) {
   uint64_t size = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&size));
+  dec->Length(size);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (size > registry_->size()) {
     return Status::InvalidArgument(
         "snapshot cache state is larger than the structure registry");
@@ -95,27 +96,26 @@ Status CacheState::RestoreState(persist::Decoder* dec) {
   last_used_.assign(size, 0);
   for (size_t id = 0; id < size; ++id) {
     bool resident = false;
-    double last_used = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&resident));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&last_used));
+    dec->Bool(resident);
+    dec->F64(last_used_[id]);
     resident_[id] = resident;
-    last_used_[id] = last_used;
   }
   uint64_t columns = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&columns));
+  dec->Length(columns);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (columns != column_resident_.size()) {
     return Status::InvalidArgument(
         "snapshot column residency does not match the catalog width");
   }
   for (size_t col = 0; col < columns; ++col) {
     bool resident = false;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&resident));
+    dec->Bool(resident);
     column_resident_[col] = resident;
   }
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&resident_bytes_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&extra_cpu_nodes_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&epoch_));
-  return Status::OK();
+  dec->U64(resident_bytes_);
+  dec->U32(extra_cpu_nodes_);
+  dec->U64(epoch_);
+  return dec->status();
 }
 
 std::vector<StructureId> CacheState::ResidentsOfType(

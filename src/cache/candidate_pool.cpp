@@ -85,10 +85,10 @@ void CandidatePool::Erase(StructureId id) {
 }
 
 void CandidatePool::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(size_);
+  enc->Length(size_);
   for (StructureId id = head_; id != kNone; id = nodes_[id].next) {
-    enc->PutU32(id);
-    enc->PutDouble(nodes_[id].last_touch);
+    enc->U32(id);
+    enc->F64(nodes_[id].last_touch);
   }
 }
 
@@ -98,7 +98,8 @@ Status CandidatePool::RestoreState(persist::Decoder* dec,
   head_ = tail_ = kNone;
   size_ = 0;
   uint64_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
+  dec->Length(count);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (count > capacity_) {
     return Status::InvalidArgument(
         "snapshot candidate pool exceeds this run's pool capacity");
@@ -106,8 +107,9 @@ Status CandidatePool::RestoreState(persist::Decoder* dec,
   for (uint64_t i = 0; i < count; ++i) {
     StructureId id = 0;
     double last_touch = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&last_touch));
+    dec->U32(id);
+    dec->F64(last_touch);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (id >= registry.size()) {
       return Status::InvalidArgument(
           "snapshot candidate pool references an unknown structure");

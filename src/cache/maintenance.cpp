@@ -211,14 +211,14 @@ void MaintenanceLedger::HeapErase(size_t pos) {
 }
 
 void MaintenanceLedger::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(heap_.size());
+  enc->Length(heap_.size());
   for (StructureId id = 0; id < clocks_.size(); ++id) {
     const Clock& clock = clocks_[id];
     if (!clock.tracked) continue;
-    enc->PutU32(id);
-    enc->PutDouble(clock.paid_until);
-    enc->PutMoney(clock.build_cost);
-    enc->PutDouble(clock.failure_scale);
+    enc->U32(id);
+    enc->F64(clock.paid_until);
+    enc->Money(clock.build_cost);
+    enc->F64(clock.failure_scale);
   }
 }
 
@@ -229,10 +229,15 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
   floating_.clear();
   floating_stamp_ = 0;
   uint64_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
+  dec->Length(count);
   for (uint64_t i = 0; i < count; ++i) {
     StructureId id = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
+    Clock clock;
+    dec->U32(id);
+    dec->F64(clock.paid_until);
+    dec->Money(clock.build_cost);
+    dec->F64(clock.failure_scale);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (id >= registry.size()) {
       return Status::InvalidArgument(
           "snapshot maintenance clock references an unknown structure");
@@ -242,11 +247,7 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
           "snapshot maintenance ledger repeats structure id " +
           std::to_string(id));
     }
-    Clock clock;
     clock.type = registry.key(id).type;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&clock.paid_until));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&clock.build_cost));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&clock.failure_scale));
     if (!(clock.failure_scale >= 1.0)) {
       return Status::InvalidArgument(
           "snapshot maintenance clock has a failure scale below 1.0");
@@ -256,7 +257,7 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
     // Register would have built it.
     Track(id, clock);
   }
-  return Status::OK();
+  return dec->status();
 }
 
 }  // namespace cloudcache

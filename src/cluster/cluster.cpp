@@ -290,36 +290,46 @@ void ClusterScheme::DescribeCluster(ClusterMetrics* out) const {
   }
 }
 
+template <typename Codec, typename NodeT>
+void ClusterScheme::NodeFields(Codec& c, NodeT& node) {
+  c.U32(node.ordinal);
+  c.F64(node.rented_at);
+  c.U64(node.queries);
+  c.U64(node.served);
+  c.U64(node.served_in_cache);
+  c.U64(node.window_queries);
+  c.Money(node.revenue);
+  c.Money(node.profit);
+}
+
+template <typename Codec, typename Self>
+void ClusterScheme::FleetFields(Codec& c, Self& self) {
+  c.U32(self.next_ordinal_);
+  c.U64(self.last_served_);
+  c.U64(self.queries_);
+  c.F64(self.first_arrival_);
+  c.F64(self.last_arrival_);
+  c.Bool(self.saw_query_);
+  c.U32(self.peak_nodes_);
+  c.U64(self.scale_out_events_);
+  c.U64(self.scale_in_events_);
+  c.U64(self.migrations_);
+  c.U64(self.migration_failures_);
+  c.Nested(self.controller_);
+}
+
 void ClusterScheme::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(nodes_.size());
-  for (const Node& node : nodes_) {
-    enc->PutU32(node.ordinal);
-    enc->PutDouble(node.rented_at);
-    enc->PutU64(node.queries);
-    enc->PutU64(node.served);
-    enc->PutU64(node.served_in_cache);
-    enc->PutU64(node.window_queries);
-    enc->PutMoney(node.revenue);
-    enc->PutMoney(node.profit);
-    node.scheme->SaveState(enc);
-  }
-  enc->PutU32(next_ordinal_);
-  enc->PutU64(last_served_);
-  enc->PutU64(queries_);
-  enc->PutDouble(first_arrival_);
-  enc->PutDouble(last_arrival_);
-  enc->PutBool(saw_query_);
-  enc->PutU32(peak_nodes_);
-  enc->PutU64(scale_out_events_);
-  enc->PutU64(scale_in_events_);
-  enc->PutU64(migrations_);
-  enc->PutU64(migration_failures_);
-  controller_.SaveState(enc);
+  enc->Seq(nodes_, [enc](const Node& node) {
+    NodeFields(*enc, node);
+    enc->Nested(*node.scheme);
+  });
+  FleetFields(*enc, *this);
 }
 
 Status ClusterScheme::RestoreState(persist::Decoder* dec) {
   uint64_t node_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&node_count));
+  dec->Length(node_count);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (node_count == 0) {
     return Status::InvalidArgument("snapshot cluster has zero nodes");
   }
@@ -336,21 +346,16 @@ Status ClusterScheme::RestoreState(persist::Decoder* dec) {
   restored.reserve(node_count);
   for (uint64_t i = 0; i < node_count; ++i) {
     Node node;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&node.ordinal));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&node.rented_at));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&node.queries));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&node.served));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&node.served_in_cache));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&node.window_queries));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&node.revenue));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&node.profit));
+    NodeFields(*dec, node);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (i == 0 && node.ordinal != 0) {
       return Status::InvalidArgument(
           "snapshot cluster coordinator has ordinal " +
           std::to_string(node.ordinal) + "; expected 0");
     }
     node.scheme = factory_(node.ordinal);
-    CLOUDCACHE_RETURN_IF_ERROR(node.scheme->RestoreState(dec));
+    dec->Nested(*node.scheme);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     restored.push_back(std::move(node));
   }
   nodes_ = std::move(restored);
@@ -359,7 +364,8 @@ Status ClusterScheme::RestoreState(persist::Decoder* dec) {
   for (Node& node : nodes_) {
     node.scheme->SetEventTracer(tracer_, node.ordinal);
   }
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&next_ordinal_));
+  FleetFields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   for (const Node& node : nodes_) {
     if (node.ordinal >= next_ordinal_) {
       return Status::InvalidArgument(
@@ -368,23 +374,11 @@ Status ClusterScheme::RestoreState(persist::Decoder* dec) {
           std::to_string(next_ordinal_));
     }
   }
-  uint64_t last_served = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&last_served));
-  if (last_served >= nodes_.size()) {
+  if (last_served_ >= nodes_.size()) {
     return Status::InvalidArgument(
         "snapshot cluster last-served index is out of range");
   }
-  last_served_ = static_cast<size_t>(last_served);
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&queries_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&first_arrival_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&last_arrival_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&saw_query_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&peak_nodes_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&scale_out_events_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&scale_in_events_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&migrations_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&migration_failures_));
-  return controller_.RestoreState(dec);
+  return Status::OK();
 }
 
 }  // namespace cloudcache

@@ -129,6 +129,13 @@ class ClusterScheme : public Scheme {
     Money profit;
   };
 
+  /// Snapshot field lists: one node's fields (its scheme's state follows
+  /// them), and the fleet-wide fields after the last node.
+  template <typename Codec, typename NodeT>
+  static void NodeFields(Codec& c, NodeT& node);
+  template <typename Codec, typename Self>
+  static void FleetFields(Codec& c, Self& self);
+
   /// Runs the controller at a window boundary and applies its action.
   void MaybeScale(SimTime now);
   void RentNode(SimTime now);

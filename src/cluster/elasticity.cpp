@@ -62,23 +62,20 @@ ElasticAction ElasticityController::Step(const ElasticityWindow& window) {
   return ElasticAction{};
 }
 
+template <typename Codec, typename Self>
+void ElasticityController::Fields(Codec& c, Self& self) {
+  c.U32(self.hot_streak_);
+  c.Seq(self.cold_streaks_, [&c](auto& streak) { c.U32(streak); });
+  c.U32(self.cooldown_);
+}
+
 void ElasticityController::SaveState(persist::Encoder* enc) const {
-  enc->PutU32(hot_streak_);
-  enc->PutU64(cold_streaks_.size());
-  for (uint32_t streak : cold_streaks_) enc->PutU32(streak);
-  enc->PutU32(cooldown_);
+  Fields(*enc, *this);
 }
 
 Status ElasticityController::RestoreState(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&hot_streak_));
-  uint64_t streak_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&streak_count));
-  cold_streaks_.assign(streak_count, 0);
-  for (uint32_t& streak : cold_streaks_) {
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&streak));
-  }
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&cooldown_));
-  return Status::OK();
+  Fields(*dec, *this);
+  return dec->status();
 }
 
 }  // namespace cloudcache

@@ -95,6 +95,9 @@ class ElasticityController {
   Status RestoreState(persist::Decoder* dec);
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   ElasticityOptions options_;
   uint32_t hot_streak_ = 0;
   /// Per-node-index consecutive cold windows. Reset wholesale after any

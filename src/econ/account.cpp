@@ -28,20 +28,22 @@ Status CloudAccount::WithdrawInvestment(Money amount) {
   return Status::OK();
 }
 
+template <typename Codec, typename Self>
+void CloudAccount::Fields(Codec& c, Self& self) {
+  c.Money(self.initial_);
+  c.Money(self.credit_);
+  c.Money(self.revenue_);
+  c.Money(self.expenditure_);
+  c.Money(self.investment_);
+}
+
 void CloudAccount::SaveState(persist::Encoder* enc) const {
-  enc->PutMoney(initial_);
-  enc->PutMoney(credit_);
-  enc->PutMoney(revenue_);
-  enc->PutMoney(expenditure_);
-  enc->PutMoney(investment_);
+  Fields(*enc, *this);
 }
 
 Status CloudAccount::RestoreState(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&initial_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&credit_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&revenue_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&expenditure_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&investment_));
+  Fields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (credit_ != initial_ + revenue_ - expenditure_ - investment_) {
     return Status::InvalidArgument(
         "snapshot account books do not balance (credit != initial + revenue "

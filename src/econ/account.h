@@ -56,6 +56,9 @@ class CloudAccount {
   Status RestoreState(persist::Decoder* dec);
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   Money initial_;
   Money credit_;
   Money revenue_;

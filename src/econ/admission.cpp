@@ -14,8 +14,6 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   if (options_.enabled) {
     CLOUDCACHE_CHECK_GT(options_.throttle_ratio, 0.0);
     CLOUDCACHE_CHECK_LE(options_.readmit_ratio, options_.throttle_ratio);
-    CLOUDCACHE_CHECK_GE(options_.throttled_regret_scale, 0.0);
-    CLOUDCACHE_CHECK_LE(options_.throttled_regret_scale, 1.0);
   }
 }
 
@@ -91,41 +89,39 @@ bool AdmissionController::Throttled(uint32_t tenant, bool* newly_throttled) {
   return state.throttled;
 }
 
+template <typename Codec, typename Self>
+void AdmissionController::TenantFields(Codec& c, Self& self) {
+  c.Seq(self.tenants_, [&c](auto& state) {
+    c.Money(state.revenue);
+    c.Money(state.accrued);
+    c.Money(state.monetized);
+    c.Bool(state.throttled);
+  });
+}
+
 void AdmissionController::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(tenants_.size());
-  for (const TenantState& state : tenants_) {
-    enc->PutMoney(state.revenue);
-    enc->PutMoney(state.accrued);
-    enc->PutMoney(state.monetized);
-    enc->PutBool(state.throttled);
-  }
+  TenantFields(*enc, *this);
   std::vector<StructureId> ids;
   ids.reserve(backing_.size());
   for (const auto& [id, shares] : backing_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
-  enc->PutU64(ids.size());
+  enc->Length(ids.size());
   for (StructureId id : ids) {
-    const std::vector<Money>& shares = backing_.at(id);
-    enc->PutU32(id);
-    enc->PutU64(shares.size());
-    for (Money share : shares) enc->PutMoney(share);
+    enc->U32(id);
+    enc->Seq(backing_.at(id), [enc](Money share) { enc->Money(share); });
   }
 }
 
 Status AdmissionController::RestoreState(persist::Decoder* dec) {
-  uint64_t tenant_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&tenant_count));
-  if (tenant_count != tenants_.size()) {
+  const size_t provisioned = tenants_.size();
+  TenantFields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  if (tenants_.size() != provisioned) {
     return Status::FailedPrecondition(
-        "snapshot admission state has " + std::to_string(tenant_count) +
-        " tenants but this run provisioned " +
-        std::to_string(tenants_.size()));
+        "snapshot admission state has " + std::to_string(tenants_.size()) +
+        " tenants but this run provisioned " + std::to_string(provisioned));
   }
-  for (TenantState& state : tenants_) {
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&state.revenue));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&state.accrued));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&state.monetized));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&state.throttled));
+  for (const TenantState& state : tenants_) {
     if (state.monetized.micros() < 0 ||
         state.monetized.micros() > state.accrued.micros()) {
       return Status::InvalidArgument(
@@ -134,19 +130,16 @@ Status AdmissionController::RestoreState(persist::Decoder* dec) {
   }
   backing_.clear();
   uint64_t backing_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&backing_count));
+  dec->Length(backing_count);
   for (uint64_t i = 0; i < backing_count; ++i) {
     StructureId id = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
-    uint64_t share_count = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&share_count));
-    if (share_count > tenants_.size()) {
+    std::vector<Money> shares;
+    dec->U32(id);
+    dec->Seq(shares, [dec](Money& share) { dec->Money(share); });
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+    if (shares.size() > tenants_.size()) {
       return Status::InvalidArgument(
           "snapshot admission backing has more shares than tenants");
-    }
-    std::vector<Money> shares(share_count);
-    for (Money& share : shares) {
-      CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&share));
     }
     if (!backing_.emplace(id, std::move(shares)).second) {
       return Status::InvalidArgument(
@@ -154,7 +147,7 @@ Status AdmissionController::RestoreState(persist::Decoder* dec) {
           std::to_string(id));
     }
   }
-  return Status::OK();
+  return dec->status();
 }
 
 }  // namespace cloudcache

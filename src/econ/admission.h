@@ -27,17 +27,6 @@ struct AdmissionOptions {
   /// floor, so a cold-start tenant with a few dollars of regret and no
   /// revenue yet is not throttled on its first queries.
   Money min_regret = Money::FromDollars(1.0);
-  /// Fraction of a throttled tenant's regret still booked (into both the
-  /// global and the tenant ledger, so the partition invariant holds).
-  /// 0 suppresses everything the tenant would accrue; a small positive
-  /// value lets the tenant's *strongest* demand still cross Eq. 3
-  /// eventually — churny marginal candidates are what starve out.
-  double throttled_regret_scale = 0.0;
-  /// Whether tripping the throttle forfeits the tenant's standing regret
-  /// out of the shared ledger. Forfeiting stops in-flight investment on
-  /// the tenant's behalf immediately; keeping it lets already-justified
-  /// candidates build and only starves future accrual.
-  bool forfeit_standing_regret = true;
 };
 
 /// Per-tenant admission control: throttles tenants whose accrued regret
@@ -125,6 +114,11 @@ class AdmissionController {
     Money monetized;
     bool throttled = false;
   };
+
+  /// The snapshot field list of the tenant states. The backing shares
+  /// follow it, hand-laid: the hash map is written in ascending id order.
+  template <typename Codec, typename Self>
+  static void TenantFields(Codec& c, Self& self);
 
   AdmissionOptions options_;
   std::vector<TenantState> tenants_;

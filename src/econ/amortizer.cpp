@@ -39,15 +39,15 @@ Money Amortizer::Cancel(StructureId id) {
 }
 
 void Amortizer::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(static_cast<uint64_t>(
+  enc->Length(static_cast<uint64_t>(
       std::count_if(schedules_.begin(), schedules_.end(),
                     [](const Schedule& s) { return s.active; })));
   for (StructureId id = 0; id < schedules_.size(); ++id) {
     const Schedule& schedule = schedules_[id];
     if (!schedule.active) continue;
-    enc->PutU32(id);
-    enc->PutMoney(schedule.build_cost);
-    enc->PutI64(schedule.shares_charged);
+    enc->U32(id);
+    enc->Money(schedule.build_cost);
+    enc->I64(schedule.shares_charged);
   }
 }
 
@@ -55,13 +55,14 @@ Status Amortizer::RestoreState(persist::Decoder* dec,
                                const StructureRegistry& registry) {
   schedules_.clear();
   uint64_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
+  dec->Length(count);
   for (uint64_t i = 0; i < count; ++i) {
     StructureId id = 0;
     Schedule schedule;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&schedule.build_cost));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&schedule.shares_charged));
+    dec->U32(id);
+    dec->Money(schedule.build_cost);
+    dec->I64(schedule.shares_charged);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (id >= registry.size()) {
       return Status::InvalidArgument(
           "snapshot amortization schedule references an unknown structure");
@@ -78,7 +79,7 @@ Status Amortizer::RestoreState(persist::Decoder* dec,
     RegisterBuild(id, schedule.build_cost);
     schedules_[id].shares_charged = schedule.shares_charged;
   }
-  return Status::OK();
+  return dec->status();
 }
 
 }  // namespace cloudcache

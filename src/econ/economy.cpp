@@ -12,6 +12,14 @@
 
 namespace cloudcache {
 
+namespace {
+
+/// How many of the candidate pool's coldest entries tenant-aware aging
+/// considers when choosing a forfeiture victim.
+constexpr size_t kEvictionAgingWindow = 8;
+
+}  // namespace
+
 const char* BudgetCaseToString(BudgetCase c) {
   switch (c) {
     case BudgetCase::kCaseA:
@@ -43,7 +51,6 @@ EconomyEngine::EconomyEngine(const Catalog* catalog,
       amortizer_(options.amortization_horizon) {
   CLOUDCACHE_CHECK_GT(options_.regret_fraction_a, 0.0);
   CLOUDCACHE_CHECK_LT(options_.regret_fraction_a, 1.0);
-  CLOUDCACHE_CHECK_GE(options_.eviction_breadth_slack, 0.0);
 }
 
 void EconomyEngine::SetIndexCandidates(
@@ -66,7 +73,7 @@ void EconomyEngine::SetTenantCount(size_t n) {
   if (options_.tenant_weighted_eviction && n > 1) {
     pool_.SetVictimScorer(
         [this](StructureId id) { return BackingBreadth(id); },
-        options_.eviction_aging_window);
+        kEvictionAgingWindow);
   } else {
     pool_.SetVictimScorer(nullptr, 1);
   }
@@ -242,6 +249,9 @@ size_t EconomyEngine::SelectPlan() const {
 
 void EconomyEngine::AccumulateRegret(const PlanSet& set, size_t chosen_index,
                                      BudgetCase budget_case) {
+  // A throttled tenant's regret goes unbooked: neither ledger nor the
+  // admission counters see it.
+  if (suppress_regret_) return;
   // Reference price: the executed plan's, or — when nothing was served —
   // the cheapest executable plan the user was quoted.
   Money reference;
@@ -278,12 +288,6 @@ void EconomyEngine::AccumulateRegret(const PlanSet& set, size_t chosen_index,
           amount = Money::Max(Money(), s.budget - s.price);
         }
         break;
-    }
-    // A throttled tenant's contribution is scaled down (to zero by
-    // default) before any booking, so both ledgers and the admission
-    // counters see the same reduced amount.
-    if (suppress_regret_) {
-      amount = amount * options_.admission.throttled_regret_scale;
     }
     if (!amount.IsZero()) {
       const std::vector<StructureId>& structures =
@@ -379,9 +383,7 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
     // columns ride the index's backing. Computed before the ledgers
     // forget the regret below.
     const double failure_scale =
-        options_.tenant_weighted_eviction
-            ? 1.0 + options_.eviction_breadth_slack * BackingBreadth(id)
-            : 1.0;
+        options_.tenant_weighted_eviction ? 1.0 + BackingBreadth(id) : 1.0;
     for (StructureId built_id : built) {
       const Money recorded_cost =
           built_id == id ? build_cost : Money();  // Columns ride the index.
@@ -545,7 +547,7 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
                                admission_.throttled(query.tenant_id);
     suppress_regret_ =
         admission_.Throttled(query.tenant_id, &newly_throttled);
-    if (newly_throttled && options_.admission.forfeit_standing_regret) {
+    if (newly_throttled) {
       ForfeitTenantRegret(query.tenant_id);
     }
     outcome.throttled = suppress_regret_;
@@ -667,42 +669,40 @@ const PlanSet& EconomyEngine::Quote(const Query& query, SimTime now) const {
   return *set;
 }
 
+template <typename Codec, typename Self>
+void EconomyEngine::Fields(Codec& c, Self& self) {
+  const StructureRegistry& registry = *self.registry_;
+  c.Nested(self.cache_);
+  c.Nested(self.pool_, registry);
+  c.Nested(self.maintenance_, registry);
+  c.Nested(self.account_);
+  c.Nested(self.regret_);
+  c.Seq(self.tenant_regret_, [&c](auto& ledger) { c.Nested(ledger); });
+  c.Nested(self.admission_);
+  c.Nested(self.amortizer_, registry);
+  c.Seq(self.pending_, [&c](auto& build) {
+    c.F64(build.ready_at);
+    c.U32(build.id);
+  });
+  c.Seq(self.tick_evictions_, [&c](auto& id) { c.U32(id); });
+}
+
 void EconomyEngine::SaveState(persist::Encoder* enc) const {
-  cache_.SaveState(enc);
-  pool_.SaveState(enc);
-  maintenance_.SaveState(enc);
-  account_.SaveState(enc);
-  regret_.SaveState(enc);
-  enc->PutU64(tenant_regret_.size());
-  for (const RegretLedger& ledger : tenant_regret_) ledger.SaveState(enc);
-  admission_.SaveState(enc);
-  amortizer_.SaveState(enc);
-  enc->PutU64(pending_.size());
-  for (const PendingBuild& build : pending_) {
-    enc->PutDouble(build.ready_at);
-    enc->PutU32(build.id);
-  }
-  enc->PutU64(tick_evictions_.size());
-  for (StructureId id : tick_evictions_) enc->PutU32(id);
+  Fields(*enc, *this);
 }
 
 Status EconomyEngine::RestoreState(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(cache_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(pool_.RestoreState(dec, *registry_));
-  CLOUDCACHE_RETURN_IF_ERROR(maintenance_.RestoreState(dec, *registry_));
-  CLOUDCACHE_RETURN_IF_ERROR(account_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(regret_.RestoreState(dec));
-  uint64_t tenant_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&tenant_count));
-  if (tenant_count != tenant_regret_.size()) {
+  const size_t tenants = tenant_regret_.size();
+  Fields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  if (tenant_regret_.size() != tenants) {
     return Status::FailedPrecondition(
-        "snapshot has " + std::to_string(tenant_count) +
+        "snapshot has " + std::to_string(tenant_regret_.size()) +
         " tenant regret ledgers but this run provisioned " +
-        std::to_string(tenant_regret_.size()));
+        std::to_string(tenants));
   }
   Money tenant_total;
-  for (RegretLedger& ledger : tenant_regret_) {
-    CLOUDCACHE_RETURN_IF_ERROR(ledger.RestoreState(dec));
+  for (const RegretLedger& ledger : tenant_regret_) {
     tenant_total += ledger.Total();
   }
   // The tenant ledgers partition the global ledger whenever attribution is
@@ -712,17 +712,8 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
     return Status::InvalidArgument(
         "snapshot tenant regret ledgers do not partition the global ledger");
   }
-  CLOUDCACHE_RETURN_IF_ERROR(admission_.RestoreState(dec));
-  CLOUDCACHE_RETURN_IF_ERROR(amortizer_.RestoreState(dec, *registry_));
-
-  pending_.clear();
   pending_flag_.assign(registry_->size(), false);
-  uint64_t pending_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&pending_count));
-  for (uint64_t i = 0; i < pending_count; ++i) {
-    PendingBuild build;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&build.ready_at));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&build.id));
+  for (const PendingBuild& build : pending_) {
     if (build.id >= registry_->size()) {
       return Status::InvalidArgument(
           "snapshot pending build names unknown structure id " +
@@ -734,20 +725,13 @@ Status EconomyEngine::RestoreState(persist::Decoder* dec) {
           std::to_string(build.id));
     }
     pending_flag_[build.id] = true;
-    pending_.push_back(build);
   }
-  tick_evictions_.clear();
-  uint64_t eviction_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&eviction_count));
-  for (uint64_t i = 0; i < eviction_count; ++i) {
-    StructureId id = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
+  for (StructureId id : tick_evictions_) {
     if (id >= registry_->size()) {
       return Status::InvalidArgument(
           "snapshot tick eviction names unknown structure id " +
           std::to_string(id));
     }
-    tick_evictions_.push_back(id);
   }
 
   // Drop every pricing memo. Their stamp discipline (epoch + 1 / a per-call

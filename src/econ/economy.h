@@ -87,19 +87,13 @@ struct EconomyOptions {
 
   /// Weighs eviction by per-tenant regret attribution: structures whose
   /// backing regret spread broadly over tenants get failure-threshold
-  /// slack (they outlive idle spells a single noisy tenant's structure
-  /// would not), and candidate-pool aging prefers to forfeit the
-  /// candidate whose regret is most concentrated in one tenant.
+  /// slack (the threshold is scaled by 1 + breadth, where breadth in
+  /// [0, 1] is how evenly the regret that triggered the build spread over
+  /// tenants, NormalizedBreadth), so they outlive idle spells a single
+  /// noisy tenant's structure would not; and candidate-pool aging prefers
+  /// to forfeit, among the 8 coldest candidates, the one whose regret is
+  /// most concentrated in one tenant.
   bool tenant_weighted_eviction = false;
-  /// Maximum widening of the maintenance-failure threshold: the
-  /// threshold is scaled by 1 + slack * breadth, where breadth in [0, 1]
-  /// is how evenly the regret that triggered the build spread over
-  /// tenants (NormalizedBreadth). 0 disables the widening while keeping
-  /// the pool-aging half of the policy.
-  double eviction_breadth_slack = 1.0;
-  /// How many of the candidate pool's coldest entries the tenant-aware
-  /// aging policy considers when choosing a forfeiture victim.
-  size_t eviction_aging_window = 8;
   /// Per-tenant admission control (throttles tenants whose accrued
   /// regret the economy cannot monetize); see AdmissionController.
   AdmissionOptions admission;
@@ -256,6 +250,9 @@ class EconomyEngine {
   Status RestoreState(persist::Decoder* dec);
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   /// Test-only reader of the build-cost memo and the investable max
   /// (tests/testing/).
   friend class EconomyEnginePeer;

@@ -48,23 +48,24 @@ void RegretLedger::Subtract(StructureId id, Money amount) {
 }
 
 void RegretLedger::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(nonzero_);
+  enc->Length(nonzero_);
   ForEachNonZero([enc](StructureId id, Money amount) {
-    enc->PutU32(id);
-    enc->PutMoney(amount);
+    enc->U32(id);
+    enc->Money(amount);
   });
 }
 
 Status RegretLedger::RestoreState(persist::Decoder* dec) {
   *this = RegretLedger();
   uint64_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
+  dec->Length(count);
   StructureId previous = 0;
   for (uint64_t i = 0; i < count; ++i) {
     StructureId id = 0;
     Money amount;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&id));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadMoney(&amount));
+    dec->U32(id);
+    dec->Money(amount);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (i > 0 && id <= previous) {
       return Status::InvalidArgument(
           "snapshot regret ledger ids are not strictly ascending");
@@ -76,7 +77,7 @@ Status RegretLedger::RestoreState(persist::Decoder* dec) {
     previous = id;
     Add(id, amount);
   }
-  return Status::OK();
+  return dec->status();
 }
 
 const std::vector<std::pair<StructureId, Money>>&

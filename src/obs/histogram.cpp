@@ -83,42 +83,44 @@ double Histogram::Quantile(double q) const {
   return max_;
 }
 
+template <typename Codec, typename Self>
+void Histogram::HeaderFields(Codec& c, Self& self) {
+  c.U64(self.count_);
+  c.U64(self.underflow_);
+  c.U64(self.overflow_);
+  c.F64(self.sum_);
+  c.F64(self.min_);
+  c.F64(self.max_);
+}
+
 void Histogram::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(count_);
-  enc->PutU64(underflow_);
-  enc->PutU64(overflow_);
-  enc->PutDouble(sum_);
-  enc->PutDouble(min_);
-  enc->PutDouble(max_);
+  HeaderFields(*enc, *this);
   // Sparse bucket encoding: latency histograms of a run occupy a handful
   // of octaves, so (index, count) pairs keep snapshots small.
   uint64_t nonzero = 0;
   for (uint64_t b : buckets_) nonzero += b != 0 ? 1 : 0;
-  enc->PutU64(nonzero);
-  for (size_t i = 0; i < kNumBuckets; ++i) {
+  enc->Length(nonzero);
+  for (uint32_t i = 0; i < kNumBuckets; ++i) {
     if (buckets_[i] == 0) continue;
-    enc->PutU32(static_cast<uint32_t>(i));
-    enc->PutU64(buckets_[i]);
+    enc->U32(i);
+    enc->U64(buckets_[i]);
   }
 }
 
 Status Histogram::RestoreState(persist::Decoder* dec) {
   Histogram fresh;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&fresh.count_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&fresh.underflow_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&fresh.overflow_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&fresh.sum_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&fresh.min_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&fresh.max_));
+  HeaderFields(*dec, fresh);
   uint64_t nonzero = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&nonzero));
+  dec->Length(nonzero);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   uint64_t in_buckets = 0;
   uint32_t prev = 0;
   for (uint64_t k = 0; k < nonzero; ++k) {
     uint32_t index = 0;
     uint64_t value = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&index));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&value));
+    dec->U32(index);
+    dec->U64(value);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (index >= kNumBuckets || value == 0 || (k > 0 && index <= prev)) {
       return Status::InvalidArgument(
           "corrupt histogram bucket entry in snapshot");

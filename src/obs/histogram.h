@@ -80,6 +80,11 @@ class Histogram {
   friend bool BitIdentical(const Histogram& a, const Histogram& b);
 
  private:
+  /// The snapshot header: the counts, sum, min and max. The sparse
+  /// buckets follow it, hand-laid by SaveState/RestoreState.
+  template <typename Codec, typename Self>
+  static void HeaderFields(Codec& c, Self& self);
+
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   uint64_t underflow_ = 0;

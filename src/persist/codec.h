@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/money.h"
@@ -19,29 +20,71 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data) {
   return Crc32(data.data(), data.size());
 }
 
+// Encoder and Decoder share one set of verbs, each named for its wire
+// width (U8, U32, U64, I64, F64, Bool, Money, Str) plus the u64-length-
+// prefixed Seq. Every verb takes the field itself, so a record's layout
+// is one function template over the codec (`Fields(Codec& c, Self& s)`),
+// run by SaveState with an Encoder and by RestoreState with a Decoder,
+// which checks `status()` before validating anything it read. A field
+// whose type does not match its verb exactly does not compile, so a type
+// change can never silently change the bytes (docs/persistence.md).
+
 /// Append-only little-endian byte sink. All integers are fixed-width
 /// little-endian; doubles are bit-cast to uint64_t, so a save→load round
 /// trip reproduces every value bit for bit (including -0.0, infinities,
 /// and NaN payloads — Histogram min/max start at ±inf).
 class Encoder {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
-  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutDouble(double v) {
+  static constexpr bool kDecoding = false;
+
+  void U8(uint8_t v) { buf_.push_back(v); }
+  void U32(uint32_t v) { PutLittleEndian(v, 4); }
+  void U64(uint64_t v) { PutLittleEndian(v, 8); }
+  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  void F64(double v) {
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
     std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
+    U64(bits);
   }
-  void PutMoney(Money v) { PutI64(v.micros()); }
-  void PutString(const std::string& s) {
-    PutU64(s.size());
+  void Bool(bool v) { buf_.push_back(v ? 1 : 0); }
+  void Money(cloudcache::Money v) { I64(v.micros()); }
+  void Str(const std::string& s) {
+    U64(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
-  void PutBytes(const uint8_t* data, size_t size) {
+  /// The element count, then `each(element)` for every element in order.
+  template <typename Container, typename Fn>
+  void Seq(const Container& items, Fn&& each) {
+    U64(items.size());
+    for (const auto& item : items) each(item);
+  }
+  /// The count of a hand-laid sequence (a u64; see Decoder::Length).
+  void Length(uint64_t n) { U64(n); }
+  /// A component with its own SaveState, as one field. `restore_args`
+  /// are what its RestoreState takes after the decoder; saving ignores
+  /// them.
+  template <typename Component, typename... RestoreArgs>
+  void Nested(const Component& component, const RestoreArgs&...) {
+    component.SaveState(this);
+  }
+
+  template <typename T>
+  void U8(T) = delete;
+  template <typename T>
+  void U32(T) = delete;
+  template <typename T>
+  void U64(T) = delete;
+  template <typename T>
+  void I64(T) = delete;
+  template <typename T>
+  void F64(T) = delete;
+  template <typename T>
+  void Bool(T) = delete;
+
+  /// Raw bytes, no length prefix (the snapshot container and the frame
+  /// writer carry the length themselves).
+  void Bytes(const uint8_t* data, size_t size) {
     buf_.insert(buf_.end(), data, data + size);
   }
 
@@ -59,107 +102,123 @@ class Encoder {
   std::vector<uint8_t> buf_;
 };
 
-/// Bounds-checked reader over a byte span (not owned). Every read returns
-/// a Status instead of asserting: snapshot bytes come from disk and may be
-/// truncated or corrupt, and the loader must fail descriptively, never
-/// crash (the corruption fuzz test runs this under ASan/UBSan).
+/// Bounds-checked reader over a byte span (not owned). Snapshot bytes come
+/// from disk and frames from a socket, so they may be truncated or
+/// corrupt: the decoder keeps the first error it meets and turns every
+/// later read into a no-op that leaves its field untouched. It never
+/// asserts and never reads out of bounds (the corruption fuzz tests run
+/// it under ASan/UBSan).
 class Decoder {
  public:
+  static constexpr bool kDecoding = true;
+
   Decoder(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  Status ReadU8(uint8_t* out) {
-    CLOUDCACHE_RETURN_IF_ERROR(Need(1));
-    *out = data_[pos_++];
-    return Status::OK();
-  }
-  Status ReadBool(bool* out) {
-    uint8_t v = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadU8(&v));
-    if (v > 1) {
-      return Status::InvalidArgument("corrupt bool byte in snapshot");
-    }
-    *out = v != 0;
-    return Status::OK();
-  }
-  Status ReadU32(uint32_t* out) {
-    uint64_t v = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadLittleEndian(&v, 4));
-    *out = static_cast<uint32_t>(v);
-    return Status::OK();
-  }
-  Status ReadU64(uint64_t* out) { return ReadLittleEndian(out, 8); }
-  Status ReadI64(int64_t* out) {
-    uint64_t v = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadU64(&v));
-    *out = static_cast<int64_t>(v);
-    return Status::OK();
-  }
-  Status ReadDouble(double* out) {
+  void U8(uint8_t& v) { ReadLittleEndian(v, 1); }
+  void U32(uint32_t& v) { ReadLittleEndian(v, 4); }
+  void U64(uint64_t& v) { ReadLittleEndian(v, 8); }
+  void I64(int64_t& v) { ReadLittleEndian(v, 8); }
+  void F64(double& v) {
     uint64_t bits = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
+    if (ReadLittleEndian(bits, 8)) std::memcpy(&v, &bits, sizeof(v));
   }
-  Status ReadMoney(Money* out) {
-    int64_t micros = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadI64(&micros));
-    *out = Money::FromMicros(micros);
-    return Status::OK();
-  }
-  Status ReadString(std::string* out) {
-    uint64_t size = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(ReadU64(&size));
-    CLOUDCACHE_RETURN_IF_ERROR(Need(size));
-    out->assign(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<size_t>(size));
-    pos_ += static_cast<size_t>(size);
-    return Status::OK();
-  }
-  /// Reads a length prefix destined for a reserve()/resize() call. The
-  /// length of any serialized sequence is bounded by the bytes that
-  /// remain, so a corrupt huge count fails here instead of as an OOM
-  /// inside the container.
-  Status ReadLength(uint64_t* out) {
-    CLOUDCACHE_RETURN_IF_ERROR(ReadU64(out));
-    if (*out > remaining()) {
-      return Status::OutOfRange("corrupt sequence length in snapshot");
+  void Bool(bool& v) {
+    uint8_t byte = 0;
+    U8(byte);
+    if (byte > 1) {
+      Fail(Status::InvalidArgument("corrupt bool byte in snapshot"));
     }
-    return Status::OK();
+    if (ok()) v = byte != 0;
   }
+  void Money(cloudcache::Money& v) {
+    int64_t micros = 0;
+    I64(micros);
+    if (ok()) v = cloudcache::Money::FromMicros(micros);
+  }
+  void Str(std::string& s) {
+    uint64_t size = 0;
+    U64(size);
+    if (!Need(size)) return;
+    s.assign(reinterpret_cast<const char*>(data_ + pos_),
+             static_cast<size_t>(size));
+    pos_ += static_cast<size_t>(size);
+  }
+  /// Reads the element count, resizes `items` to it, then runs
+  /// `each(element)` for every element until the first error.
+  template <typename Container, typename Fn>
+  void Seq(Container& items, Fn&& each) {
+    uint64_t count = 0;
+    Length(count);
+    if (!ok()) return;
+    items.clear();
+    items.resize(static_cast<size_t>(count));
+    for (auto& item : items) {
+      each(item);
+      if (!ok()) return;
+    }
+  }
+  /// Reads a sequence length for a hand-written body. The length of any
+  /// serialized sequence is bounded by the bytes that remain, so a corrupt
+  /// huge count fails here instead of as an OOM inside a container.
+  void Length(uint64_t& n) {
+    uint64_t count = 0;
+    U64(count);
+    if (count > remaining()) {
+      Fail(Status::OutOfRange("corrupt sequence length in snapshot"));
+    }
+    if (ok()) n = count;
+  }
+  /// A component with its own RestoreState, as one field; its error
+  /// becomes the decoder's.
+  template <typename Component, typename... RestoreArgs>
+  void Nested(Component& component, const RestoreArgs&... restore_args) {
+    if (ok()) Fail(component.RestoreState(this, restore_args...));
+  }
+
+  /// Records `status` as the decoder's error unless one is already kept.
+  void Fail(Status status) {
+    if (status_.ok()) status_ = std::move(status);
+  }
+  bool ok() const { return status_.ok(); }
+  /// The first error met, or OK.
+  const Status& status() const { return status_; }
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
-  /// Remaining bytes must be exactly zero once a section is fully decoded;
-  /// trailing garbage means the writer and reader disagree on the layout.
+  /// The first error, or — once a section or message is fully decoded —
+  /// an error if bytes remain: trailing garbage means the writer and
+  /// reader disagree on the layout.
   Status ExpectEnd() const {
-    if (!AtEnd()) {
+    if (ok() && !AtEnd()) {
       return Status::InvalidArgument("trailing bytes after snapshot section");
     }
-    return Status::OK();
+    return status_;
   }
 
  private:
-  Status Need(uint64_t bytes) const {
+  bool Need(uint64_t bytes) {
+    if (!ok()) return false;
     if (bytes > remaining()) {
-      return Status::OutOfRange("snapshot truncated: read past end of section");
+      Fail(Status::OutOfRange("snapshot truncated: read past end of section"));
+      return false;
     }
-    return Status::OK();
+    return true;
   }
-  Status ReadLittleEndian(uint64_t* out, int bytes) {
-    CLOUDCACHE_RETURN_IF_ERROR(Need(static_cast<uint64_t>(bytes)));
-    uint64_t v = 0;
+  template <typename Int>
+  bool ReadLittleEndian(Int& v, int bytes) {
+    if (!Need(static_cast<uint64_t>(bytes))) return false;
+    uint64_t bits = 0;
     for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
+      bits |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
     }
-    pos_ += static_cast<size_t>(bytes);
-    *out = v;
-    return Status::OK();
+    v = static_cast<Int>(bits);
+    return true;
   }
 
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
+  Status status_;
 };
 
 }  // namespace persist

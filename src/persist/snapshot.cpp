@@ -14,16 +14,16 @@ Encoder* SnapshotWriter::AddSection(const std::string& name) {
 
 std::vector<uint8_t> SnapshotWriter::Serialize() const {
   Encoder out;
-  out.PutU32(kSnapshotMagic);
-  out.PutU32(kSnapshotFormatVersion);
-  out.PutU64(config_hash_);
-  out.PutU32(static_cast<uint32_t>(sections_.size()));
+  out.U32(kSnapshotMagic);
+  out.U32(kSnapshotFormatVersion);
+  out.U64(config_hash_);
+  out.U32(static_cast<uint32_t>(sections_.size()));
   for (const auto& section : sections_) {
     const std::vector<uint8_t>& payload = section->encoder.buffer();
-    out.PutString(section->name);
-    out.PutU64(payload.size());
-    out.PutU32(Crc32(payload));
-    out.PutBytes(payload.data(), payload.size());
+    out.Str(section->name);
+    out.U64(payload.size());
+    out.U32(Crc32(payload));
+    out.Bytes(payload.data(), payload.size());
   }
   return out.buffer();
 }
@@ -56,29 +56,31 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::vector<uint8_t> bytes) {
 
   Decoder dec(reader.bytes_.data(), reader.bytes_.size());
   uint32_t magic = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&magic));
+  uint32_t version = 0;
+  uint32_t count = 0;
+  dec.U32(magic);
+  dec.U32(version);
+  dec.U64(reader.config_hash_);
+  dec.U32(count);
+  CLOUDCACHE_RETURN_IF_ERROR(dec.status());
   if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("not a cloudcache snapshot (bad magic)");
   }
-  uint32_t version = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&version));
   if (version != kSnapshotFormatVersion) {
     return Status::FailedPrecondition(
         "snapshot format version " + std::to_string(version) +
         " is not the supported version " +
         std::to_string(kSnapshotFormatVersion));
   }
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU64(&reader.config_hash_));
-  uint32_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&count));
 
   for (uint32_t i = 0; i < count; ++i) {
     std::string name;
-    CLOUDCACHE_RETURN_IF_ERROR(dec.ReadString(&name));
+    dec.Str(name);
     uint64_t size = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU64(&size));
+    dec.U64(size);
     uint32_t crc = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&crc));
+    dec.U32(crc);
+    CLOUDCACHE_RETURN_IF_ERROR(dec.status());
     if (size > dec.remaining()) {
       return Status::OutOfRange("snapshot truncated inside section '" + name +
                                 "'");

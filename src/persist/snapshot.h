@@ -78,9 +78,6 @@ class SnapshotReader {
   /// deterministic configuration.
   Status ExpectConfigHash(uint64_t expected) const;
 
-  bool HasSection(const std::string& name) const {
-    return sections_.count(name) > 0;
-  }
   std::vector<std::string> SectionNames() const;
 
   /// A decoder over the named section's payload. The decoder borrows the

@@ -39,12 +39,6 @@ const std::vector<ColumnId>& Query::AccessedColumns() const {
   return accessed_memo_;
 }
 
-uint64_t Query::ScanBytes(const Catalog& catalog) const {
-  uint64_t bytes = 0;
-  for (ColumnId col : AccessedColumns()) bytes += catalog.ColumnBytes(col);
-  return bytes;
-}
-
 Status Query::Validate(const Catalog& catalog) const {
   if (table >= catalog.num_tables()) {
     return Status::OutOfRange("table id " + std::to_string(table));

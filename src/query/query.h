@@ -78,9 +78,6 @@ struct Query {
   /// in-place column swaps) recomputes instead of serving a stale set.
   const std::vector<ColumnId>& AccessedColumns() const;
 
-  /// Bytes of the accessed columns that a full column scan reads.
-  uint64_t ScanBytes(const Catalog& catalog) const;
-
   /// Validates internal consistency against `catalog`: columns belong to
   /// `table`, selectivities in (0,1], result within table bounds.
   Status Validate(const Catalog& catalog) const;

@@ -59,7 +59,8 @@ const char* ErrorCodeName(ErrorCode code) {
 
 Status PeekType(persist::Decoder* dec, MessageType* type) {
   uint8_t raw = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU8(&raw));
+  dec->U8(raw);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (raw < static_cast<uint8_t>(MessageType::kHello) ||
       raw > static_cast<uint8_t>(MessageType::kStatsSubscribe)) {
     return Status::InvalidArgument("unknown message type " +
@@ -69,98 +70,130 @@ Status PeekType(persist::Decoder* dec, MessageType* type) {
   return Status::OK();
 }
 
+namespace {
+
+// Message field lists: each body is laid out once, run by the Encode*
+// functions with an Encoder and by the Decode* functions with a Decoder.
+// The type byte is not part of a body (PeekType consumes it).
+
+void PutType(MessageType type, persist::Encoder* enc) {
+  enc->U8(static_cast<uint8_t>(type));
+}
+
+template <typename Codec, typename Msg>
+void HelloFields(Codec& c, Msg& msg) {
+  c.U32(msg.protocol_version);
+  c.U32(msg.stream_id);
+  c.U64(msg.config_hash);
+}
+
+template <typename Codec, typename Msg>
+void HelloAckFields(Codec& c, Msg& msg) {
+  c.U32(msg.protocol_version);
+  c.U32(msg.stream_id);
+  c.U64(msg.config_hash);
+  c.U64(msg.num_queries);
+  c.U64(msg.next_query_id);
+}
+
+template <typename Codec, typename Q>
+void QueryFields(Codec& c, Q& query) {
+  c.U64(query.id);
+  int64_t template_id = query.template_id;
+  c.I64(template_id);
+  if constexpr (Codec::kDecoding) {
+    query.template_id = static_cast<int>(template_id);
+  }
+  c.U32(query.table);
+  c.Seq(query.output_columns, [&c](auto& column) { c.U32(column); });
+  c.Seq(query.predicates, [&c](auto& predicate) {
+    c.U32(predicate.column);
+    c.F64(predicate.selectivity);
+    c.Bool(predicate.equality);
+    c.Bool(predicate.clustered);
+  });
+  c.F64(query.cpu_multiplier);
+  c.F64(query.parallel_fraction);
+  c.U64(query.result_rows);
+  c.U64(query.result_bytes);
+  c.F64(query.arrival_time);
+  c.U32(query.tenant_id);
+}
+
+template <typename Codec, typename Msg>
+void OutcomeFields(Codec& c, Msg& msg) {
+  c.U64(msg.query_id);
+  c.U64(msg.global_index);
+  c.Bool(msg.served);
+  c.U8(msg.access);
+  c.Bool(msg.throttled);
+  c.F64(msg.response_seconds);
+  c.I64(msg.payment_micros);
+  c.I64(msg.profit_micros);
+  c.Bool(msg.has_budget_case);
+  c.U8(msg.budget_case);
+  c.U32(msg.investments);
+  c.U32(msg.evictions);
+}
+
+template <typename Codec, typename Msg>
+void StatsAckFields(Codec& c, Msg& msg) {
+  c.U64(msg.processed);
+  c.U64(msg.num_queries);
+  c.U64(msg.served);
+  c.U32(msg.active_streams);
+  c.I64(msg.credit_micros);
+  c.U64(msg.served_in_cache);
+  c.U64(msg.throttled);
+  c.U64(msg.investments);
+  c.U64(msg.evictions);
+  c.Seq(msg.streams, [&c](auto& stream) {
+    c.U32(stream.stream);
+    c.U64(stream.queries);
+    c.U64(stream.served);
+    c.U64(stream.throttled);
+  });
+}
+
+}  // namespace
+
 void EncodeHello(const HelloMsg& msg, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kHello));
-  enc->PutU32(msg.protocol_version);
-  enc->PutU32(msg.stream_id);
-  enc->PutU64(msg.config_hash);
+  PutType(MessageType::kHello, enc);
+  HelloFields(*enc, msg);
 }
 
 Status DecodeHello(persist::Decoder* dec, HelloMsg* msg) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->protocol_version));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->stream_id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->config_hash));
+  HelloFields(*dec, *msg);
   return dec->ExpectEnd();
 }
 
 void EncodeHelloAck(const HelloAckMsg& msg, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kHelloAck));
-  enc->PutU32(msg.protocol_version);
-  enc->PutU32(msg.stream_id);
-  enc->PutU64(msg.config_hash);
-  enc->PutU64(msg.num_queries);
-  enc->PutU64(msg.next_query_id);
+  PutType(MessageType::kHelloAck, enc);
+  HelloAckFields(*enc, msg);
 }
 
 Status DecodeHelloAck(persist::Decoder* dec, HelloAckMsg* msg) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->protocol_version));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->stream_id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->config_hash));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->num_queries));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->next_query_id));
+  HelloAckFields(*dec, *msg);
   return dec->ExpectEnd();
 }
 
 void EncodeQuery(const Query& query, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kQuery));
-  enc->PutU64(query.id);
-  enc->PutI64(query.template_id);
-  enc->PutU32(query.table);
-  enc->PutU64(query.output_columns.size());
-  for (ColumnId column : query.output_columns) enc->PutU32(column);
-  enc->PutU64(query.predicates.size());
-  for (const Predicate& predicate : query.predicates) {
-    enc->PutU32(predicate.column);
-    enc->PutDouble(predicate.selectivity);
-    enc->PutBool(predicate.equality);
-    enc->PutBool(predicate.clustered);
-  }
-  enc->PutDouble(query.cpu_multiplier);
-  enc->PutDouble(query.parallel_fraction);
-  enc->PutU64(query.result_rows);
-  enc->PutU64(query.result_bytes);
-  enc->PutDouble(query.arrival_time);
-  enc->PutU32(query.tenant_id);
+  PutType(MessageType::kQuery, enc);
+  QueryFields(*enc, query);
 }
 
 Status DecodeQuery(persist::Decoder* dec, Query* query) {
   *query = Query();
-  int64_t template_id = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&query->id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&template_id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&query->table));
-  query->template_id = static_cast<int>(template_id);
-  uint64_t columns = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&columns));
-  query->output_columns.reserve(static_cast<size_t>(columns));
-  for (uint64_t i = 0; i < columns; ++i) {
-    uint32_t column = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&column));
-    query->output_columns.push_back(column);
-  }
-  uint64_t predicates = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&predicates));
-  query->predicates.reserve(static_cast<size_t>(predicates));
-  for (uint64_t i = 0; i < predicates; ++i) {
-    Predicate predicate;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&predicate.column));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&predicate.selectivity));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&predicate.equality));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&predicate.clustered));
-    // Same domain Query::Validate enforces; reject here so a hostile
-    // frame never reaches the cost model.
+  QueryFields(*dec, *query);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  // Same domains Query::Validate enforces; reject here so a hostile frame
+  // never reaches the cost model.
+  for (const Predicate& predicate : query->predicates) {
     if (!(predicate.selectivity > 0) || predicate.selectivity > 1.0) {
       return Status::InvalidArgument("query predicate selectivity not in "
                                      "(0, 1]");
     }
-    query->predicates.push_back(predicate);
   }
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&query->cpu_multiplier));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&query->parallel_fraction));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&query->result_rows));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&query->result_bytes));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&query->arrival_time));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&query->tenant_id));
   if (!std::isfinite(query->cpu_multiplier) ||
       !(query->cpu_multiplier > 0) ||
       !std::isfinite(query->parallel_fraction) ||
@@ -173,34 +206,13 @@ Status DecodeQuery(persist::Decoder* dec, Query* query) {
 }
 
 void EncodeOutcome(const OutcomeMsg& msg, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kOutcome));
-  enc->PutU64(msg.query_id);
-  enc->PutU64(msg.global_index);
-  enc->PutBool(msg.served);
-  enc->PutU8(msg.access);
-  enc->PutBool(msg.throttled);
-  enc->PutDouble(msg.response_seconds);
-  enc->PutI64(msg.payment_micros);
-  enc->PutI64(msg.profit_micros);
-  enc->PutBool(msg.has_budget_case);
-  enc->PutU8(msg.budget_case);
-  enc->PutU32(msg.investments);
-  enc->PutU32(msg.evictions);
+  PutType(MessageType::kOutcome, enc);
+  OutcomeFields(*enc, msg);
 }
 
 Status DecodeOutcome(persist::Decoder* dec, OutcomeMsg* msg) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->query_id));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->global_index));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&msg->served));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU8(&msg->access));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&msg->throttled));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&msg->response_seconds));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&msg->payment_micros));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&msg->profit_micros));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&msg->has_budget_case));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU8(&msg->budget_case));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->investments));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->evictions));
+  OutcomeFields(*dec, *msg);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (msg->access > 2 || msg->budget_case > 2) {
     return Status::InvalidArgument(
         "outcome carries an unknown access kind or budget case");
@@ -209,83 +221,48 @@ Status DecodeOutcome(persist::Decoder* dec, OutcomeMsg* msg) {
 }
 
 void EncodeError(const ErrorMsg& msg, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kError));
-  enc->PutU8(static_cast<uint8_t>(msg.code));
-  enc->PutString(msg.message);
+  PutType(MessageType::kError, enc);
+  enc->U8(static_cast<uint8_t>(msg.code));
+  enc->Str(msg.message);
 }
 
 Status DecodeError(persist::Decoder* dec, ErrorMsg* msg) {
   uint8_t code = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU8(&code));
+  dec->U8(code);
+  dec->Str(msg->message);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (code < static_cast<uint8_t>(ErrorCode::kBadFrame) ||
       code > static_cast<uint8_t>(ErrorCode::kInternal)) {
     return Status::InvalidArgument("unknown error code " +
                                    std::to_string(code));
   }
   msg->code = static_cast<ErrorCode>(code);
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadString(&msg->message));
   return dec->ExpectEnd();
 }
 
-void EncodeStats(persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kStats));
-}
+void EncodeStats(persist::Encoder* enc) { PutType(MessageType::kStats, enc); }
 
 Status DecodeStats(persist::Decoder* dec) { return dec->ExpectEnd(); }
 
 void EncodeStatsAck(const StatsAckMsg& msg, persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kStatsAck));
-  enc->PutU64(msg.processed);
-  enc->PutU64(msg.num_queries);
-  enc->PutU64(msg.served);
-  enc->PutU32(msg.active_streams);
-  enc->PutI64(msg.credit_micros);
-  enc->PutU64(msg.served_in_cache);
-  enc->PutU64(msg.throttled);
-  enc->PutU64(msg.investments);
-  enc->PutU64(msg.evictions);
-  enc->PutU64(msg.streams.size());
-  for (const StreamStatsMsg& stream : msg.streams) {
-    enc->PutU32(stream.stream);
-    enc->PutU64(stream.queries);
-    enc->PutU64(stream.served);
-    enc->PutU64(stream.throttled);
-  }
+  PutType(MessageType::kStatsAck, enc);
+  StatsAckFields(*enc, msg);
 }
 
 Status DecodeStatsAck(persist::Decoder* dec, StatsAckMsg* msg) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->processed));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->num_queries));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->served));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&msg->active_streams));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadI64(&msg->credit_micros));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->served_in_cache));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->throttled));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->investments));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->evictions));
-  uint64_t streams = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&streams));
-  msg->streams.clear();
-  msg->streams.reserve(static_cast<size_t>(streams));
-  for (uint64_t i = 0; i < streams; ++i) {
-    StreamStatsMsg stream;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&stream.stream));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&stream.queries));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&stream.served));
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&stream.throttled));
-    msg->streams.push_back(stream);
-  }
+  StatsAckFields(*dec, *msg);
   return dec->ExpectEnd();
 }
 
 void EncodeStatsSubscribe(const StatsSubscribeMsg& msg,
                           persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kStatsSubscribe));
-  enc->PutU64(msg.every);
+  PutType(MessageType::kStatsSubscribe, enc);
+  enc->U64(msg.every);
 }
 
 Status DecodeStatsSubscribe(persist::Decoder* dec, StatsSubscribeMsg* msg) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&msg->every));
+  dec->U64(msg->every);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (msg->every == 0) {
     return Status::InvalidArgument("StatsSubscribe.every must be >= 1");
   }
@@ -293,13 +270,13 @@ Status DecodeStatsSubscribe(persist::Decoder* dec, StatsSubscribeMsg* msg) {
 }
 
 void EncodeShutdown(persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kShutdown));
+  PutType(MessageType::kShutdown, enc);
 }
 
 Status DecodeShutdown(persist::Decoder* dec) { return dec->ExpectEnd(); }
 
 void EncodeShutdownAck(persist::Encoder* enc) {
-  enc->PutU8(static_cast<uint8_t>(MessageType::kShutdownAck));
+  PutType(MessageType::kShutdownAck, enc);
 }
 
 Status DecodeShutdownAck(persist::Decoder* dec) { return dec->ExpectEnd(); }

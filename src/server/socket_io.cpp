@@ -118,8 +118,8 @@ Status WriteFrame(const Socket& socket, const persist::Encoder& payload) {
     return Status::InvalidArgument("frame payload exceeds the 1 MiB cap");
   }
   persist::Encoder framed;
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  framed.PutBytes(body.data(), body.size());
+  framed.U32(static_cast<uint32_t>(body.size()));
+  framed.Bytes(body.data(), body.size());
   return WriteAll(socket, framed.buffer().data(), framed.size());
 }
 
@@ -161,7 +161,7 @@ Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
   if (*clean_eof) return Status::OK();
   persist::Decoder dec(prefix, sizeof(prefix));
   uint32_t length = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&length));
+  dec.U32(length);
   if (length == 0) {
     return Status::InvalidArgument("empty frame (no message type byte)");
   }

@@ -54,16 +54,6 @@ void RentMeter::Flush(Scheme* payer) {
   if (!charge.IsZero()) payer->ChargeExpenditure(charge, metered_until);
 }
 
-void RentMeter::Save(persist::Encoder* enc) const {
-  enc->PutDouble(metered_until);
-  enc->PutDouble(pending_rent_dollars);
-}
-
-Status RentMeter::Restore(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&metered_until));
-  return dec->ReadDouble(&pending_rent_dollars);
-}
-
 MeteredBill MeterServedQuery(const CostModel& metered, const PriceList& p,
                              const Query& query, const ServedQuery& served) {
   MeteredBill bill;
@@ -124,23 +114,40 @@ void AccountOutcome(const ServedQuery& served, const MeteredBill& bill,
   }
 }
 
+namespace {
+
+/// The "meta" section: driver mode, progress, run length, scheme name.
+struct FrameMeta {
+  uint8_t mode = 0;
+  uint64_t processed = 0;
+  uint64_t num_queries = 0;
+  std::string scheme_name;
+
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self) {
+    c.U8(self.mode);
+    c.U64(self.processed);
+    c.U64(self.num_queries);
+    c.Str(self.scheme_name);
+  }
+};
+
+}  // namespace
+
 Status WriteCheckpointFrame(
     const CheckpointOptions& cp, uint8_t mode, uint64_t processed,
     uint64_t num_queries, const Scheme& scheme,
     const std::vector<WorkloadGenerator*>& streams, const SimMetrics& metrics,
     const std::function<void(persist::Encoder*)>& write_driver) {
   persist::SnapshotWriter writer(cp.config_hash);
-  persist::Encoder* meta = writer.AddSection("meta");
-  meta->PutU8(mode);
-  meta->PutU64(processed);
-  meta->PutU64(num_queries);
-  meta->PutString(scheme.name());
+  const FrameMeta meta{mode, processed, num_queries, scheme.name()};
+  FrameMeta::Fields(*writer.AddSection("meta"), meta);
   write_driver(writer.AddSection("driver"));
   persist::Encoder* workload = writer.AddSection("workload");
-  workload->PutU64(streams.size());
-  for (const WorkloadGenerator* stream : streams) stream->SaveState(workload);
+  workload->Length(streams.size());
+  for (const WorkloadGenerator* stream : streams) workload->Nested(*stream);
   scheme.SaveState(writer.AddSection("scheme"));
-  persist::SaveSimMetrics(metrics, writer.AddSection("metrics"));
+  persist::SimMetricsFields(*writer.AddSection("metrics"), metrics);
   return writer.WriteToFile(cp.path);
 }
 
@@ -157,51 +164,44 @@ Result<uint64_t> RestoreCheckpointFrame(
 
   Result<persist::Decoder> meta = reader.Section("meta");
   CLOUDCACHE_RETURN_IF_ERROR(meta.status());
-  uint8_t saved_mode = 0;
-  uint64_t processed = 0;
-  uint64_t total = 0;
-  std::string scheme_name;
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU8(&saved_mode));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&processed));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&total));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadString(&scheme_name));
+  FrameMeta saved;
+  FrameMeta::Fields(meta.value(), saved);
   CLOUDCACHE_RETURN_IF_ERROR(meta->ExpectEnd());
-  if (saved_mode != mode) {
+  if (saved.mode != mode) {
     return Status::FailedPrecondition(
-        "snapshot was written by driver mode " + std::to_string(saved_mode) +
+        "snapshot was written by driver mode " + std::to_string(saved.mode) +
         " but this run uses mode " + std::to_string(mode) +
-        (saved_mode > kDriverModeMultiTenant
+        (saved.mode > kDriverModeMultiTenant
              ? " (a driver this build no longer has; start the run fresh)"
              : " (check --tenants against the checkpointed run)"));
   }
-  if (total != options.num_queries) {
+  if (saved.num_queries != options.num_queries) {
     return Status::FailedPrecondition(
-        "snapshot run length " + std::to_string(total) +
+        "snapshot run length " + std::to_string(saved.num_queries) +
         " does not match this run's " + std::to_string(options.num_queries));
   }
-  if (processed >= options.num_queries) {
+  if (saved.processed >= options.num_queries) {
     return Status::FailedPrecondition(
         "snapshot claims more processed queries than the run length");
   }
-  if (scheme_name != scheme->name()) {
+  if (saved.scheme_name != scheme->name()) {
     return Status::FailedPrecondition(
-        "snapshot was taken under scheme '" + scheme_name +
+        "snapshot was taken under scheme '" + saved.scheme_name +
         "' but this run drives '" + scheme->name() + "'");
   }
 
   Result<persist::Decoder> workload = reader.Section("workload");
   CLOUDCACHE_RETURN_IF_ERROR(workload.status());
   uint64_t stream_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(workload->ReadLength(&stream_count));
+  workload->Length(stream_count);
+  CLOUDCACHE_RETURN_IF_ERROR(workload->status());
   if (stream_count != streams.size()) {
     return Status::FailedPrecondition(
         "snapshot has " + std::to_string(stream_count) +
         " workload streams but this run has " +
         std::to_string(streams.size()));
   }
-  for (WorkloadGenerator* stream : streams) {
-    CLOUDCACHE_RETURN_IF_ERROR(stream->RestoreState(&workload.value()));
-  }
+  for (WorkloadGenerator* stream : streams) workload->Nested(*stream);
   CLOUDCACHE_RETURN_IF_ERROR(workload->ExpectEnd());
 
   Result<persist::Decoder> saved_scheme = reader.Section("scheme");
@@ -212,10 +212,9 @@ Result<uint64_t> RestoreCheckpointFrame(
   Result<persist::Decoder> saved_metrics = reader.Section("metrics");
   CLOUDCACHE_RETURN_IF_ERROR(saved_metrics.status());
   *metrics = SimMetrics();
-  CLOUDCACHE_RETURN_IF_ERROR(
-      persist::RestoreSimMetrics(&saved_metrics.value(), metrics));
+  persist::SimMetricsFields(saved_metrics.value(), *metrics);
   CLOUDCACHE_RETURN_IF_ERROR(saved_metrics->ExpectEnd());
-  return processed;
+  return saved.processed;
 }
 
 }  // namespace cloudcache

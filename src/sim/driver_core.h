@@ -134,9 +134,12 @@ struct RentMeter {
   /// unbilled remainder.
   void Flush(Scheme* payer);
 
-  /// Snapshot form: metered_until, then pending_rent_dollars.
-  void Save(persist::Encoder* enc) const;
-  Status Restore(persist::Decoder* dec);
+  /// The snapshot field list: metered_until, then pending_rent_dollars.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self) {
+    c.F64(self.metered_until);
+    c.F64(self.pending_rent_dollars);
+  }
 };
 
 /// One served query's metered execution + build bill.

@@ -48,22 +48,22 @@ uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
 }
 
 void EncodePriceList(const PriceList& p, persist::Encoder* enc) {
-  enc->PutDouble(p.cpu_second_dollars);
-  enc->PutDouble(p.network_byte_dollars);
-  enc->PutDouble(p.disk_byte_second_dollars);
-  enc->PutDouble(p.io_op_dollars);
-  enc->PutDouble(p.cpu_reserve_fraction);
-  enc->PutDouble(p.lcpu);
-  enc->PutDouble(p.fcpu);
-  enc->PutDouble(p.fio);
-  enc->PutDouble(p.fn);
-  enc->PutDouble(p.latency_seconds);
-  enc->PutDouble(p.wan_mbps);
-  enc->PutDouble(p.boot_seconds);
-  enc->PutDouble(p.io_bytes_per_op);
-  enc->PutDouble(p.io_seconds_per_op);
-  enc->PutDouble(p.random_io_multiplier);
-  enc->PutDouble(p.parallel_overhead);
+  enc->F64(p.cpu_second_dollars);
+  enc->F64(p.network_byte_dollars);
+  enc->F64(p.disk_byte_second_dollars);
+  enc->F64(p.io_op_dollars);
+  enc->F64(p.cpu_reserve_fraction);
+  enc->F64(p.lcpu);
+  enc->F64(p.fcpu);
+  enc->F64(p.fio);
+  enc->F64(p.fn);
+  enc->F64(p.latency_seconds);
+  enc->F64(p.wan_mbps);
+  enc->F64(p.boot_seconds);
+  enc->F64(p.io_bytes_per_op);
+  enc->F64(p.io_seconds_per_op);
+  enc->F64(p.random_io_multiplier);
+  enc->F64(p.parallel_overhead);
 }
 
 }  // namespace
@@ -146,53 +146,53 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
 
 uint64_t HashExperimentConfig(const ExperimentConfig& config) {
   persist::Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(config.scheme));
+  enc.U8(static_cast<uint8_t>(config.scheme));
 
   const WorkloadOptions& w = config.workload;
-  enc.PutDouble(w.popularity_skew);
-  enc.PutU64(w.drift_period);
-  enc.PutDouble(w.repeat_probability);
-  enc.PutDouble(w.interarrival_seconds);
-  enc.PutU8(static_cast<uint8_t>(w.arrival));
-  enc.PutDouble(w.selectivity_scale);
-  enc.PutU64(w.seed);
-  enc.PutU32(w.tenant_id);
-  enc.PutU64(w.popularity_offset);
+  enc.F64(w.popularity_skew);
+  enc.U64(w.drift_period);
+  enc.F64(w.repeat_probability);
+  enc.F64(w.interarrival_seconds);
+  enc.U8(static_cast<uint8_t>(w.arrival));
+  enc.F64(w.selectivity_scale);
+  enc.U64(w.seed);
+  enc.U32(w.tenant_id);
+  enc.U64(w.popularity_offset);
 
   const TenancyOptions& t = config.tenancy;
-  enc.PutU32(t.tenants);
-  enc.PutDouble(t.traffic_skew);
-  enc.PutBool(t.rotate_template_mix);
-  enc.PutBool(t.fair_eviction);
-  enc.PutBool(t.admission);
-  enc.PutU64(t.tenant_budgets.size());
+  enc.U32(t.tenants);
+  enc.F64(t.traffic_skew);
+  enc.Bool(t.rotate_template_mix);
+  enc.Bool(t.fair_eviction);
+  enc.Bool(t.admission);
+  enc.U64(t.tenant_budgets.size());
   for (const TenantBudgetShape& shape : t.tenant_budgets) {
-    enc.PutU32(shape.tenant);
-    enc.PutDouble(shape.price_scale);
-    enc.PutDouble(shape.tmax_scale);
+    enc.U32(shape.tenant);
+    enc.F64(shape.price_scale);
+    enc.F64(shape.tmax_scale);
   }
 
   const ClusterOptions& c = config.cluster;
-  enc.PutU32(c.nodes);
-  enc.PutBool(c.elastic);
-  enc.PutDouble(c.node_rent_multiplier);
-  enc.PutDouble(c.migration_recency_seconds);
-  enc.PutU64(c.elasticity.check_interval_queries);
-  enc.PutU32(c.elasticity.sustain_windows);
-  enc.PutU32(c.elasticity.cooldown_windows);
-  enc.PutDouble(c.elasticity.cold_share);
-  enc.PutI64(c.elasticity.amortization_horizon);
-  enc.PutU32(c.elasticity.min_nodes);
-  enc.PutU32(c.elasticity.max_nodes);
+  enc.U32(c.nodes);
+  enc.Bool(c.elastic);
+  enc.F64(c.node_rent_multiplier);
+  enc.F64(c.migration_recency_seconds);
+  enc.U64(c.elasticity.check_interval_queries);
+  enc.U32(c.elasticity.sustain_windows);
+  enc.U32(c.elasticity.cooldown_windows);
+  enc.F64(c.elasticity.cold_share);
+  enc.I64(c.elasticity.amortization_horizon);
+  enc.U32(c.elasticity.min_nodes);
+  enc.U32(c.elasticity.max_nodes);
 
   // SimulatorOptions, minus the checkpoint block (a snapshot must be
   // restorable regardless of the cadence that produced it).
-  enc.PutU64(config.sim.num_queries);
+  enc.U64(config.sim.num_queries);
   EncodePriceList(config.sim.metered_prices, &enc);
 
   EncodePriceList(config.decision_prices, &enc);
-  enc.PutU64(config.index_candidates);
-  enc.PutU64(config.seed);
+  enc.U64(config.index_candidates);
+  enc.U64(config.seed);
   return Fnv1a64(enc.buffer());
 }
 

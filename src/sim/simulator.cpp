@@ -121,10 +121,12 @@ Status Simulator::ExternalCheckpoint() const {
 }
 
 Status Simulator::WriteSnapshot() const {
+  const auto write_driver = [this](persist::Encoder* driver) {
+    RentMeter::Fields(*driver, meter_);
+  };
   return WriteCheckpointFrame(
       options_.checkpoint, mode(), processed_, options_.num_queries, *scheme_,
-      streams_, metrics_,
-      [this](persist::Encoder* driver) { meter_.Save(driver); });
+      streams_, metrics_, write_driver);
 }
 
 Status Simulator::RestoreFrom(const persist::SnapshotReader& reader) {
@@ -139,7 +141,7 @@ Status Simulator::RestoreFrom(const persist::SnapshotReader& reader) {
 
   Result<persist::Decoder> driver = reader.Section("driver");
   CLOUDCACHE_RETURN_IF_ERROR(driver.status());
-  CLOUDCACHE_RETURN_IF_ERROR(meter_.Restore(&driver.value()));
+  RentMeter::Fields(driver.value(), meter_);
   CLOUDCACHE_RETURN_IF_ERROR(driver->ExpectEnd());
 
   processed_ = processed.value();

@@ -124,19 +124,18 @@ std::vector<StructureId> StructureRegistry::IdsOfType(
 }
 
 void StructureRegistry::SaveState(persist::Encoder* enc) const {
-  enc->PutU64(keys_.size());
-  for (const StructureKey& key : keys_) {
-    enc->PutU8(static_cast<uint8_t>(key.type));
-    enc->PutU32(key.table);
-    enc->PutU64(key.columns.size());
-    for (ColumnId col : key.columns) enc->PutU32(col);
-    enc->PutU32(key.ordinal);
-  }
+  enc->Seq(keys_, [enc](const StructureKey& key) {
+    enc->U8(static_cast<uint8_t>(key.type));
+    enc->U32(key.table);
+    enc->Seq(key.columns, [enc](ColumnId col) { enc->U32(col); });
+    enc->U32(key.ordinal);
+  });
 }
 
 Status StructureRegistry::RestoreState(persist::Decoder* dec) {
   uint64_t count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
+  dec->Length(count);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
   if (count < keys_.size()) {
     return Status::FailedPrecondition(
         "snapshot registry has fewer structures than this run interned at "
@@ -145,19 +144,15 @@ Status StructureRegistry::RestoreState(persist::Decoder* dec) {
   for (uint64_t i = 0; i < count; ++i) {
     StructureKey key;
     uint8_t type = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU8(&type));
+    dec->U8(type);
+    dec->U32(key.table);
+    dec->Seq(key.columns, [dec](ColumnId& col) { dec->U32(col); });
+    dec->U32(key.ordinal);
+    CLOUDCACHE_RETURN_IF_ERROR(dec->status());
     if (type > static_cast<uint8_t>(StructureType::kIndex)) {
       return Status::InvalidArgument("corrupt structure type in snapshot");
     }
     key.type = static_cast<StructureType>(type);
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&key.table));
-    uint64_t column_count = 0;
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&column_count));
-    key.columns.resize(column_count);
-    for (ColumnId& col : key.columns) {
-      CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&col));
-    }
-    CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&key.ordinal));
     if (key.type != StructureType::kCpuNode) {
       if (key.table >= catalog_->num_tables()) {
         return Status::InvalidArgument("snapshot structure references an "

@@ -54,7 +54,6 @@ class Money {
   /// True iff the amount is strictly positive.
   constexpr bool IsPositive() const { return micros_ > 0; }
   /// True iff the amount is strictly negative.
-  constexpr bool IsNegative() const { return micros_ < 0; }
 
   /// Renders as e.g. "$12.345678" (micro-dollar precision, trailing zeros
   /// trimmed to cents).
@@ -120,8 +119,6 @@ class Money {
 
   /// Returns the larger of a and b.
   static constexpr Money Max(Money a, Money b) { return a < b ? b : a; }
-  /// Returns the smaller of a and b.
-  static constexpr Money Min(Money a, Money b) { return a < b ? a : b; }
 
  private:
   constexpr explicit Money(int64_t micros) : micros_(micros) {}

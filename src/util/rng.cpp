@@ -87,16 +87,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-void Rng::SaveState(uint64_t out[5]) const {
-  for (int i = 0; i < 4; ++i) out[i] = state_[i];
-  out[4] = seed_;
-}
-
-void Rng::RestoreState(const uint64_t in[5]) {
-  for (int i = 0; i < 4; ++i) state_[i] = in[i];
-  seed_ = in[4];
-}
-
 Rng Rng::Fork(uint64_t stream_id) const {
   // Mix the parent seed with the stream id through splitmix so sibling
   // streams are uncorrelated.

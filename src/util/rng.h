@@ -44,11 +44,14 @@ class Rng {
   /// seed lineage and `stream_id`, without consuming this stream's output.
   Rng Fork(uint64_t stream_id) const;
 
-  /// Copies the raw generator state (four xoshiro words + the retained
-  /// seed) for checkpointing. A generator restored from these words
+  /// The snapshot field list (src/persist/codec.h): the four xoshiro
+  /// words, then the retained seed. A generator restored from them
   /// continues the stream exactly where the saved one left off.
-  void SaveState(uint64_t out[5]) const;
-  void RestoreState(const uint64_t in[5]);
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self) {
+    for (auto& word : self.state_) c.U64(word);
+    c.U64(self.seed_);
+  }
 
  private:
   uint64_t state_[4];

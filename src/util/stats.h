@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace cloudcache {
@@ -59,11 +58,19 @@ class TimeSeries {
   /// last. Returns the whole series if it is already small enough.
   TimeSeries Downsample(size_t max_points) const;
 
-  /// Replaces the whole series for checkpoint restore; the vectors must be
-  /// equal length with non-decreasing times.
-  void RestoreRaw(std::vector<double> times, std::vector<double> values) {
-    times_ = std::move(times);
-    values_ = std::move(values);
+  /// The snapshot field list (src/persist/codec.h): the point count,
+  /// every time, then every value.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self) {
+    uint64_t size = self.times_.size();
+    c.Length(size);
+    if constexpr (Codec::kDecoding) {
+      if (!c.ok()) return;
+      self.times_.resize(size);
+      self.values_.resize(size);
+    }
+    for (auto& time : self.times_) c.F64(time);
+    for (auto& value : self.values_) c.F64(value);
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "src/workload/generator.h"
 
-#include "src/persist/util_io.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
@@ -66,27 +65,28 @@ Query WorkloadGenerator::Next() {
   return query;
 }
 
+template <typename Codec, typename Self>
+void WorkloadGenerator::Fields(Codec& c, Self& self) {
+  Rng::Fields(c, self.rng_);
+  c.U64(self.next_id_);
+  c.F64(self.next_arrival_);
+  c.U64(self.previous_template_);
+  c.Bool(self.have_previous_);
+}
+
 void WorkloadGenerator::SaveState(persist::Encoder* enc) const {
-  persist::SaveRng(rng_, enc);
-  enc->PutU64(next_id_);
-  enc->PutDouble(next_arrival_);
-  enc->PutU64(previous_template_);
-  enc->PutBool(have_previous_);
+  Fields(*enc, *this);
 }
 
 Status WorkloadGenerator::RestoreState(persist::Decoder* dec) {
-  CLOUDCACHE_RETURN_IF_ERROR(persist::RestoreRng(dec, &rng_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&next_id_));
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&next_arrival_));
-  uint64_t previous = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&previous));
-  if (previous >= templates_.size()) {
+  Fields(*dec, *this);
+  CLOUDCACHE_RETURN_IF_ERROR(dec->status());
+  if (previous_template_ >= templates_.size()) {
     return Status::InvalidArgument(
-        "snapshot workload cursor names template " + std::to_string(previous) +
-        " but this run has only " + std::to_string(templates_.size()));
+        "snapshot workload cursor names template " +
+        std::to_string(previous_template_) + " but this run has only " +
+        std::to_string(templates_.size()));
   }
-  previous_template_ = static_cast<size_t>(previous);
-  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadBool(&have_previous_));
   return Status::OK();
 }
 

@@ -72,6 +72,9 @@ class WorkloadGenerator {
   Status RestoreState(persist::Decoder* dec);
 
  private:
+  /// The snapshot field list, run by SaveState and RestoreState alike.
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self);
   /// Popularity rank of template `index` in the current drift phase.
   size_t RankOf(size_t index, uint64_t phase) const;
   /// Draws the template for the next query.

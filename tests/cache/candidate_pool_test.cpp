@@ -24,13 +24,13 @@ std::vector<std::pair<StructureId, double>> MruOrder(
   pool.SaveState(&enc);
   Decoder dec(enc.buffer().data(), enc.size());
   uint64_t count = 0;
-  EXPECT_TRUE(dec.ReadLength(&count).ok());
+  dec.Length(count);
   std::vector<std::pair<StructureId, double>> entries(count);
   for (auto& [id, last_touch] : entries) {
-    EXPECT_TRUE(dec.ReadU32(&id).ok());
-    EXPECT_TRUE(dec.ReadDouble(&last_touch).ok());
+    dec.U32(id);
+    dec.F64(last_touch);
   }
-  EXPECT_TRUE(dec.AtEnd());
+  EXPECT_TRUE(dec.ExpectEnd().ok());
   return entries;
 }
 
@@ -313,11 +313,11 @@ TEST_F(CandidatePoolRestoreTest, RoundTripKeepsOrderAndAging) {
 
 TEST_F(CandidatePoolRestoreTest, RepeatedIdIsRejected) {
   Encoder enc;
-  enc.PutU64(2);
-  enc.PutU32(4);
-  enc.PutDouble(1.0);
-  enc.PutU32(4);
-  enc.PutDouble(2.0);
+  enc.Length(2);
+  enc.U32(4u);
+  enc.F64(1.0);
+  enc.U32(4u);
+  enc.F64(2.0);
   CandidatePool pool(4);
   Decoder dec(enc.buffer().data(), enc.size());
   const Status status = pool.RestoreState(&dec, registry_);
@@ -329,18 +329,18 @@ TEST_F(CandidatePoolRestoreTest, RepeatedIdIsRejected) {
 
 TEST_F(CandidatePoolRestoreTest, UnknownIdAndOverflowAreRejected) {
   Encoder unknown;
-  unknown.PutU64(1);
-  unknown.PutU32(4'000'000'000u);  // Never interned.
-  unknown.PutDouble(1.0);
+  unknown.Length(1);
+  unknown.U32(4'000'000'000u);  // Never interned.
+  unknown.F64(1.0);
   CandidatePool pool(4);
   Decoder dec(unknown.buffer().data(), unknown.size());
   EXPECT_FALSE(pool.RestoreState(&dec, registry_).ok());
 
   Encoder overflow;
-  overflow.PutU64(5);
+  overflow.Length(5);
   for (StructureId id = 0; id < 5; ++id) {
-    overflow.PutU32(id);
-    overflow.PutDouble(1.0);
+    overflow.U32(id);
+    overflow.F64(1.0);
   }
   Decoder dec2(overflow.buffer().data(), overflow.size());
   EXPECT_FALSE(pool.RestoreState(&dec2, registry_).ok());

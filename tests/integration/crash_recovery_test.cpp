@@ -157,7 +157,7 @@ TEST_F(CrashRecoveryTest, RetiredDriverModeSnapshotIsRefused) {
                     cp, kRetiredWindowedMode, /*processed=*/300,
                     config.sim.num_queries, graph.value()->scheme(),
                     {graph.value()->stream(0)}, SimMetrics{},
-                    [](persist::Encoder* enc) { enc->PutDouble(0); })
+                    [](persist::Encoder* enc) { enc->F64(0.0); })
                     .ok());
   }
 

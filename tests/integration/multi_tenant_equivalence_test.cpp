@@ -176,7 +176,6 @@ TEST_F(MultiTenantEquivalenceTest, SingleTenantStaysClassicEvenWithPoliciesOn) {
     econ.economy.admission.throttle_ratio = 0.001;
     econ.economy.admission.readmit_ratio = 0.0005;
     econ.economy.admission.min_regret = Money::FromMicros(1);
-    econ.economy.eviction_breadth_slack = 25.0;
   };
   const SimMetrics merged = RunThroughWrappedLayer(
       *catalog_, *templates_, forced, WrappedLayer::kTenancy);
@@ -201,13 +200,9 @@ TEST_F(MultiTenantEquivalenceTest, PolicyFlagsOffAreBitIdenticalToBaseline) {
   tuned.customize_econ = [base_customize](EconScheme::Config& econ) {
     base_customize(econ);
     // Aggressive knobs behind disabled switches: none of this may leak.
-    econ.economy.eviction_breadth_slack = 25.0;
-    econ.economy.eviction_aging_window = 64;
     econ.economy.admission.throttle_ratio = 0.001;
     econ.economy.admission.readmit_ratio = 0.0005;
     econ.economy.admission.min_regret = Money::FromMicros(1);
-    econ.economy.admission.throttled_regret_scale = 0.9;
-    econ.economy.admission.forfeit_standing_regret = false;
   };
   const SimMetrics tuned_run = RunExperiment(*catalog_, *templates_, tuned);
   ExpectBitIdenticalMetrics(baseline, tuned_run);

@@ -31,50 +31,81 @@ TEST(Crc32Test, SingleBitFlipsChangeTheChecksum) {
   }
 }
 
-TEST(CodecTest, RoundTripsEveryScalarType) {
-  Encoder enc;
-  enc.PutU8(0xFE);
-  enc.PutBool(true);
-  enc.PutBool(false);
-  enc.PutU32(0xDEADBEEFu);
-  enc.PutU64(0x0123456789ABCDEFull);
-  enc.PutI64(-42);
-  enc.PutDouble(3.141592653589793);
-  enc.PutMoney(Money::FromMicros(-7'000'001));
-  enc.PutString("cloudcache");
-  enc.PutString("");
-
-  Decoder dec(enc.buffer().data(), enc.size());
+/// A record written the way production records are: one field list,
+/// run by the Encoder on save and by the Decoder on restore.
+struct Sample {
   uint8_t u8 = 0;
-  bool b = false;
+  bool flag = false;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
-  double d = 0;
+  double f64 = 0;
   Money money;
-  std::string s;
-  ASSERT_TRUE(dec.ReadU8(&u8).ok());
-  EXPECT_EQ(u8, 0xFE);
-  ASSERT_TRUE(dec.ReadBool(&b).ok());
-  EXPECT_TRUE(b);
-  ASSERT_TRUE(dec.ReadBool(&b).ok());
-  EXPECT_FALSE(b);
-  ASSERT_TRUE(dec.ReadU32(&u32).ok());
-  EXPECT_EQ(u32, 0xDEADBEEFu);
-  ASSERT_TRUE(dec.ReadU64(&u64).ok());
-  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
-  ASSERT_TRUE(dec.ReadI64(&i64).ok());
-  EXPECT_EQ(i64, -42);
-  ASSERT_TRUE(dec.ReadDouble(&d).ok());
-  EXPECT_EQ(d, 3.141592653589793);
-  ASSERT_TRUE(dec.ReadMoney(&money).ok());
-  EXPECT_EQ(money.micros(), -7'000'001);
-  ASSERT_TRUE(dec.ReadString(&s).ok());
-  EXPECT_EQ(s, "cloudcache");
-  ASSERT_TRUE(dec.ReadString(&s).ok());
-  EXPECT_EQ(s, "");
+  std::string text;
+  std::vector<uint32_t> ids;
+
+  template <typename Codec, typename Self>
+  static void Fields(Codec& c, Self& self) {
+    c.U8(self.u8);
+    c.Bool(self.flag);
+    c.U32(self.u32);
+    c.U64(self.u64);
+    c.I64(self.i64);
+    c.F64(self.f64);
+    c.Money(self.money);
+    c.Str(self.text);
+    c.Seq(self.ids, [&c](auto& id) { c.U32(id); });
+  }
+};
+
+Sample FullSample() {
+  Sample sample;
+  sample.u8 = 0xFE;
+  sample.flag = true;
+  sample.u32 = 0xDEADBEEFu;
+  sample.u64 = 0x0123456789ABCDEFull;
+  sample.i64 = -42;
+  sample.f64 = 3.141592653589793;
+  sample.money = Money::FromMicros(-7'000'001);
+  sample.text = "cloudcache";
+  sample.ids = {7, 0, 4'000'000'000u};
+  return sample;
+}
+
+TEST(CodecTest, RoundTripsEveryScalarType) {
+  const Sample saved = FullSample();
+  Encoder enc;
+  Sample::Fields(enc, saved);
+  // 1 + 1 + 4 + 8 + 8 + 8 + 8 + (8 + 10) + (8 + 3 * 4) bytes.
+  EXPECT_EQ(enc.size(), 76u);
+
+  Sample restored;
+  Decoder dec(enc.buffer().data(), enc.size());
+  Sample::Fields(dec, restored);
+  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
+  EXPECT_EQ(restored.u8, 0xFE);
+  EXPECT_TRUE(restored.flag);
+  EXPECT_EQ(restored.u32, 0xDEADBEEFu);
+  EXPECT_EQ(restored.u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(restored.i64, -42);
+  EXPECT_EQ(restored.f64, 3.141592653589793);
+  EXPECT_EQ(restored.money.micros(), -7'000'001);
+  EXPECT_EQ(restored.text, "cloudcache");
+  EXPECT_EQ(restored.ids, saved.ids);
   EXPECT_TRUE(dec.AtEnd());
   EXPECT_TRUE(dec.ExpectEnd().ok());
+}
+
+TEST(CodecTest, EmptyStringAndSequenceRoundTrip) {
+  const Sample saved;
+  Encoder enc;
+  Sample::Fields(enc, saved);
+  Sample restored = FullSample();
+  Decoder dec(enc.buffer().data(), enc.size());
+  Sample::Fields(dec, restored);
+  ASSERT_TRUE(dec.ExpectEnd().ok());
+  EXPECT_EQ(restored.text, "");
+  EXPECT_TRUE(restored.ids.empty());
 }
 
 TEST(CodecTest, DoublesRoundTripBitForBit) {
@@ -86,11 +117,12 @@ TEST(CodecTest, DoublesRoundTripBitForBit) {
       std::numeric_limits<double>::quiet_NaN(),
       std::numeric_limits<double>::denorm_min(), -1.5e308};
   Encoder enc;
-  for (double v : values) enc.PutDouble(v);
+  for (double v : values) enc.F64(v);
   Decoder dec(enc.buffer().data(), enc.size());
   for (double v : values) {
     double out = 0;
-    ASSERT_TRUE(dec.ReadDouble(&out).ok());
+    dec.F64(out);
+    ASSERT_TRUE(dec.ok());
     uint64_t want = 0, got = 0;
     std::memcpy(&want, &v, sizeof(want));
     std::memcpy(&got, &out, sizeof(got));
@@ -99,53 +131,70 @@ TEST(CodecTest, DoublesRoundTripBitForBit) {
 }
 
 TEST(CodecTest, TruncationAtEveryBoundaryIsAnError) {
+  const Sample saved = FullSample();
   Encoder enc;
-  enc.PutU32(7);
-  enc.PutU64(9);
-  enc.PutString("abc");
-  enc.PutDouble(1.25);
-  // Replaying the reads over every proper prefix must fail with a Status
-  // (not crash) at exactly the read that runs out of bytes.
+  Sample::Fields(enc, saved);
+  // Every proper prefix must fail with a Status, never crash, and the
+  // first error must stick through the reads after it.
   for (size_t cut = 0; cut < enc.size(); ++cut) {
     Decoder dec(enc.buffer().data(), cut);
-    uint32_t u32 = 0;
-    uint64_t u64 = 0;
-    std::string s;
-    double d = 0;
-    Status status = dec.ReadU32(&u32);
-    if (status.ok()) status = dec.ReadU64(&u64);
-    if (status.ok()) status = dec.ReadString(&s);
-    if (status.ok()) status = dec.ReadDouble(&d);
-    EXPECT_FALSE(status.ok()) << "prefix of " << cut << " bytes";
-    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+    Sample restored;
+    Sample::Fields(dec, restored);
+    EXPECT_FALSE(dec.ok()) << "prefix of " << cut << " bytes";
+    EXPECT_EQ(dec.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(dec.ExpectEnd().code(), StatusCode::kOutOfRange);
   }
+}
+
+TEST(CodecTest, ReadsAfterTheFirstErrorAreNoOps) {
+  Encoder enc;
+  enc.U8(uint8_t{2});  // Not a bool.
+  enc.U32(7u);
+  Decoder dec(enc.buffer().data(), enc.size());
+  bool flag = true;
+  uint32_t after = 99;
+  dec.Bool(flag);
+  dec.U32(after);
+  EXPECT_EQ(dec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(flag);       // The corrupt read left its field alone...
+  EXPECT_EQ(after, 99u);   // ...and so did every read after it.
+  EXPECT_EQ(dec.remaining(), 4u);
 }
 
 TEST(CodecTest, ReadLengthRejectsCountsBeyondTheBuffer) {
   // A corrupt length prefix must fail in the decoder, not as an OOM in
   // the vector resize it was destined for.
   Encoder enc;
-  enc.PutU64(std::numeric_limits<uint64_t>::max());
+  enc.Length(std::numeric_limits<uint64_t>::max());
   Decoder dec(enc.buffer().data(), enc.size());
   uint64_t length = 0;
-  const Status status = dec.ReadLength(&length);
-  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  dec.Length(length);
+  EXPECT_EQ(dec.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(length, 0u);
+
+  std::vector<uint32_t> ids = {1, 2};
+  Decoder seq(enc.buffer().data(), enc.size());
+  seq.Seq(ids, [&seq](uint32_t& id) { seq.U32(id); });
+  EXPECT_EQ(seq.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ids.size(), 2u);
 }
 
 TEST(CodecTest, CorruptBoolByteIsAnError) {
   const uint8_t byte = 2;
   Decoder dec(&byte, 1);
   bool out = false;
-  EXPECT_EQ(dec.ReadBool(&out).code(), StatusCode::kInvalidArgument);
+  dec.Bool(out);
+  EXPECT_EQ(dec.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CodecTest, TrailingBytesAreAnError) {
   Encoder enc;
-  enc.PutU32(1);
-  enc.PutU8(0);
+  enc.U32(1u);
+  enc.U8(uint8_t{0});
   Decoder dec(enc.buffer().data(), enc.size());
   uint32_t v = 0;
-  ASSERT_TRUE(dec.ReadU32(&v).ok());
+  dec.U32(v);
+  ASSERT_TRUE(dec.ok());
   EXPECT_FALSE(dec.ExpectEnd().ok());
 }
 

@@ -18,7 +18,6 @@
 #include "src/econ/amortizer.h"
 #include "src/econ/regret.h"
 #include "src/persist/codec.h"
-#include "src/persist/util_io.h"
 #include "src/query/templates.h"
 #include "src/sim/experiment.h"
 #include "src/structure/structure.h"
@@ -222,12 +221,12 @@ TEST(MaintenanceLedgerPersistTest, RepeatedIdIsRejected) {
   const CostModel model(&catalog, &prices);
   const StructureRegistry registry = GoldenRegistry(catalog);
   Encoder enc;
-  enc.PutU64(2);
+  enc.Length(2);
   for (int i = 0; i < 2; ++i) {
-    enc.PutU32(5);
-    enc.PutDouble(10.0);
-    enc.PutMoney(Money::FromDollars(1.0));
-    enc.PutDouble(1.0);
+    enc.U32(5u);
+    enc.F64(10.0);
+    enc.Money(Money::FromDollars(1.0));
+    enc.F64(1.0);
   }
   MaintenanceLedger twin(&model, 0.25, true);
   Decoder dec(enc.buffer().data(), enc.size());
@@ -276,11 +275,11 @@ TEST(AmortizerPersistTest, RepeatedOrUnknownIdIsRejected) {
   const StructureRegistry registry = GoldenRegistry(catalog);
   const auto restore = [&](const std::vector<StructureId>& ids) {
     Encoder enc;
-    enc.PutU64(ids.size());
+    enc.Length(ids.size());
     for (StructureId id : ids) {
-      enc.PutU32(id);
-      enc.PutMoney(Money::FromDollars(1.0));
-      enc.PutI64(0);
+      enc.U32(id);
+      enc.Money(Money::FromDollars(1.0));
+      enc.I64(int64_t{0});
     }
     Amortizer twin(4);
     Decoder dec(enc.buffer().data(), enc.size());
@@ -362,11 +361,11 @@ TEST(RngPersistTest, RestoredStreamContinuesExactly) {
   for (int i = 0; i < 100; ++i) rng.Next();
 
   Encoder enc;
-  persist::SaveRng(rng, &enc);
+  Rng::Fields(enc, rng);
   Rng twin(999);  // Different seed: the restore must overwrite it fully.
   Decoder dec(enc.buffer().data(), enc.size());
-  ASSERT_TRUE(persist::RestoreRng(&dec, &twin).ok());
-  EXPECT_TRUE(dec.AtEnd());
+  Rng::Fields(dec, twin);
+  EXPECT_TRUE(dec.ExpectEnd().ok());
 
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(twin.Next(), rng.Next()) << "draw " << i;

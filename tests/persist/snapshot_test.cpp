@@ -16,10 +16,10 @@ std::string TempPath(const std::string& name) {
 SnapshotWriter MakeTwoSectionWriter(uint64_t config_hash = 0x1234) {
   SnapshotWriter writer(config_hash);
   Encoder* alpha = writer.AddSection("alpha");
-  alpha->PutU64(42);
-  alpha->PutString("economy");
+  alpha->U64(uint64_t{42});
+  alpha->Str("economy");
   Encoder* beta = writer.AddSection("beta");
-  beta->PutDouble(2.5);
+  beta->F64(2.5);
   return writer;
 }
 
@@ -29,16 +29,17 @@ TEST(SnapshotTest, InMemoryRoundTrip) {
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_EQ(reader->config_hash(), 0x1234u);
   EXPECT_TRUE(reader->ExpectConfigHash(0x1234).ok());
-  EXPECT_TRUE(reader->HasSection("alpha"));
-  EXPECT_TRUE(reader->HasSection("beta"));
-  EXPECT_FALSE(reader->HasSection("gamma"));
+  EXPECT_TRUE(reader->Section("alpha").ok());
+  EXPECT_TRUE(reader->Section("beta").ok());
+  EXPECT_FALSE(reader->Section("gamma").ok());
 
   Result<Decoder> alpha = reader->Section("alpha");
   ASSERT_TRUE(alpha.ok());
   uint64_t v = 0;
   std::string s;
-  ASSERT_TRUE(alpha->ReadU64(&v).ok());
-  ASSERT_TRUE(alpha->ReadString(&s).ok());
+  alpha->U64(v);
+  alpha->Str(s);
+  ASSERT_TRUE(alpha->ok());
   EXPECT_EQ(v, 42u);
   EXPECT_EQ(s, "economy");
   EXPECT_TRUE(alpha->ExpectEnd().ok());
@@ -46,7 +47,8 @@ TEST(SnapshotTest, InMemoryRoundTrip) {
   Result<Decoder> beta = reader->Section("beta");
   ASSERT_TRUE(beta.ok());
   double d = 0;
-  ASSERT_TRUE(beta->ReadDouble(&d).ok());
+  beta->F64(d);
+  ASSERT_TRUE(beta->ok());
   EXPECT_EQ(d, 2.5);
 }
 
@@ -62,13 +64,13 @@ TEST(SnapshotTest, FileRoundTripAndAtomicOverwrite) {
   ASSERT_TRUE(MakeTwoSectionWriter(7).WriteToFile(path).ok());
   // Overwrite with different contents: the rename must replace wholesale.
   SnapshotWriter second(9);
-  second.AddSection("only")->PutU64(1);
+  second.AddSection("only")->U64(uint64_t{1});
   ASSERT_TRUE(second.WriteToFile(path).ok());
   Result<SnapshotReader> reader = SnapshotReader::FromFile(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   EXPECT_EQ(reader->config_hash(), 9u);
-  EXPECT_FALSE(reader->HasSection("alpha"));
-  EXPECT_TRUE(reader->HasSection("only"));
+  EXPECT_FALSE(reader->Section("alpha").ok());
+  EXPECT_TRUE(reader->Section("only").ok());
   // No temp file left behind.
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr);

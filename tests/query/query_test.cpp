@@ -28,13 +28,6 @@ TEST(QueryTest, AccessedColumnsDeduplicated) {
   EXPECT_TRUE(std::is_sorted(accessed.begin(), accessed.end()));
 }
 
-TEST(QueryTest, ScanBytesSumsAccessedColumns) {
-  const Catalog catalog = testing::MakeTinyCatalog();
-  const Query q = testing::MakeTinyQuery(catalog);
-  // Three accessed fact columns at 8 MB each.
-  EXPECT_EQ(q.ScanBytes(catalog), 3u * 8'000'000);
-}
-
 TEST(QueryTest, AccessedColumnsMemoRevalidatesOnMutation) {
   const Catalog catalog = testing::MakeTinyCatalog();
   Query q = testing::MakeTinyQuery(catalog);

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -371,6 +372,101 @@ TEST(ProtocolTest, EveryTruncationOfEveryMessageIsRefused) {
           << bytes.size() << " bytes decoded successfully";
     }
   }
+}
+
+static_assert(kProtocolVersion == 2,
+              "a wire layout change bumps the protocol version and "
+              "recaptures the golden bytes below");
+
+template <typename EncodeFn>
+std::string EncodedHex(EncodeFn&& encode) {
+  persist::Encoder enc;
+  encode(&enc);
+  std::string hex;
+  char byte[3];
+  for (uint8_t b : enc.buffer()) {
+    std::snprintf(byte, sizeof(byte), "%02x", b);
+    hex += byte;
+  }
+  return hex;
+}
+
+TEST(ProtocolTest, WireBytesMatchGolden) {
+  // One message of each type, every field set; the hex was captured when
+  // the bodies moved to one field list per message.
+  HelloMsg hello;
+  hello.stream_id = 3;
+  hello.config_hash = 0x0123456789abcdefull;
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) { EncodeHello(hello, e); }),
+            "010200000003000000efcdab8967452301");
+  HelloAckMsg ack;
+  ack.stream_id = 1;
+  ack.config_hash = 0xfedcba9876543210ull;
+  ack.num_queries = 6000;
+  ack.next_query_id = 42;
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) { EncodeHelloAck(ack, e); }),
+            "0202000000010000001032547698badcfe70170000000000002a0000"
+            "0000000000");
+  Query query = SampleQuery();
+  query.template_id = -7;
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) { EncodeQuery(query, e); }),
+            "0301a1000000000000f9ffffffffffffff0300000003000000000000"
+            "000b0000000c0000001300000002000000000000000c000000000000"
+            "000000903f000113000000000000000000f03f010000000000000002"
+            "40000000000000ec3f40e2010000000000b168de3a00000000000000"
+            "00004a934002000000");
+  OutcomeMsg outcome;
+  outcome.query_id = 41'217;
+  outcome.global_index = 99;
+  outcome.served = true;
+  outcome.access = 1;
+  outcome.throttled = true;
+  outcome.response_seconds = 3.75;
+  outcome.payment_micros = 1'234'567;
+  outcome.profit_micros = -89;
+  outcome.has_budget_case = true;
+  outcome.budget_case = 2;
+  outcome.investments = 4;
+  outcome.evictions = 5;
+  EXPECT_EQ(
+      EncodedHex([&](persist::Encoder* e) { EncodeOutcome(outcome, e); }),
+      "0401a100000000000063000000000000000101010000000000000e40"
+      "87d6120000000000a7ffffffffffffff01020400000005000000");
+  ErrorMsg error;
+  error.code = ErrorCode::kStreamDiverged;
+  error.message = "stream 2 diverged";
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) { EncodeError(error, e); }),
+            "0506110000000000000073747265616d2032206469766572676564");
+  EXPECT_EQ(EncodedHex([](persist::Encoder* e) { EncodeStats(e); }),
+            "06");
+  StatsAckMsg stats;
+  stats.processed = 1500;
+  stats.num_queries = 6000;
+  stats.served = 1490;
+  stats.active_streams = 2;
+  stats.credit_micros = -250;
+  stats.served_in_cache = 700;
+  stats.throttled = 3;
+  stats.investments = 11;
+  stats.evictions = 6;
+  stats.streams.push_back(StreamStatsMsg{0, 800, 795, 1});
+  stats.streams.push_back(StreamStatsMsg{1, 700, 695, 2});
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) { EncodeStatsAck(stats, e); }),
+            "07dc050000000000007017000000000000d205000000000000020000"
+            "0006ffffffffffffffbc0200000000000003000000000000000b0000"
+            "00000000000600000000000000020000000000000000000000200300"
+            "00000000001b03000000000000010000000000000001000000bc0200"
+            "0000000000b7020000000000000200000000000000");
+  StatsSubscribeMsg subscribe;
+  subscribe.every = 250;
+  EXPECT_EQ(EncodedHex([&](persist::Encoder* e) {
+              EncodeStatsSubscribe(subscribe, e);
+            }),
+            "0afa00000000000000");
+  EXPECT_EQ(EncodedHex([](persist::Encoder* e) { EncodeShutdown(e); }),
+            "08");
+  EXPECT_EQ(EncodedHex([](persist::Encoder* e) { EncodeShutdownAck(e); }),
+            "09");
 }
 
 TEST(ProtocolTest, TrailingBytesAreRefused) {

@@ -58,7 +58,8 @@ inline FailurePrediction PredictFailureEvictions(const EconomyEngine& engine,
   RegretLedger regret;
   CLOUDCACHE_CHECK(regret.RestoreState(&dec).ok());
   uint64_t tenants = 0;
-  CLOUDCACHE_CHECK(dec.ReadLength(&tenants).ok());
+  dec.Length(tenants);
+  CLOUDCACHE_CHECK(dec.ok());
   for (uint64_t t = 0; t < tenants; ++t) {
     RegretLedger tenant;
     CLOUDCACHE_CHECK(tenant.RestoreState(&dec).ok());
@@ -69,12 +70,13 @@ inline FailurePrediction PredictFailureEvictions(const EconomyEngine& engine,
   Amortizer amortizer(options.amortization_horizon);
   CLOUDCACHE_CHECK(amortizer.RestoreState(&dec, *registry).ok());
   uint64_t pending = 0;
-  CLOUDCACHE_CHECK(dec.ReadLength(&pending).ok());
+  dec.Length(pending);
   for (uint64_t i = 0; i < pending; ++i) {
     double ready_at = 0;
     StructureId id = 0;
-    CLOUDCACHE_CHECK(dec.ReadDouble(&ready_at).ok());
-    CLOUDCACHE_CHECK(dec.ReadU32(&id).ok());
+    dec.F64(ready_at);
+    dec.U32(id);
+    CLOUDCACHE_CHECK(dec.ok());
     if (ready_at <= now) {
       CLOUDCACHE_CHECK(cache.Add(id, now).ok());
     }
